@@ -8,7 +8,7 @@ open Ssmst_sim
 
    - sampling: a span profiler created over an engine's {!Metrics} snapshots
      the counters at [open_] and charges the delta at [close] — the
-     hook-free path for anything executing on {!Network.Make};
+     hook-free path for anything executing on the event-driven engine;
    - explicit charging: algorithms with their own cost model ({!Sync_mst}'s
      timetable, the marker's wave passes) call {!charge}, which adds to
      every currently open span.

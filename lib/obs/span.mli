@@ -30,7 +30,8 @@ type counters = { rounds : int; activations : int; writes : int; peak_bits : int
 val zero_counters : counters
 
 val sampler_of_metrics : Metrics.t -> unit -> counters
-(** The engine hook: sample a {!Network.Make} instance's live counters. *)
+(** The engine hook: sample an event-driven engine's ({!Network.Make} or
+    {!Network.Flat}) live counters. *)
 
 type node = {
   tag : tag;

@@ -48,10 +48,11 @@ let mark (m : Marker.t) =
   in
   { marker = m; labels }
 
-(* One-round verifier at node [v]; returns the violated checks. *)
-let check_node (t : t) v =
-  let g = t.marker.graph in
-  let l = t.labels.(v) in
+(* One-round verifier at node [v] against the labels [label] returns (only
+   [v]'s own and its neighbours' are read); returns the violated checks. *)
+let check_node_with (m : Marker.t) (label : int -> label) v =
+  let g = m.graph in
+  let l = label v in
   let bad = ref [] in
   let fail name = bad := name :: !bad in
   let strings = l.base.Marker.strings in
@@ -63,7 +64,7 @@ let check_node (t : t) v =
   let children =
     Array.to_list (Graph.neighbours g v)
     |> List.filter (fun u ->
-           match t.labels.(u).base.Marker.comp_port with
+           match (label u).base.Marker.comp_port with
            | Some p when p < Graph.degree g u -> Graph.peer_at g u p = v
            | Some _ | None -> false)
   in
@@ -75,10 +76,10 @@ let check_node (t : t) v =
    else
      match parent with
      | None -> fail "sp"
-     | Some p -> if t.labels.(p).base.Marker.sp_depth <> l.base.Marker.sp_depth - 1 then fail "sp");
+     | Some p -> if (label p).base.Marker.sp_depth <> l.base.Marker.sp_depth - 1 then fail "sp");
   let view : Labels.view =
     {
-      label = (fun u -> t.labels.(u).base.Marker.strings);
+      label = (fun u -> (label u).base.Marker.strings);
       parent = (fun _ -> parent);
       children = (fun _ -> children);
       is_root = (fun _ -> is_root);
@@ -119,7 +120,7 @@ let check_node (t : t) v =
               | Labels.Down ->
                   List.find_opt
                     (fun c ->
-                      let sc = t.labels.(c).base.Marker.strings in
+                      let sc = (label c).base.Marker.strings in
                       j < sc.Labels.len && sc.Labels.parents.(j))
                     children
               | Labels.ENone | Labels.EStar -> None
@@ -132,8 +133,9 @@ let check_node (t : t) v =
                     ~id_u:(Graph.id g v) ~id_v:(Graph.id g u)
                 in
                 if not (Weight.equal ask.Pieces.weight w) then fail "c1-weight";
+                let lu = label u in
                 let same =
-                  match t.labels.(u).pieces.(j) with
+                  match lu.pieces.(j) with
                   | exception Invalid_argument _ -> false
                   | Some pu -> pu.Pieces.root_id = ask.Pieces.root_id
                   | None -> false
@@ -142,7 +144,7 @@ let check_node (t : t) v =
         | Labels.ENone | Labels.EStar -> ());
         (* C2 + agreement with every neighbour *)
         Graph.iter_ports g v (fun _ u ->
-            let lu = t.labels.(u) in
+            let lu = label u in
             let pu = if j < Array.length lu.pieces then lu.pieces.(j) else None in
             let in_tree = parent = Some u || List.mem u children in
             match pu with
@@ -156,6 +158,8 @@ let check_node (t : t) v =
                 if not Weight.(ask.Pieces.weight <= w) then fail "c2")
   done;
   List.rev !bad
+
+let check_node (t : t) v = check_node_with t.marker (fun u -> t.labels.(u)) v
 
 let accepts t =
   let n = Graph.n t.marker.graph in

@@ -23,6 +23,10 @@ val mark : Marker.t -> t
 val check_node : t -> int -> string list
 (** The one-round verifier at a node; names of violated checks. *)
 
+val check_node_with : Marker.t -> (int -> label) -> int -> string list
+(** [check_node_with m label v] is {!check_node} against the labels the
+    reader returns; it reads only [v]'s own label and its neighbours'. *)
+
 val accepts : t -> bool
 
 val rejecting_nodes : t -> int list

@@ -20,24 +20,11 @@ module Make (C : CONFIG) = struct
 
   let init _g v = { label = C.scheme.Kkp_pls.labels.(v); alarm = false }
 
-  (* the one-round check of Kkp_pls.check_node, against live registers *)
-  let check g v (l : Kkp_pls.label) (labels : int -> Kkp_pls.label) =
-    (* reuse the library checker by building a transient scheme view *)
-    let arr =
-      Array.init (Graph.n g) (fun u ->
-          if u = v then l
-          else if Graph.has_edge g v u then labels u
-          else C.scheme.Kkp_pls.labels.(u) (* never read by check_node *))
-    in
-    let t = { Kkp_pls.marker = C.scheme.Kkp_pls.marker; labels = arr } in
-    Kkp_pls.check_node t v = []
-
-  let step g v (s : state) read =
-    let labels u = (read u).label in
-    (* only the node's own neighbourhood is consulted by check_node; the
-       transient array above defaults distant entries to the marker values,
-       which check_node never reads *)
-    let neighbourhood_ok = check g v s.label labels in
+  (* the one-round check of Kkp_pls, against the live registers: O(deg v)
+     reads per activation *)
+  let step _g v (s : state) read =
+    let label u = if u = v then s.label else (read u).label in
+    let neighbourhood_ok = Kkp_pls.check_node_with C.scheme.Kkp_pls.marker label v = [] in
     { s with alarm = s.alarm || not neighbourhood_ok }
 
   let alarm s = s.alarm
@@ -101,23 +88,21 @@ module Make (C : CONFIG) = struct
 
   let slot_words = 1 + Pieces.packed_words (* presence + piece *)
 
-  let max_pieces g =
-    let m = ref 0 in
-    for v = 0 to Graph.n g - 1 do
-      m := max !m (Array.length C.scheme.Kkp_pls.labels.(v).Kkp_pls.pieces)
-    done;
-    !m
+  (* fixed by the scheme's labels, so computed once *)
+  let max_pieces =
+    Array.fold_left
+      (fun m (l : Kkp_pls.label) -> max m (Array.length l.pieces))
+      0 C.scheme.Kkp_pls.labels
 
-  let words g = 1 + (max_pieces g * slot_words) + 1
+  let words _g = 1 + (max_pieces * slot_words) + 1
 
-  let field_offsets g = [| 0; 1 + (max_pieces g * slot_words) |]
+  let field_offsets _g = [| 0; 1 + (max_pieces * slot_words) |]
 
-  let pack g _v (s : state) buf off =
+  let pack _g _v (s : state) buf off =
     let pieces = s.label.Kkp_pls.pieces in
     let cnt = Array.length pieces in
     buf.(off) <- cnt;
-    let slots = max_pieces g in
-    for i = 0 to slots - 1 do
+    for i = 0 to max_pieces - 1 do
       let o = off + 1 + (i * slot_words) in
       match if i < cnt then pieces.(i) else None with
       | None -> Array.fill buf o slot_words 0
@@ -125,9 +110,9 @@ module Make (C : CONFIG) = struct
           buf.(o) <- 1;
           Pieces.pack p buf (o + 1)
     done;
-    buf.(off + 1 + (slots * slot_words)) <- Bool.to_int s.alarm
+    buf.(off + 1 + (max_pieces * slot_words)) <- Bool.to_int s.alarm
 
-  let unpack g v buf off =
+  let unpack _g v buf off =
     let pieces =
       Array.init buf.(off) (fun i ->
           let o = off + 1 + (i * slot_words) in
@@ -135,6 +120,6 @@ module Make (C : CONFIG) = struct
     in
     {
       label = { base = C.scheme.Kkp_pls.labels.(v).Kkp_pls.base; pieces };
-      alarm = buf.(off + 1 + (max_pieces g * slot_words)) = 1;
+      alarm = buf.(off + 1 + (max_pieces * slot_words)) = 1;
     }
 end

@@ -103,8 +103,11 @@ module Make (P : Protocol.S) = struct
      (and its GC marking) from the recording hot path. *)
   let push t ~round ~node ~cause ~state =
     let i = t.next in
-    if t.total >= t.capacity then
-      t.max_dropped_round <- max t.max_dropped_round (Array.unsafe_get t.ring_round i);
+    if t.total >= t.capacity then begin
+      (* int comparisons: the polymorphic [max] is a C call per write *)
+      let dropped_round = Array.unsafe_get t.ring_round i in
+      if dropped_round > t.max_dropped_round then t.max_dropped_round <- dropped_round
+    end;
     Array.unsafe_set t.ring_round i round;
     Array.unsafe_set t.ring_node i node;
     Array.unsafe_set t.ring_cause i cause;
@@ -193,7 +196,7 @@ module Make (P : Protocol.S) = struct
     end;
     push t ~round ~node ~cause ~state:s';
     if not t.shared_live then t.live.(node) <- s';
-    t.cur_round <- max t.cur_round round
+    if round > t.cur_round then t.cur_round <- round
 
   (* [Network.Make.set_write_hook]-shaped glue.  [states] must be the
      engine's own (live) register array: the recorder aliases it instead of
@@ -227,14 +230,20 @@ module Make (P : Protocol.S) = struct
 
   (* ---------------- reconstruction ---------------- *)
 
+  (* The first round whose writes the checkpoint at [r] does not hold.  A
+     periodic checkpoint captures the end of its round, but the creation
+     checkpoint is taken before any write of [round0] — a fault injected
+     right after [create] is stamped with the creation round itself. *)
+  let replay_from t r = if r = t.round0 then r else r + 1
+
   (* The earliest round from which [state_at] is exact: the start when
-     nothing was dropped, else the first checkpoint at or past the drop
-     horizon (later checkpoints were cut from the always-exact mirror). *)
+     nothing was dropped, else the first checkpoint past the drop horizon
+     (later checkpoints were cut from the always-exact mirror). *)
   let sound_from t =
     if dropped t = 0 then Some t.round0
     else
       List.find_map
-        (fun (r, _) -> if r >= t.max_dropped_round then Some r else None)
+        (fun (r, _) -> if t.max_dropped_round < replay_from t r then Some r else None)
         t.checkpoints
 
   type view = { round : int; states : P.state array; exact : bool }
@@ -248,11 +257,12 @@ module Make (P : Protocol.S) = struct
         (fun acc (r, s) -> if r <= target then (r, s) else acc)
         (List.hd t.checkpoints) t.checkpoints
     in
+    let from = replay_from t cp_round in
     let states = Array.copy cp_states in
     iter_writes
-      (fun w -> if w.round > cp_round && w.round <= target then states.(w.node) <- w.state)
+      (fun w -> if w.round >= from && w.round <= target then states.(w.node) <- w.state)
       t;
-    let exact = dropped t = 0 || cp_round >= t.max_dropped_round in
+    let exact = dropped t = 0 || t.max_dropped_round < from in
     { round = target; states; exact }
 
   (* ---------------- seek / step cursor ---------------- *)
@@ -265,6 +275,8 @@ module Make (P : Protocol.S) = struct
     exact : bool;
   }
 
+  (* [state_at] holds every retained write up to the view's round, so the
+     cursor replays exactly the later ones *)
   let seek t target =
     let v = state_at t target in
     let pending = List.filter (fun (w : write) -> w.round > v.round) (writes t) in

@@ -70,8 +70,8 @@ val choose_victims : Random.State.t -> Graph.t -> t -> int list
     as the historical sampler did (distinct rejection draws). *)
 
 (** The severity semantics over a concrete protocol.  Both {!Network.Naive}
-    and {!Network.Make} funnel injection through {!Apply.apply} so the two
-    engines corrupt the same victims, in the same (ascending) order, with
+    and the event-driven core ({!Network.Make}, {!Network.Flat}) funnel
+    injection through {!Apply.apply} so the engines corrupt the same victims, in the same (ascending) order, with
     the same RNG consumption. *)
 module Apply (P : Protocol.S) : sig
   val corrupt_one : Random.State.t -> Graph.t -> severity -> int -> P.state -> P.state

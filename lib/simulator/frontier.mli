@@ -1,7 +1,7 @@
 (** Dense dirty-node frontier for the event-driven engines.
 
-    Both {!Network.Make} and {!Network.Flat} schedule work off the same
-    structure: a per-node dirty flag plus the set of currently-dirty node
+    The event-driven engine ({!Network.Core}, behind both {!Network.Make}
+    and {!Network.Flat}) schedules work off this structure: a per-node dirty flag plus the set of currently-dirty node
     ids.  The engines used to keep that set as an [int list], which made
     the per-round drain — [List.filter] over the entries plus a
     polymorphic [List.sort compare] — the single largest allocation site

@@ -5,7 +5,8 @@
    writes, wasted steps (activations that left the register unchanged),
    activations the dirty-set filter skipped, rounds to quiescence, faults,
    alarm transitions and peak register size.  Counters are cheap enough to
-   keep always-on; every {!Network.Make} instance owns one. *)
+   keep always-on; every event-driven engine instance ({!Network.Make} or
+   {!Network.Flat}) owns one. *)
 
 type t = {
   mutable rounds : int;  (* rounds executed *)

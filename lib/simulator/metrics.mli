@@ -1,4 +1,5 @@
-(** Aggregate execution counters owned by every {!Network.Make} instance.
+(** Aggregate execution counters owned by every event-driven engine
+    instance ({!Network.Make} or {!Network.Flat}).
 
     Counts the engine's actual work: activations executed, register writes,
     wasted steps (no-change activations), dirty-set skips, rounds, faults,

@@ -5,28 +5,23 @@ open Ssmst_parallel
    alarm observation, fault injection, memory accounting and (in the
    event-driven engine) tracing and work metrics.
 
-   Two engines share one ideal-time semantics:
-
    - {!Naive} re-steps every node every round, exactly as the paper's model
-     reads.  It is the reference oracle for differential tests and costs
-     O(sum deg) protocol steps per round regardless of activity.
+     reads: the reference oracle for differential tests, O(sum deg) steps
+     per round regardless of activity.
 
-   - {!Make} is the event-driven engine: it maintains a dirty set and steps
-     a node only if the node itself or one of its neighbours changed since
-     the node's last no-op step.  Because [Protocol.S.step] is deterministic
-     in its inputs, a clean node's step is provably a no-op, so skipping it
-     preserves the semantics bit-for-bit — states and round counts are
-     identical to {!Naive} under every daemon (the daemons' RNG is consumed
-     identically).  Self-stabilizing protocols are quiescent almost
-     everywhere after convergence, so [run_until] loops cost work
-     proportional to actual state churn instead of O(rounds * sum deg). *)
+   - {!Core} is the event-driven engine: it steps a node only if the node
+     or a neighbour changed since the node's last no-op step.  [P.step] is
+     deterministic, so a clean node's step is provably a no-op: states and
+     round counts stay identical to {!Naive} under every daemon, at a cost
+     proportional to actual state churn.  The core is written once over a
+     register store, the only thing its two instances disagree on: {!Make}
+     keeps boxed [P.state] values, {!Flat} packs every register into
+     O(log n) words of one flat int array. *)
 
 (* Telemetry probes: with a {!Probe} sink installed (msst profile, bench
-   PROF), the engines report each synchronous round's wall-clock
-   sub-phases — frontier scan, worker compute, effect apply — strictly
-   out-of-band.  The sink is fetched once per round (disabled cost: one
-   ref read), and quiescent rounds with an empty frontier skip the probes
-   entirely so the enabled overhead stays off the convergence tail. *)
+   PROF), each synchronous round reports its frontier / compute / apply
+   wall-clock sub-phases, strictly out-of-band.  The sink is fetched once
+   per round, and rounds with an empty frontier skip the probes. *)
 let penter p name = match p with None -> () | Some s -> s.Probe.enter name
 let pleave p name = match p with None -> () | Some s -> s.Probe.leave name
 
@@ -52,8 +47,7 @@ module Naive (P : Protocol.S) = struct
   let states t = t.states
 
   (* Peak bits are maintained incrementally: every state the network ever
-     holds passes through [create], [touch] (on change) or [set_state], so
-     the per-round full rescan the engine used to do is redundant. *)
+     holds passes through [create], [touch] (on change) or [set_state]. *)
   let touch t s = if P.bits s > t.peak_bits then t.peak_bits <- P.bits s
 
   let set_state t v s =
@@ -61,12 +55,6 @@ module Naive (P : Protocol.S) = struct
     touch t s
 
   let rounds t = t.rounds
-
-  (* Safety-net rescan, kept for API compatibility; incremental tracking
-     makes it a no-op on every reachable configuration. *)
-  let record_memory t =
-    Array.iter (fun s -> if P.bits s > t.peak_bits then t.peak_bits <- P.bits s) t.states
-
   let peak_bits t = t.peak_bits
 
   (* One synchronous round: all nodes step on a snapshot. *)
@@ -157,54 +145,125 @@ module Naive (P : Protocol.S) = struct
     Dist.detection_distance t.graph ~faults ~alarms:(alarming_nodes t)
 end
 
+(* Register stores: where the n registers live.  [put] is an immediate
+   write (async activations, fault injection, [set_state]); [stage] then
+   [commit] is the deferred write of a sync round, whose steps all read
+   the pre-round registers.  [stage] touches only [v]'s own slot, so
+   workers owning disjoint nodes stage concurrently once [reserve] has
+   allocated the slots on the calling domain.  [name] prefixes the probe
+   phases. *)
+module type STORE = sig
+  type state
+  type t
+
+  val name : string
+  val create : Graph.t -> (int -> state) -> t
+  val get : t -> int -> state
+  val put : t -> int -> state -> unit
+  val reserve : t -> unit
+  val stage : t -> int -> state -> unit
+  val commit : t -> int -> unit
+end
+
+(* One boxed [P.state] per node; the live array is what the flight
+   recorder aliases. *)
+module Boxed (P : Protocol.S) = struct
+  type state = P.state
+  type t = { live : P.state array; mutable staged : P.state array }
+
+  let name = "make"
+  let create g init = { live = Array.init (Graph.n g) init; staged = [||] }
+  let get st v = st.live.(v)
+  let put st v s = st.live.(v) <- s
+
+  let reserve st =
+    if Array.length st.staged <> Array.length st.live then st.staged <- Array.copy st.live
+
+  let stage st v s = st.staged.(v) <- s
+  let commit st v = st.live.(v) <- st.staged.(v)
+end
+
+(* Node v's register is the slice [v * words, (v + 1) * words) of one flat
+   int array — the struct-of-arrays layout that makes the paper's
+   O(log n)-bits-per-node claim literal in process memory.  States are
+   unpacked on demand and never cached, so resident memory stays
+   dominated by the register file itself. *)
+module Packed (P : Protocol.PACKED) = struct
+  type state = P.state
+
+  (* [regs] is the register file, [words] per node; [scratch] holds the
+     staged register images in the same layout *)
+  type t = { graph : Graph.t; words : int; regs : int array; mutable scratch : int array }
+
+  let name = "flat"
+
+  let create g init =
+    let words = P.words g in
+    let regs = Array.make (Graph.n g * words) 0 in
+    for v = 0 to Graph.n g - 1 do P.pack g v (init v) regs (v * words) done;
+    { graph = g; words; regs; scratch = [||] }
+
+  let get st v = P.unpack st.graph v st.regs (v * st.words)
+  let put st v s = P.pack st.graph v s st.regs (v * st.words)
+
+  let reserve st =
+    if Array.length st.scratch <> Array.length st.regs then
+      st.scratch <- Array.make (Array.length st.regs) 0
+
+  (* the codec may leave slice words untouched: seed the staged slice from
+     the live register so the commit blit is exact *)
+  let stage st v s =
+    let off = v * st.words in
+    Array.blit st.regs off st.scratch off st.words;
+    P.pack st.graph v s st.scratch off
+
+  let commit st v = Array.blit st.scratch (v * st.words) st.regs (v * st.words) st.words
+end
+
 (* ------------------------------------------------------------------ *)
 (* The event-driven engine                                             *)
 (* ------------------------------------------------------------------ *)
 
-module Make (P : Protocol.S) = struct
+module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
+  (* What only a listener (trace or write hook) needs, allocated on the
+     first captured round: per-worker read marks, each node's cached
+     all-ports cause (steps almost always read every neighbour) and the
+     cause of each staged write that read only some neighbours. *)
+  type capture =
+    { marks : int array array; full : Trace.cause option array; causes : Trace.cause array }
+
   type t = {
     graph : Graph.t;
-    states : P.state array;  (* live registers; mutate via [set_state] only *)
+    store : S.t;  (* live registers; mutate via [apply_write] only *)
     mutable rounds : int;  (* ideal time elapsed *)
     mutable peak_bits : int;
-    (* dirty set + dense member buffer: [Frontier.mem] iff v's next step
-       may change its register; rounds drain the live members in ascending
-       node id with zero list allocation (see {!Frontier}). *)
-    frontier : Frontier.t;
-    (* incremental alarm tracking: [alarm_flags.(v)] mirrors
-       [P.alarm states.(v)]; [alarm_count] counts set flags. *)
-    alarm_flags : bool array;
+    frontier : Frontier.t;  (* the dirty set, drained ascending (see {!Frontier}) *)
+    alarm_flags : bool array;  (* [P.alarm] of every register, incrementally *)
     mutable alarm_count : int;
-    (* per-node last-write round: feeds per-node convergence histograms *)
-    last_write : int array;
+    last_write : int array;  (* per-node last-write round: convergence histograms *)
     metrics : Metrics.t;
     mutable trace : Trace.t option;
-    (* called after every completed round (observability probes: online
-       invariant monitors, span round attribution).  Must not mutate
-       states. *)
+    (* read-only probes: after every round (monitors, span attribution),
+       and on every register write (the flight recorder) *)
     mutable round_hook : (unit -> unit) option;
-    (* called on every register write with the old and new state and the
-       causal tag (flight recorder).  Must not mutate states. *)
     mutable write_hook :
       (round:int -> node:int -> old:P.state -> P.state -> Trace.cause -> unit) option;
-    (* capture-mode read tracking: per-node epoch stamps make "seen this
-       neighbour during this activation?" an O(1) array probe instead of a
-       list-membership scan *)
-    read_mark : int array;
-    mutable read_stamp : int;
-    (* cached all-ports causes: steps almost always read every neighbour,
-       so the common-case cause is shared and allocation-free *)
-    full_cause : Trace.cause option array;
-    mutable domains : int;  (* sync-round worker count; 1 = sequential *)
-    (* deferred writes of the parallel sync round, indexed by node;
-       allocated on first use, cleared as writes are applied *)
-    mutable pending : P.state option array;
+    domains : int;  (* sync-round worker count; 1 = sequential *)
+    (* the sync round's staged writes: per-node tag (0 none, else 1 lor 2
+       if alarming lor 4 if a partial read set) and new bits, allocated
+       with the store's staging slots on the first sync round *)
+    mutable tags : Bytes.t;
+    mutable new_bits : int array;
+    mutable read_stamp : int;  (* last activation stamp handed out *)
+    mutable capture : capture option;
   }
+
+  let ph_frontier, ph_compute, ph_apply =
+    (S.name ^ ".frontier", S.name ^ ".compute", S.name ^ ".apply")
 
   let mark_dirty t v = Frontier.mark t.frontier v
 
-  (* A changed register invalidates the node's own next step and every
-     neighbour's. *)
+  (* A changed register invalidates its node's and every neighbour's next step. *)
   let dirty_neighbourhood t v =
     mark_dirty t v;
     Graph.iter_ports t.graph v (fun _ u -> mark_dirty t u)
@@ -213,92 +272,109 @@ module Make (P : Protocol.S) = struct
 
   let create ?trace ?(domains = 1) graph =
     let n = Graph.n graph in
-    let states = Array.init n (P.init graph) in
-    let alarm_flags = Array.map P.alarm states in
-    let peak = Array.fold_left (fun acc s -> max acc (P.bits s)) 0 states in
-    let t =
-      {
-        graph;
-        states;
-        rounds = 0;
-        peak_bits = peak;
-        frontier = Frontier.create n;
-        alarm_flags;
-        alarm_count = Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 alarm_flags;
-        last_write = Array.make n 0;
-        metrics = Metrics.create ();
-        trace;
-        round_hook = None;
-        write_hook = None;
-        read_mark = Array.make n 0;
-        read_stamp = 0;
-        full_cause = Array.make n None;
-        domains = max 1 domains;
-        pending = [||];
-      }
+    let alarm_flags = Array.make n false in
+    let peak = ref 0 and alarms = ref 0 in
+    let store =
+      S.create graph (fun v ->
+          let s = P.init graph v in
+          let a = P.alarm s in
+          peak := Int.max !peak (P.bits s);
+          alarm_flags.(v) <- a;
+          if a then incr alarms;
+          s)
     in
-    t.metrics.Metrics.peak_bits <- peak;
-    t
+    let metrics = Metrics.create () in
+    metrics.Metrics.peak_bits <- !peak;
+    { graph; store; rounds = 0; peak_bits = !peak; frontier = Frontier.create n;
+      alarm_flags; alarm_count = !alarms; last_write = Array.make n 0; metrics; trace;
+      round_hook = None; write_hook = None; domains = max 1 domains; tags = Bytes.empty;
+      new_bits = [||]; read_stamp = 0; capture = None }
 
   let graph t = t.graph
-  let state t v = t.states.(v)
-  let states t = t.states
+  let state t v = S.get t.store v
   let rounds t = t.rounds
   let metrics t = t.metrics
-  let domains t = t.domains
-  let set_domains t k = t.domains <- max 1 k
-  let trace t = t.trace
+  let peak_bits t = t.peak_bits
   let attach_trace t tr = t.trace <- Some tr
-  let detach_trace t = t.trace <- None
 
-  (* Observability probe: [f] runs after every completed round.  Probes are
-     read-only by contract — the differential suite asserts that a run with
-     hooks attached stays bit-identical to the naive engine. *)
+  (* Read-only probes (the differential suites check hooked runs against
+     the naive engine).  The write hook fires after the register update, in
+     ascending node id within a sync round at every domain count. *)
   let set_round_hook t f = t.round_hook <- Some f
-  let clear_round_hook t = t.round_hook <- None
+  let set_write_hook t f = t.write_hook <- Some f
   let fire_round_hook t = match t.round_hook with None -> () | Some f -> f ()
 
-  (* Flight-recorder probe: [f] sees every register write with the old and
-     new states and the causal tag; read-only by the same contract as the
-     round hook. *)
-  let set_write_hook t f = t.write_hook <- Some f
-  let clear_write_hook t = t.write_hook <- None
+  let last_write_round t v = t.last_write.(v)
 
-  (* Whether provenance (read sets, field deltas) is worth computing this
-     round: someone is listening. *)
-  let capturing t = t.trace <> None || t.write_hook <> None
+  (* The capture buffers iff someone is listening this round. *)
+  let capture_buffers t =
+    if Option.is_none t.trace && Option.is_none t.write_hook then None
+    else begin
+      let n = Graph.n t.graph in
+      if Option.is_none t.capture then
+        t.capture <- Some { marks = Array.init t.domains (fun _ -> Array.make n 0);
+                            full = Array.make n None; causes = Array.make n Trace.Init };
+      t.capture
+    end
 
-  (* The ports of [v] behind the peers a step read, sorted ascending: the
-     stable encoding of a write's causal in-edges.  When the step read
-     every neighbour (the shared-register model's common case) the cause
-     is a per-node cached value. *)
-  let full_cause t v =
-    match t.full_cause.(v) with
+  (* One domain's stepper, built once per worker range or async round:
+     [step v ~stamp] activates [v] against the live registers and returns
+     the new register ([rd.changed] iff it differs).  When captured, each
+     distinct neighbour read is stamped in worker [w]'s marks with the
+     activation's unique [stamp] and counted in [rd]. *)
+  type reader = {
+    mutable node : int; mutable stamp : int; mutable distinct : int; mutable changed : bool;
+    marks : int array }
+
+  let stepper t cap w =
+    let marks = match cap with None -> [||] | Some (c : capture) -> c.marks.(w) in
+    let rd = { node = 0; stamp = 0; distinct = 0; changed = false; marks } in
+    let tracking = Option.is_some cap in
+    let read u =
+      if not (Graph.has_edge t.graph rd.node u) then
+        invalid_arg "Network.step: reading a non-neighbour";
+      if tracking && marks.(u) <> rd.stamp then begin
+        marks.(u) <- rd.stamp;
+        rd.distinct <- rd.distinct + 1
+      end;
+      S.get t.store u
+    in
+    let step v ~stamp =
+      rd.node <- v;
+      rd.stamp <- stamp;
+      rd.distinct <- 0;
+      let own = S.get t.store v in
+      let s' = P.step t.graph v own read in
+      rd.changed <- not (P.equal s' own);
+      s'
+    in
+    (rd, step)
+
+  (* A write's causal in-edges: the ports behind the peers its step read,
+     sorted ascending.  Full read sets share a per-node cached cause
+     (filled on the calling domain); [partial_cause] rebuilds a partial
+     one (rare) from the last step's marks, and is [None] for a full one. *)
+  let full_cause t cap v =
+    match cap.full.(v) with
     | Some c -> c
     | None ->
         let c = Trace.Neighbor_read (List.init (Graph.degree t.graph v) Fun.id) in
-        t.full_cause.(v) <- Some c;
+        cap.full.(v) <- Some c;
         c
 
-  (* Partial read sets (rare) are reconstructed from the epoch marks by
-     scanning [v]'s ports, which also yields them sorted for free. *)
-  let read_cause t v ~distinct ~stamp =
-    if distinct = Graph.degree t.graph v then full_cause t v
+  let partial_cause t rd =
+    let deg = Graph.degree t.graph rd.node in
+    if rd.distinct = deg then None
     else begin
       let ports = ref [] in
-      for p = Graph.degree t.graph v - 1 downto 0 do
-        if t.read_mark.(Graph.peer_at t.graph v p) = stamp then ports := p :: !ports
+      for p = deg - 1 downto 0 do
+        if rd.marks.(Graph.peer_at t.graph rd.node p) = rd.stamp then ports := p :: !ports
       done;
-      Trace.Neighbor_read !ports
+      Some (Trace.Neighbor_read !ports)
     end
 
-  (* The round of the most recent write to [v]'s register (0 if never
-     rewritten): per-node convergence, for the observatory's histograms. *)
-  let last_write_round t v = t.last_write.(v)
-
   (* The field-level delta between two registers, named per
-     [P.field_names]; the O(fields) cost is only paid when a trace is
-     attached. *)
+     [P.field_names]; only computed when a trace is attached. *)
   let field_changes old s' =
     let oe = P.encode old and ne = P.encode s' in
     let k = min (Array.length oe) (Array.length ne) in
@@ -312,243 +388,173 @@ module Make (P : Protocol.S) = struct
     done;
     !changes
 
+  (* An immediate write, or the commit of this sync round's staged register. *)
+  type write = Put of P.state | Commit
+
+  let store_write t v = function Put s' -> S.put t.store v s' | Commit -> S.commit t.store v
+
   (* The single register-write path: every state mutation funnels through
-     here so that peak-bits, alarm counts, metrics, the trace and the
-     flight-recorder hook stay consistent without any per-round O(n)
-     rescans.  [cause] tags the write's causal origin. *)
-  let apply_write t ~round ~cause v s' =
-    let old = t.states.(v) in
-    t.states.(v) <- s';
-    let b = P.bits s' in
+     here so that peak bits, alarm counts, metrics, the trace and the
+     write hook stay consistent without per-round O(n) rescans.  [bits]
+     and [alarm] describe the new register; the old and new states are
+     only materialized when a listener needs them. *)
+  let apply_write t ~round ~cause v ~bits:b ~alarm:now w =
+    let mt = t.metrics in
     if b > t.peak_bits then t.peak_bits <- b;
-    if b > t.metrics.Metrics.peak_bits then t.metrics.Metrics.peak_bits <- b;
-    t.metrics.Metrics.register_writes <- t.metrics.Metrics.register_writes + 1;
-    t.metrics.Metrics.last_write_round <- round;
+    if b > mt.Metrics.peak_bits then mt.Metrics.peak_bits <- b;
+    mt.Metrics.register_writes <- mt.Metrics.register_writes + 1;
+    mt.Metrics.last_write_round <- round;
     t.last_write.(v) <- round;
-    (match t.write_hook with None -> () | Some f -> f ~round ~node:v ~old s' cause);
-    let prov =
-      match t.trace with
-      | None -> None
-      | Some _ -> Some { Trace.cause; changes = field_changes old s' }
-    in
-    emit t (Trace.Register_write { round; node = v; bits = b; prov });
-    let was = t.alarm_flags.(v) and now = P.alarm s' in
-    if was <> now then begin
+    (match (t.write_hook, t.trace) with
+    | None, None -> store_write t v w
+    | hook, trace -> (
+        let old = S.get t.store v in
+        store_write t v w;
+        let s' = match w with Put s' -> s' | Commit -> S.get t.store v in
+        (match hook with None -> () | Some f -> f ~round ~node:v ~old s' cause);
+        match trace with
+        | None -> ()
+        | Some tr ->
+            let prov = Some { Trace.cause; changes = field_changes old s' } in
+            Trace.record tr (Trace.Register_write { round; node = v; bits = b; prov })));
+    if t.alarm_flags.(v) <> now then begin
       t.alarm_flags.(v) <- now;
-      if now then begin
-        t.alarm_count <- t.alarm_count + 1;
-        t.metrics.Metrics.alarms_raised <- t.metrics.Metrics.alarms_raised + 1;
-        emit t (Trace.Alarm_raised { round; node = v })
-      end
-      else begin
-        t.alarm_count <- t.alarm_count - 1;
-        t.metrics.Metrics.alarms_cleared <- t.metrics.Metrics.alarms_cleared + 1;
-        emit t (Trace.Alarm_cleared { round; node = v })
-      end
+      t.alarm_count <- (t.alarm_count + if now then 1 else -1);
+      if now then mt.Metrics.alarms_raised <- mt.Metrics.alarms_raised + 1
+      else mt.Metrics.alarms_cleared <- mt.Metrics.alarms_cleared + 1;
+      emit t
+        (if now then Trace.Alarm_raised { round; node = v } else Alarm_cleared { round; node = v })
     end
 
-  let set_state t v s =
-    apply_write t ~round:t.rounds ~cause:Trace.Init v s;
+  let put t ~round ~cause v s' =
+    apply_write t ~round ~cause v ~bits:(P.bits s') ~alarm:(P.alarm s') (Put s');
     dirty_neighbourhood t v
 
-  (* Metrics/trace-neutral bulk install of a register snapshot: copy the
-     states in, rebuild the alarm flags/count and the dirty set, and keep
-     the peak-bits high-water marks consistent.  Unlike [set_state], this
-     does NOT count [register_writes], stamp [last_write], fire the write
-     hook or emit [Init]-cause trace/alarm events — restoring a settled
-     snapshot (the campaign-trial rewind) is bookkeeping, not protocol
-     work, and must not pollute per-node convergence histograms or event
-     streams. *)
-  let restore t snapshot =
-    let n = Array.length t.states in
-    if Array.length snapshot <> n then
-      invalid_arg "Network.restore: snapshot size does not match the network";
-    Array.blit snapshot 0 t.states 0 n;
-    t.alarm_count <- 0;
-    for v = 0 to n - 1 do
-      let a = P.alarm t.states.(v) in
-      t.alarm_flags.(v) <- a;
-      if a then t.alarm_count <- t.alarm_count + 1;
-      let b = P.bits t.states.(v) in
-      if b > t.peak_bits then t.peak_bits <- b;
-      if b > t.metrics.Metrics.peak_bits then t.metrics.Metrics.peak_bits <- b;
-      mark_dirty t v
-    done
+  let set_state t v s = put t ~round:t.rounds ~cause:Trace.Init v s
 
-  (* Kept for API compatibility; peak bits are maintained incrementally so
-     this is only a (re)scan safety net. *)
-  let record_memory t =
-    Array.iter (fun s -> if P.bits s > t.peak_bits then t.peak_bits <- P.bits s) t.states
-
-  let peak_bits t = t.peak_bits
-
-  let pending_buffer t =
-    if Array.length t.pending <> Graph.n t.graph then
-      t.pending <- Array.make (Graph.n t.graph) None;
-    t.pending
-
-  (* The domain-parallel sync round, available only when nobody is
-     listening ([capturing t = false]): provenance capture mutates shared
-     per-node read marks and must see activations in order, so a run with
-     a trace or write hook attached stays on the sequential path (whose
-     event order the parallel path's effects are defined to match).
-     Workers read the shared pre-round snapshot and write only [pending]
-     slots for members they own; every effect funnels through
-     [apply_write] on the calling domain, ascending, after the barrier —
-     states and metrics are byte-identical at every domain count. *)
-  let parallel_sync_round t ~prb ~round ~members ~m ~domains:k =
-    let pending = pending_buffer t in
-    let wasted = Array.make k 0 in
-    let snapshot = t.states in
-    penter prb "make.compute";
-    Domain_pool.run ~domains:k (fun w ->
-        let lo, hi = Domain_pool.slice ~domains:k m w in
-        for i = lo to hi - 1 do
-          let v = members.(i) in
-          let read u =
-            if not (Graph.has_edge t.graph v u) then
-              invalid_arg "Network.step: reading a non-neighbour";
-            snapshot.(u)
+  (* One worker's share of a sync round: step members.(lo..hi-1) against
+     the pre-round registers and stage every change (register, bits, alarm
+     tag, captured cause) in slots the member owns — nothing observable
+     mutates; an empty range allocates nothing.  Member i's stamp
+     [base + i + 1] is unique across workers and rounds, so per-worker
+     marks never read stale. *)
+  let compute_range t cap ~base members lo hi wasted w =
+    if hi > lo then begin
+      let rd, step = stepper t cap w in
+      for i = lo to hi - 1 do
+        let v = members.(i) in
+        let s' = step v ~stamp:(base + i + 1) in
+        if not rd.changed then wasted.(w) <- wasted.(w) + 1
+        else begin
+          S.stage t.store v s';
+          t.new_bits.(v) <- P.bits s';
+          let part =
+            match cap with
+            | None -> 0
+            | Some c -> (
+                match partial_cause t rd with None -> 0 | Some pc -> c.causes.(v) <- pc; 4)
           in
-          let s' = P.step t.graph v snapshot.(v) read in
-          if P.equal s' snapshot.(v) then wasted.(w) <- wasted.(w) + 1
-          else pending.(v) <- Some s'
-        done);
-    pleave prb "make.compute";
-    t.metrics.Metrics.activations <- t.metrics.Metrics.activations + m;
-    Array.iter
-      (fun c -> t.metrics.Metrics.wasted_steps <- t.metrics.Metrics.wasted_steps + c)
-      wasted;
-    t.metrics.Metrics.skipped_activations <-
-      t.metrics.Metrics.skipped_activations + (Graph.n t.graph - m);
-    t.rounds <- round;
-    t.metrics.Metrics.rounds <- t.metrics.Metrics.rounds + 1;
-    penter prb "make.apply";
-    for i = 0 to m - 1 do
-      let v = members.(i) in
-      match pending.(v) with
-      | None -> ()
-      | Some s' ->
-          pending.(v) <- None;
-          (* the cause tag is unobservable here — no trace, no write hook *)
-          apply_write t ~round ~cause:Trace.Init v s';
-          dirty_neighbourhood t v
-    done;
-    pleave prb "make.apply";
-    fire_round_hook t
-
-  (* One synchronous round: the dirty nodes step on a snapshot (writes are
-     deferred, so [t.states] *is* the snapshot); clean nodes provably
-     wouldn't change and are skipped. *)
-  let sync_round t =
-    let round = t.rounds + 1 in
-    let prb = if Frontier.is_empty t.frontier then None else Probe.get () in
-    penter prb "make.frontier";
-    (* drain the frontier: stale entries dropped, flags cleared, members
-       come back in canonical ascending node id — the order that makes the
-       per-round event stream (and hence every trace/recorder JSONL
-       artifact) stable across engine refactors — with zero allocation *)
-    let members, m = Frontier.drain t.frontier in
-    pleave prb "make.frontier";
-    let capture = capturing t in
-    let k = if Domain_pool.available && not capture then t.domains else 1 in
-    if k > 1 && m >= 2 * k then parallel_sync_round t ~prb ~round ~members ~m ~domains:k
-    else begin
-    let snapshot = t.states in
-    penter prb "make.compute";
-    let writes = ref [] in
-    for i = 0 to m - 1 do
-      let v = members.(i) in
-      t.metrics.Metrics.activations <- t.metrics.Metrics.activations + 1;
-      emit t (Trace.Activation { round; node = v });
-      (* with a listener attached, record which neighbours the step
-         read: the causal in-edges of the resulting write *)
-      t.read_stamp <- t.read_stamp + 1;
-      let stamp = t.read_stamp in
-      let distinct = ref 0 in
-      let read u =
-        if not (Graph.has_edge t.graph v u) then
-          invalid_arg "Network.step: reading a non-neighbour";
-        if capture && t.read_mark.(u) <> stamp then begin
-          t.read_mark.(u) <- stamp;
-          incr distinct
-        end;
-        snapshot.(u)
-      in
-      let s' = P.step t.graph v snapshot.(v) read in
-      if P.equal s' snapshot.(v) then
-        t.metrics.Metrics.wasted_steps <- t.metrics.Metrics.wasted_steps + 1
-      else writes := (v, s', read_cause t v ~distinct:!distinct ~stamp) :: !writes
-    done;
-    pleave prb "make.compute";
-    t.metrics.Metrics.skipped_activations <-
-      t.metrics.Metrics.skipped_activations + (Graph.n t.graph - m);
-    t.rounds <- round;
-    t.metrics.Metrics.rounds <- t.metrics.Metrics.rounds + 1;
-    (* the loop built [writes] by consing over the ascending members, so
-       reversing applies (and emits) them in ascending node order too *)
-    penter prb "make.apply";
-    List.iter
-      (fun (v, s', cause) ->
-        apply_write t ~round ~cause v s';
-        dirty_neighbourhood t v)
-      (List.rev !writes);
-    pleave prb "make.apply";
-    fire_round_hook t
+          Bytes.set t.tags v (Char.chr (1 lor part lor if P.alarm s' then 2 else 0))
+        end
+      done
     end
 
-  (* Compact the frontier after an async round: within-round flag churn
-     leaves stale entries behind; without compaction they would accumulate
-     across rounds. *)
-  let compact t = Frontier.compact t.frontier
+  (* One synchronous round: the dirty nodes, drained in ascending node id,
+     step on the pre-round registers.  With [domains > 1] on a multicore
+     runtime, frontiers worth splitting fan out over contiguous (hence
+     node-disjoint) member slices.  Every observable effect — activation
+     events, commits, metrics, hooks, alarms, dirty marks — happens after
+     the barrier on the calling domain in ascending node id, so registers,
+     metrics, traces and recordings are byte-identical at every [-d]. *)
+  let sync_round t =
+    let round = t.rounds + 1 and n = Graph.n t.graph in
+    let prb = if Frontier.is_empty t.frontier then None else Probe.get () in
+    penter prb ph_frontier;
+    let members, m = Frontier.drain t.frontier in
+    pleave prb ph_frontier;
+    let k = if Domain_pool.available && m >= 2 * t.domains then t.domains else 1 in
+    let cap = capture_buffers t in
+    if Bytes.length t.tags <> n then begin
+      S.reserve t.store;
+      t.tags <- Bytes.make n '\000';
+      t.new_bits <- Array.make n 0
+    end;
+    let wasted = Array.make k 0 and base = t.read_stamp in
+    t.read_stamp <- base + m;
+    penter prb ph_compute;
+    if k = 1 then compute_range t cap ~base members 0 m wasted 0
+    else
+      Domain_pool.run ~domains:k (fun w ->
+          let lo, hi = Domain_pool.slice ~domains:k m w in
+          compute_range t cap ~base members lo hi wasted w);
+    pleave prb ph_compute;
+    let mt = t.metrics in
+    mt.Metrics.activations <- mt.Metrics.activations + m;
+    mt.Metrics.wasted_steps <- Array.fold_left ( + ) mt.Metrics.wasted_steps wasted;
+    mt.Metrics.skipped_activations <- mt.Metrics.skipped_activations + (n - m);
+    mt.Metrics.rounds <- mt.Metrics.rounds + 1;
+    t.rounds <- round;
+    penter prb ph_apply;
+    (match t.trace with
+    | None -> ()
+    | Some tr ->
+        for i = 0 to m - 1 do Trace.record tr (Activation { round; node = members.(i) }) done);
+    for i = 0 to m - 1 do
+      let v = members.(i) in
+      let tag = Char.code (Bytes.get t.tags v) in
+      if tag <> 0 then begin
+        Bytes.set t.tags v '\000';
+        let cause =
+          match cap with
+          | None -> Trace.Init
+          | Some c -> if tag land 4 <> 0 then c.causes.(v) else full_cause t c v
+        in
+        apply_write t ~round ~cause v ~bits:t.new_bits.(v) ~alarm:(tag land 2 <> 0) Commit;
+        dirty_neighbourhood t v
+      end
+    done;
+    pleave prb ph_apply;
+    fire_round_hook t
 
-  (* One asynchronous round under a fair daemon: the schedule is drawn
-     exactly as in {!Naive} (same RNG consumption); scheduled clean nodes
-     are skipped as no-ops, dirty ones fire and read fresh registers. *)
+  (* One asynchronous round under a fair daemon, drawn exactly as in
+     {!Naive}: scheduled clean nodes are skipped, dirty ones read fresh
+     registers and write immediately.  Compacting the frontier afterwards
+     keeps within-round flag churn from accumulating stale entries. *)
   let async_round t daemon =
-    let round = t.rounds + 1 in
+    let round = t.rounds + 1 and mt = t.metrics in
     let schedule = Scheduler.round_schedule daemon (Graph.n t.graph) in
-    let capture = capturing t in
+    let cap = capture_buffers t in
+    let rd, step = stepper t cap 0 in
     List.iter
       (fun v ->
         if Frontier.mem t.frontier v then begin
           Frontier.unmark t.frontier v;
-          t.metrics.Metrics.activations <- t.metrics.Metrics.activations + 1;
-          emit t (Trace.Activation { round; node = v });
+          mt.Metrics.activations <- mt.Metrics.activations + 1;
+          (match t.trace with
+          | None -> ()
+          | Some tr -> Trace.record tr (Activation { round; node = v }));
           t.read_stamp <- t.read_stamp + 1;
-          let stamp = t.read_stamp in
-          let distinct = ref 0 in
-          let read u =
-            if not (Graph.has_edge t.graph v u) then
-              invalid_arg "Network.step: reading a non-neighbour";
-            if capture && t.read_mark.(u) <> stamp then begin
-              t.read_mark.(u) <- stamp;
-              incr distinct
-            end;
-            t.states.(u)
-          in
-          let s' = P.step t.graph v t.states.(v) read in
-          if P.equal s' t.states.(v) then
-            t.metrics.Metrics.wasted_steps <- t.metrics.Metrics.wasted_steps + 1
-          else begin
-            apply_write t ~round ~cause:(read_cause t v ~distinct:!distinct ~stamp) v s';
-            dirty_neighbourhood t v
-          end
+          let s' = step v ~stamp:t.read_stamp in
+          if not rd.changed then mt.Metrics.wasted_steps <- mt.Metrics.wasted_steps + 1
+          else
+            let cause =
+              match cap with
+              | None -> Trace.Init
+              | Some c -> (
+                  match partial_cause t rd with Some pc -> pc | None -> full_cause t c v)
+            in
+            put t ~round ~cause v s'
         end
-        else
-          t.metrics.Metrics.skipped_activations <- t.metrics.Metrics.skipped_activations + 1)
+        else mt.Metrics.skipped_activations <- mt.Metrics.skipped_activations + 1)
       schedule;
     t.rounds <- round;
-    t.metrics.Metrics.rounds <- t.metrics.Metrics.rounds + 1;
-    compact t;
+    mt.Metrics.rounds <- mt.Metrics.rounds + 1;
+    Frontier.compact t.frontier;
     fire_round_hook t
 
   let round t daemon = if Scheduler.is_sync daemon then sync_round t else async_round t daemon
 
-  let run t daemon ~rounds =
-    for _ = 1 to rounds do
-      round t daemon
-    done
+  let run t daemon ~rounds = for _ = 1 to rounds do round t daemon done
 
   let any_alarm t = t.alarm_count > 0
 
@@ -557,9 +563,8 @@ module Make (P : Protocol.S) = struct
     Array.iteri (fun v a -> if a then acc := v :: !acc) t.alarm_flags;
     !acc
 
-  (* Run until [stop] holds or [max_rounds] elapse; returns the number of
-     rounds executed and whether [stop] was reached.  Emits a
-     {!Trace.Convergence} event at the stopping point. *)
+  (* Run until [stop] holds or [max_rounds] elapse: (rounds executed,
+     reached), with a {!Trace.Convergence} event at the stopping point. *)
   let run_until t daemon ~max_rounds stop =
     let executed = ref 0 and reached = ref (stop t) in
     while (not !reached) && !executed < max_rounds do
@@ -577,388 +582,69 @@ module Make (P : Protocol.S) = struct
 
   module Inject = Fault.Apply (P)
 
-  (* Apply one burst of [model].  Consumes the RNG exactly as
-     {!Naive.inject} does and funnels every rewrite through [apply_write]
-     plus [dirty_neighbourhood], so the metrics, the trace, the alarm
-     tracking and the dirty set all see the fault. *)
+  (* One burst of [model], drawn exactly as {!Naive.inject} draws it; each
+     rewrite is an immediate write tagged with its injection id (numbered
+     per run: the terminals provenance walks resolve against). *)
   let inject t st (model : Fault.t) =
-    Inject.apply st t.graph model
-      ~get:(fun v -> t.states.(v))
-      ~set:(fun v s' ->
-        (* injection ids number rewrites per run, in order: the causal
-           terminals provenance walks resolve against *)
+    Inject.apply st t.graph model ~get:(state t) ~set:(fun v s' ->
         let fid : Fault.id = t.metrics.Metrics.faults_injected in
         t.metrics.Metrics.faults_injected <- fid + 1;
         emit t (Trace.Fault_injected { round = t.rounds; node = v; fault = Some fid });
-        apply_write t ~round:t.rounds ~cause:(Trace.Fault fid) v s';
-        dirty_neighbourhood t v)
+        put t ~round:t.rounds ~cause:(Trace.Fault fid) v s')
 
-  (* Corrupt [count] distinct random nodes; returns the sorted list of
-     faulty nodes. *)
+  (* as in {!Naive}: uniform faults, and the Section 2.4 detection distance *)
   let inject_faults t st ~count = inject t st (Fault.uniform ~count)
 
-  (* Max hop distance from any fault to the closest alarming node: the
-     paper's detection distance (Section 2.4). *)
   let detection_distance t ~faults =
     Dist.detection_distance t.graph ~faults ~alarms:(alarming_nodes t)
 end
 
-(* ------------------------------------------------------------------ *)
-(* The flat struct-of-arrays engine                                    *)
-(* ------------------------------------------------------------------ *)
+(* The event-driven engine over boxed registers: what the transformer,
+   the flight recorder and the campaigns run on. *)
+module Make (P : Protocol.S) = struct
+  module Store = Boxed (P)
+  include Core (P) (Store)
 
-(* {!Flat} runs a {!Protocol.PACKED} protocol with every register packed
-   into one flat int array of [n * words] entries — the struct-of-arrays
-   layout that makes the paper's O(log n)-bits-per-node claim literal in
-   process memory.  Scheduling is the same event-driven dirty-set logic as
-   {!Make} (same skip rule, same canonical ascending-id write order, same
-   daemon RNG consumption), so states and round counts stay bit-identical
-   to both other engines under every daemon; the three-way differential
-   suite pins this down.
+  (* The live register array itself (the recorder aliases it); mutate via
+     [set_state] only. *)
+  let states t = t.store.Store.live
 
-   States are unpacked on demand and never cached: reads allocate transient
-   minor-heap values that die young, so resident memory stays dominated by
-   the register file itself — [8 * words] measured bytes per node, which is
-   what the SCALE experiments gate against the modeled c·⌈log n⌉ bound.
-   Tracing and the flight-recorder write hook stay on {!Make}: provenance
-   capture needs retained unpacked states and is the opposite of a memory
-   experiment. *)
-
-module Flat (P : Protocol.PACKED) = struct
-  (* Staging buffers for the domain-parallel sync round, allocated on the
-     first parallel round and reused for the network's lifetime.  Workers
-     write only the slices of [scratch]/[wrote]/[new_bits] indexed by
-     members they own, so the arrays are race-free by construction. *)
-  type par = {
-    scratch : int array;  (* n * words: deferred register images *)
-    wrote : Bytes.t;  (* '\000' no write | '\001' write | '\002' alarming *)
-    new_bits : int array;  (* P.bits of the deferred state, per node *)
-  }
-
-  type t = {
-    graph : Graph.t;
-    words : int;  (* per-node register budget *)
-    regs : int array;  (* the register file: node v at [v * words] *)
-    mutable rounds : int;
-    mutable peak_bits : int;  (* modeled bits (P.bits), as in Make *)
-    frontier : Frontier.t;  (* dirty flags + dense member buffer *)
-    alarm_flags : bool array;
-    mutable alarm_count : int;
-    last_write : int array;
-    metrics : Metrics.t;
-    mutable domains : int;  (* sync-round worker count; 1 = sequential *)
-    mutable par : par option;
-    (* called on every register write (after the register is updated), in
-       canonical ascending order within a round: the order-auditing probe
-       the write-order regression tests listen on.  Must not mutate the
-       network. *)
-    mutable write_hook : (round:int -> node:int -> unit) option;
-  }
-
-  let mark_dirty t v = Frontier.mark t.frontier v
-
-  let dirty_neighbourhood t v =
-    mark_dirty t v;
-    Graph.iter_ports t.graph v (fun _ u -> mark_dirty t u)
-
-  let state t v = P.unpack t.graph v t.regs (v * t.words)
-
-  let create ?(domains = 1) graph =
-    let n = Graph.n graph in
-    let words = P.words graph in
-    let regs = Array.make (n * words) 0 in
-    let alarm_flags = Array.make n false in
-    let peak = ref 0 in
-    let alarms = ref 0 in
+  (* Bulk install of a register snapshot (the campaign-trial rewind):
+     rebuilds the alarm flags, the dirty set and the peak-bits marks, but
+     as bookkeeping, not protocol work — no [register_writes], no
+     [last_write] stamps, no write hook, no trace or alarm events. *)
+  let restore t snapshot =
+    let live = states t in
+    let n = Array.length live in
+    if Array.length snapshot <> n then
+      invalid_arg "Network.restore: snapshot size does not match the network";
+    Array.blit snapshot 0 live 0 n;
+    t.alarm_count <- 0;
     for v = 0 to n - 1 do
-      let s = P.init graph v in
-      P.pack graph v s regs (v * words);
-      if P.bits s > !peak then peak := P.bits s;
-      let a = P.alarm s in
-      alarm_flags.(v) <- a;
-      if a then incr alarms
-    done;
-    let t =
-      {
-        graph;
-        words;
-        regs;
-        rounds = 0;
-        peak_bits = !peak;
-        frontier = Frontier.create n;
-        alarm_flags;
-        alarm_count = !alarms;
-        last_write = Array.make n 0;
-        metrics = Metrics.create ();
-        domains = max 1 domains;
-        par = None;
-        write_hook = None;
-      }
-    in
-    t.metrics.Metrics.peak_bits <- !peak;
-    t
+      let a = P.alarm live.(v) and b = P.bits live.(v) in
+      t.alarm_flags.(v) <- a;
+      if a then t.alarm_count <- t.alarm_count + 1;
+      if b > t.peak_bits then t.peak_bits <- b;
+      if b > t.metrics.Metrics.peak_bits then t.metrics.Metrics.peak_bits <- b;
+      mark_dirty t v
+    done
+end
 
-  let graph t = t.graph
+(* The event-driven engine over packed registers ({!Protocol.PACKED}):
+   bit-identical to both other engines under every daemon, which the
+   three-way differential suite pins down. *)
+module Flat (P : Protocol.PACKED) = struct
+  module Store = Packed (P)
+  include Core (P) (Store)
+
+  let words t = t.store.Store.words
   let states t = Array.init (Graph.n t.graph) (state t)
-  let rounds t = t.rounds
-  let metrics t = t.metrics
-  let words t = t.words
-  let domains t = t.domains
-  let set_domains t k = t.domains <- max 1 k
 
   (* A copy of the raw register file: the byte-identity witness the
      parallel differential tests compare across domain counts. *)
-  let registers t = Array.copy t.regs
+  let registers t = Array.copy t.store.Store.regs
 
-  (* Write-order probe: [f] fires on every register write, immediately
-     after the register file is updated, in the engine's canonical order
-     (ascending node id within a sync round).  Read-only by the same
-     contract as {!Make}'s hooks.  Attaching it does NOT force the
-     sequential path — the parallel round fires it on the main domain in
-     the same canonical order. *)
-  let set_write_hook t f = t.write_hook <- Some f
-  let clear_write_hook t = t.write_hook <- None
-
-  (* The measured per-node footprint of this engine: whole 64-bit words,
-     against which {!Memory.within_log_budget} gates the modeled bound. *)
-  let measured_bytes_per_node t = Memory.bytes_of_words t.words
-
-  (* The single register-write path, mirroring {!Make.apply_write} minus
-     trace/hook provenance. *)
-  let apply_write t ~round v s' =
-    P.pack t.graph v s' t.regs (v * t.words);
-    let b = P.bits s' in
-    if b > t.peak_bits then t.peak_bits <- b;
-    if b > t.metrics.Metrics.peak_bits then t.metrics.Metrics.peak_bits <- b;
-    t.metrics.Metrics.register_writes <- t.metrics.Metrics.register_writes + 1;
-    t.metrics.Metrics.last_write_round <- round;
-    t.last_write.(v) <- round;
-    (match t.write_hook with None -> () | Some f -> f ~round ~node:v);
-    let was = t.alarm_flags.(v) and now = P.alarm s' in
-    if was <> now then begin
-      t.alarm_flags.(v) <- now;
-      if now then begin
-        t.alarm_count <- t.alarm_count + 1;
-        t.metrics.Metrics.alarms_raised <- t.metrics.Metrics.alarms_raised + 1
-      end
-      else begin
-        t.alarm_count <- t.alarm_count - 1;
-        t.metrics.Metrics.alarms_cleared <- t.metrics.Metrics.alarms_cleared + 1
-      end
-    end
-
-  let set_state t v s =
-    apply_write t ~round:t.rounds v s;
-    dirty_neighbourhood t v
-
-  let last_write_round t v = t.last_write.(v)
-  let peak_bits t = t.peak_bits
-
-  let par_buffers t =
-    match t.par with
-    | Some p -> p
-    | None ->
-        let n = Graph.n t.graph in
-        let p =
-          {
-            scratch = Array.make (n * t.words) 0;
-            wrote = Bytes.make n '\000';
-            new_bits = Array.make n 0;
-          }
-        in
-        t.par <- Some p;
-        p
-
-  (* One worker's share of a deferred sync round: step members.(lo..hi-1)
-     against the pre-round register file, staging every changed register
-     in the scratch slice its member owns.  [w] indexes the private
-     wasted-step counter.  Runs on the calling domain when sequential
-     (lo = 0, hi = m) and on worker domains when parallel; either way
-     nothing observable mutates before the apply loop.  The [read]
-     closure is hoisted out of the member loop (one allocation per range
-     per round, not per step) with the current member threaded through a
-     ref. *)
-  let compute_range t p wasted w members lo hi =
-    let cur = ref 0 in
-    let read u =
-      if not (Graph.has_edge t.graph !cur u) then
-        invalid_arg "Network.step: reading a non-neighbour";
-      state t u
-    in
-    for i = lo to hi - 1 do
-      let v = members.(i) in
-      cur := v;
-      let own = state t v in
-      let s' = P.step t.graph v own read in
-      if P.equal s' own then wasted.(w) <- wasted.(w) + 1
-      else begin
-        (* the codec may leave slice words untouched (keeping their
-           previous value): seed the scratch slice from the live
-           register so the apply blit is exact *)
-        Array.blit t.regs (v * t.words) p.scratch (v * t.words) t.words;
-        P.pack t.graph v s' p.scratch (v * t.words);
-        p.new_bits.(v) <- P.bits s';
-        Bytes.set p.wrote v (if P.alarm s' then '\002' else '\001')
-      end
-    done
-
-  (* The deferred sync round, shared by the sequential (k = 1) and
-     domain-parallel (k > 1) paths so work accounting and effect order are
-     identical by construction.  Correctness rests on the deferred-write
-     snapshot: until the barrier, workers read only the pre-round register
-     file and write only the [v * words] scratch slices of members they
-     own (contiguous slices of the ascending member array are
-     node-disjoint), so domains share nothing writable.  Every observable
-     effect — register blits, metrics, the write hook, alarm flags, dirty
-     marking — happens after the barrier on the calling domain in
-     ascending node id; registers and metrics are therefore byte-identical
-     at every domain count. *)
-  let deferred_sync_round t ~prb ~round ~members ~m ~domains:k =
-    let p = par_buffers t in
-    let wasted = Array.make k 0 in
-    penter prb "flat.compute";
-    if k = 1 then compute_range t p wasted 0 members 0 m
-    else
-      Domain_pool.run ~domains:k (fun w ->
-          let lo, hi = Domain_pool.slice ~domains:k m w in
-          compute_range t p wasted w members lo hi);
-    pleave prb "flat.compute";
-    t.metrics.Metrics.activations <- t.metrics.Metrics.activations + m;
-    Array.iter
-      (fun c -> t.metrics.Metrics.wasted_steps <- t.metrics.Metrics.wasted_steps + c)
-      wasted;
-    t.metrics.Metrics.skipped_activations <-
-      t.metrics.Metrics.skipped_activations + (Graph.n t.graph - m);
-    t.rounds <- round;
-    t.metrics.Metrics.rounds <- t.metrics.Metrics.rounds + 1;
-    (* apply deferred writes in ascending node id: the canonical order,
-       shared with {!Make}.  This loop is the wrote-tag scan plus the
-       scratch->register blits — the cache-miss suspects the ROADMAP
-       names; [flat.apply] makes them measurable. *)
-    penter prb "flat.apply";
-    for i = 0 to m - 1 do
-      let v = members.(i) in
-      match Bytes.get p.wrote v with
-      | '\000' -> ()
-      | c ->
-          Bytes.set p.wrote v '\000';
-          Array.blit p.scratch (v * t.words) t.regs (v * t.words) t.words;
-          let b = p.new_bits.(v) in
-          if b > t.peak_bits then t.peak_bits <- b;
-          if b > t.metrics.Metrics.peak_bits then t.metrics.Metrics.peak_bits <- b;
-          t.metrics.Metrics.register_writes <- t.metrics.Metrics.register_writes + 1;
-          t.metrics.Metrics.last_write_round <- round;
-          t.last_write.(v) <- round;
-          (match t.write_hook with None -> () | Some f -> f ~round ~node:v);
-          let was = t.alarm_flags.(v) and now = c = '\002' in
-          if was <> now then begin
-            t.alarm_flags.(v) <- now;
-            if now then begin
-              t.alarm_count <- t.alarm_count + 1;
-              t.metrics.Metrics.alarms_raised <- t.metrics.Metrics.alarms_raised + 1
-            end
-            else begin
-              t.alarm_count <- t.alarm_count - 1;
-              t.metrics.Metrics.alarms_cleared <- t.metrics.Metrics.alarms_cleared + 1
-            end
-          end;
-          dirty_neighbourhood t v
-    done;
-    pleave prb "flat.apply"
-
-  (* One synchronous round: dirty nodes step on the pre-round register
-     file (writes are deferred), clean nodes are provably no-ops.  With
-     [domains > 1] on a multicore runtime, rounds whose frontier is worth
-     splitting fan out across worker domains; tiny frontiers (convergence
-     tails) stay on the calling domain — the cutoff keeps per-round
-     overhead off the quiescent path while still exercising the parallel
-     code on small test graphs at [domains] 2–4.  Both cases run the same
-     {!deferred_sync_round}. *)
-  let sync_round t =
-    let round = t.rounds + 1 in
-    let prb = if Frontier.is_empty t.frontier then None else Probe.get () in
-    penter prb "flat.frontier";
-    let members, m = Frontier.drain t.frontier in
-    pleave prb "flat.frontier";
-    let k = if Domain_pool.available then t.domains else 1 in
-    let k = if k > 1 && m >= 2 * k then k else 1 in
-    deferred_sync_round t ~prb ~round ~members ~m ~domains:k
-
-  let compact t = Frontier.compact t.frontier
-
-  (* One asynchronous round: same schedule draw and skip rule as {!Make};
-     fired nodes read fresh registers. *)
-  let async_round t daemon =
-    let round = t.rounds + 1 in
-    let schedule = Scheduler.round_schedule daemon (Graph.n t.graph) in
-    List.iter
-      (fun v ->
-        if Frontier.mem t.frontier v then begin
-          Frontier.unmark t.frontier v;
-          t.metrics.Metrics.activations <- t.metrics.Metrics.activations + 1;
-          let read u =
-            if not (Graph.has_edge t.graph v u) then
-              invalid_arg "Network.step: reading a non-neighbour";
-            state t u
-          in
-          let own = state t v in
-          let s' = P.step t.graph v own read in
-          if P.equal s' own then
-            t.metrics.Metrics.wasted_steps <- t.metrics.Metrics.wasted_steps + 1
-          else begin
-            apply_write t ~round v s';
-            dirty_neighbourhood t v
-          end
-        end
-        else
-          t.metrics.Metrics.skipped_activations <- t.metrics.Metrics.skipped_activations + 1)
-      schedule;
-    t.rounds <- round;
-    t.metrics.Metrics.rounds <- t.metrics.Metrics.rounds + 1;
-    compact t
-
-  let round t daemon = if Scheduler.is_sync daemon then sync_round t else async_round t daemon
-
-  let run t daemon ~rounds =
-    for _ = 1 to rounds do
-      round t daemon
-    done
-
-  let any_alarm t = t.alarm_count > 0
-
-  let alarming_nodes t =
-    let acc = ref [] in
-    Array.iteri (fun v a -> if a then acc := v :: !acc) t.alarm_flags;
-    !acc
-
-  let run_until t daemon ~max_rounds stop =
-    let executed = ref 0 and reached = ref (stop t) in
-    while (not !reached) && !executed < max_rounds do
-      round t daemon;
-      incr executed;
-      reached := stop t
-    done;
-    (!executed, !reached)
-
-  let detection_time t daemon ~max_rounds =
-    let executed, reached = run_until t daemon ~max_rounds any_alarm in
-    if reached then Some executed else None
-
-  module Inject = Fault.Apply (P)
-
-  (* Same RNG consumption as the other engines; every rewrite funnels
-     through [apply_write] so alarm/memory tracking and the dirty set see
-     the fault. *)
-  let inject t st (model : Fault.t) =
-    Inject.apply st t.graph model
-      ~get:(fun v -> state t v)
-      ~set:(fun v s' ->
-        t.metrics.Metrics.faults_injected <- t.metrics.Metrics.faults_injected + 1;
-        apply_write t ~round:t.rounds v s';
-        dirty_neighbourhood t v)
-
-  let inject_faults t st ~count = inject t st (Fault.uniform ~count)
-
-  let detection_distance t ~faults =
-    Dist.detection_distance t.graph ~faults ~alarms:(alarming_nodes t)
+  (* The measured per-node footprint: whole 64-bit words, against which
+     {!Memory.within_log_budget} gates the modeled bound. *)
+  let measured_bytes_per_node t = Memory.bytes_of_words (words t)
 end

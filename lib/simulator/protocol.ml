@@ -20,7 +20,8 @@ module type S = sig
       returns the current register of the neighbour with node index [u]
       (only neighbours of [v] may be read).  Returns the new register.
       [step] must be deterministic in its arguments: the event-driven engine
-      ({!Network.Make}) skips activations whose inputs are unchanged since
+      ({!Network.Core}, behind both {!Network.Make} and {!Network.Flat})
+      skips activations whose inputs are unchanged since
       the node's last no-op step, which is only sound for pure steps. *)
 
   val equal : state -> state -> bool

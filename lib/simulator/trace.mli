@@ -1,6 +1,7 @@
 (** Ring-buffered typed execution traces for the event-driven engine.
 
-    Attach a trace to a {!Network.Make} instance and every activation,
+    Attach a trace to an event-driven engine ({!Network.Make} or
+    {!Network.Flat}, which share one core) and every activation,
     register write, alarm transition, fault injection and convergence check
     is recorded as a typed event; the observability layer ([Ssmst_obs])
     additionally records phase-span marks and online-monitor verdicts.  The

@@ -15,8 +15,9 @@ open Ssmst_protocols
       state-identical to {!Network.Naive};
    3. canonical write order — the (round, node) sequence of Flat's write
       hook matches {!Network.Make}'s [Register_write] trace events exactly
-      on a faulted grid, at -d 1 and -d 2 alike (the PR 5 ascending-order
-      fix, now asserted on the flat engine too). *)
+      on a faulted grid, at -d 1 and -d 2 alike, and a trace attached to
+      Flat records the very event stream Make's does (causes and field
+      deltas included). *)
 
 (* ---------------- the pool ---------------- *)
 
@@ -81,7 +82,10 @@ module N = Network.Naive (Ss_bfs.P)
 let drive_flat ~domains ~seed g =
   let net = F.create ~domains g in
   let hooks = ref [] in
-  F.set_write_hook net (fun ~round ~node -> hooks := (round, node) :: !hooks);
+  (* the causes come from per-worker read marks: they too must not depend
+     on the domain count *)
+  F.set_write_hook net (fun ~round ~node ~old:_ _ cause ->
+      hooks := (round, node, Trace.cause_to_string cause) :: !hooks);
   for r = 1 to 18 do
     if r mod 5 = 1 then ignore (F.inject net (Gen.rng (seed + r)) (Fault.uniform ~count:3));
     if r mod 7 = 0 then
@@ -183,13 +187,7 @@ let qcheck_make_domains =
 
 (* ---------------- canonical write order vs Make's trace ---------------- *)
 
-let drive_make_trace ~seed g =
-  let tr = Trace.create ~capacity:200_000 () in
-  let net = E.create ~trace:tr g in
-  for r = 1 to 15 do
-    if r mod 4 = 1 then ignore (E.inject net (Gen.rng (seed + r)) (Fault.uniform ~count:3));
-    E.round net Scheduler.Sync
-  done;
+let writes_of tr =
   let acc = ref [] in
   Trace.iter
     (function
@@ -198,27 +196,44 @@ let drive_make_trace ~seed g =
     tr;
   List.rev !acc
 
+let drive_make_trace ~seed g =
+  let tr = Trace.create ~capacity:200_000 () in
+  let net = E.create ~trace:tr g in
+  for r = 1 to 15 do
+    if r mod 4 = 1 then ignore (E.inject net (Gen.rng (seed + r)) (Fault.uniform ~count:3));
+    E.round net Scheduler.Sync
+  done;
+  tr
+
+(* Flat with both listeners attached: the write hook's (round, node)
+   sequence and the full traced event stream *)
 let drive_flat_order ~domains ~seed g =
-  let net = F.create ~domains g in
+  let tr = Trace.create ~capacity:200_000 () in
+  let net = F.create ~trace:tr ~domains g in
   let acc = ref [] in
-  F.set_write_hook net (fun ~round ~node -> acc := (round, node) :: !acc);
+  F.set_write_hook net (fun ~round ~node ~old:_ _ _ -> acc := (round, node) :: !acc);
   for r = 1 to 15 do
     if r mod 4 = 1 then ignore (F.inject net (Gen.rng (seed + r)) (Fault.uniform ~count:3));
     F.round net Scheduler.Sync
   done;
-  List.rev !acc
+  (List.rev !acc, tr)
 
 let test_write_order_matches_make () =
   let g = Gen.grid (Gen.rng 4500) 6 6 in
-  let reference = drive_make_trace ~seed:4500 g in
+  let make_trace = drive_make_trace ~seed:4500 g in
+  let reference = writes_of make_trace in
   Alcotest.(check bool) "the faulted grid produces writes" true (List.length reference > 0);
   List.iter
     (fun d ->
-      let flat = drive_flat_order ~domains:d ~seed:4500 g in
-      if flat <> reference then
+      let hooked, flat_trace = drive_flat_order ~domains:d ~seed:4500 g in
+      if hooked <> reference then
         Alcotest.failf
           "write order diverges from Make's trace at -d %d (%d flat writes, %d traced)" d
-          (List.length flat) (List.length reference))
+          (List.length hooked) (List.length reference);
+      if writes_of flat_trace <> reference then
+        Alcotest.failf "Flat's traced Register_write stream diverges from Make's at -d %d" d;
+      if Trace.to_list flat_trace <> Trace.to_list make_trace then
+        Alcotest.failf "Flat's traced event stream diverges from Make's at -d %d" d)
     [ 1; 2 ]
 
 let suite =

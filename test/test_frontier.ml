@@ -13,10 +13,11 @@ open Ssmst_protocols
       contributes exactly one live entry after compaction, in the
       structure itself and through both engines' async rounds (stale
       entries must not accumulate across rounds);
-   3. golden traces — the per-round event order of {!Network.Make} is
+   3. golden traces — the per-round event order of both engines is
       byte-identical to the list-frontier engine this structure replaced:
       the (round, node) register-write sequences of a fixed faulted-grid
-      scenario under all three daemons match digests captured on the
+      scenario under all three daemons, traced on {!Network.Make} and
+      {!Network.Flat} at -d 1 and -d 2, match digests captured on the
       pre-dense-frontier engine;
    4. accounting parity — [wasted_steps]/[skipped_activations] are
       identical between the sequential and domain-parallel branches of
@@ -176,29 +177,49 @@ let golden =
       1051043249 );
   ]
 
+(* Each scenario runs on both engines, traced, sequentially and at -d 2:
+   the traced parallel sync round must reproduce the same digests. *)
+let golden_runs =
+  let g = Gen.grid (Gen.rng 6600) 5 5 in
+  let make d tr daemon =
+    let net = E.create ~trace:tr ~domains:d g in
+    for r = 1 to 12 do
+      if r mod 4 = 1 then
+        ignore (E.inject net (Gen.rng (6600 + r)) (Fault.uniform ~count:3));
+      E.round net daemon
+    done
+  and flat d tr daemon =
+    let net = F.create ~trace:tr ~domains:d g in
+    for r = 1 to 12 do
+      if r mod 4 = 1 then
+        ignore (F.inject net (Gen.rng (6600 + r)) (Fault.uniform ~count:3));
+      F.round net daemon
+    done
+  in
+  List.concat_map
+    (fun d -> [ (Fmt.str "make -d %d" d, make d); (Fmt.str "flat -d %d" d, flat d) ])
+    [ 1; 2 ]
+
 let test_golden_traces () =
   List.iter
     (fun (name, daemon_of, expect_len, expect_digest) ->
-      let g = Gen.grid (Gen.rng 6600) 5 5 in
-      let tr = Trace.create ~capacity:200_000 () in
-      let net = E.create ~trace:tr g in
-      let daemon = daemon_of () in
-      for r = 1 to 12 do
-        if r mod 4 = 1 then
-          ignore (E.inject net (Gen.rng (6600 + r)) (Fault.uniform ~count:3));
-        E.round net daemon
-      done;
-      let acc = ref [] in
-      Trace.iter
-        (function
-          | Trace.Register_write { round; node; _ } -> acc := (round, node) :: !acc
-          | _ -> ())
-        tr;
-      let l = List.rev !acc in
-      Alcotest.(check int) (name ^ ": write count matches the list frontier") expect_len
-        (List.length l);
-      Alcotest.(check int) (name ^ ": write order matches the list frontier") expect_digest
-        (digest l))
+      List.iter
+        (fun (engine, run) ->
+          let tr = Trace.create ~capacity:200_000 () in
+          run tr (daemon_of ());
+          let acc = ref [] in
+          Trace.iter
+            (function
+              | Trace.Register_write { round; node; _ } -> acc := (round, node) :: !acc
+              | _ -> ())
+            tr;
+          let l = List.rev !acc in
+          let ctx = Fmt.str "%s, %s" name engine in
+          Alcotest.(check int) (ctx ^ ": write count matches the list frontier") expect_len
+            (List.length l);
+          Alcotest.(check int) (ctx ^ ": write order matches the list frontier") expect_digest
+            (digest l))
+        golden_runs)
     golden
 
 (* Sync-round activations must come out strictly ascending within every

@@ -268,6 +268,42 @@ let test_ring_wraparound () =
       end)
     !snaps
 
+(* ---------------- writes at the creation round ---------------- *)
+
+(* [Flight.record_verify]'s shape: create the recorder on a settled network
+   at round r0, then inject at r0 itself.  The creation checkpoint predates
+   those writes, so [state_at r0] (and a cursor seeked there) must replay
+   them — and stay exact until the next periodic checkpoint. *)
+let test_creation_round_writes () =
+  let module P = Ss_bfs.P in
+  let module Net = Network.Make (P) in
+  let module R = Recorder.Make (P) in
+  let g = Gen.random_connected (Gen.rng 7) 16 in
+  let net = Net.create g in
+  Net.run net Scheduler.Sync ~rounds:100;
+  let r0 = Net.rounds net in
+  let rec_ = R.create ~interval:64 ~round0:r0 g (Net.states net) in
+  Net.set_write_hook net (R.engine_hook rec_ (Net.states net));
+  let victims = Net.inject_faults net (Gen.rng 9) ~count:2 in
+  let expect_live what (v : R.view) =
+    Alcotest.(check bool) (what ^ ": exact") true v.R.exact;
+    Array.iteri
+      (fun i s ->
+        if not (P.equal s v.R.states.(i)) then
+          Alcotest.failf "%s: node %d replays its pre-fault register (victims %a)" what i
+            Fmt.(list ~sep:comma int)
+            victims)
+      (Net.states net)
+  in
+  expect_live "state_at r0" (R.state_at rec_ r0);
+  let c = R.seek rec_ r0 in
+  expect_live "seek r0" { R.round = r0; states = R.cursor_states c; exact = R.cursor_exact c };
+  for k = 1 to 3 do
+    Net.run net Scheduler.Sync ~rounds:1;
+    expect_live (Fmt.str "state_at r0+%d" k) (R.state_at rec_ (r0 + k))
+  done;
+  Alcotest.(check (option int)) "sound from the start" (Some r0) (R.sound_from rec_)
+
 (* ---------------- causal explain ---------------- *)
 
 module WNet = Network.Make (Watch)
@@ -382,6 +418,8 @@ let suite =
     Alcotest.test_case "bisector pinpoints a perturbed write" `Quick test_bisector_exact;
     Alcotest.test_case "ring wraparound stays sound and flagged" `Quick
       test_ring_wraparound;
+    Alcotest.test_case "state_at replays writes at the creation round" `Quick
+      test_creation_round_writes;
     Alcotest.test_case "explain walks alarm back to the fault" `Quick test_explain_path;
     Alcotest.test_case "explain surfaces broken chains" `Quick test_explain_broken_chain;
     Alcotest.test_case "flight verify: witnesses within the bound" `Quick
