@@ -655,86 +655,67 @@ let fig_obs () =
       (100. *. ov);
     if ov > obs_budget then failures := Fmt.str "%s (%+.1f%%)" name (100. *. ov) :: !failures
   in
+  (* run [drive net] on a fresh network, with the full observatory
+     attached when [probes]: the monitors on the round hook, the sampling
+     span profiler around the drive *)
+  let module Observed (P : Protocol.S) = struct
+    module Net = Network.Make (P)
+
+    let run ~parent g drive probes () =
+      let net = Net.create g in
+      if not probes then drive net
+      else begin
+        let view =
+          {
+            Ssmst_obs.Monitor.graph = g;
+            parent;
+            bits = (fun v -> P.bits (Net.state net v));
+            alarm = (fun v -> P.alarm (Net.state net v));
+            peak_bits = (fun () -> Net.peak_bits net);
+            any_alarm = (fun () -> Net.any_alarm net);
+            change_counter =
+              (fun () ->
+                let m = Net.metrics net in
+                m.Metrics.register_writes + m.Metrics.faults_injected);
+          }
+        in
+        let mon = Ssmst_obs.Monitor.create ~metrics:(Net.metrics net) view in
+        Net.set_round_hook net (fun () -> Ssmst_obs.Monitor.check mon ~round:(Net.rounds net));
+        let sp =
+          Ssmst_obs.Span.create ~sample:(Ssmst_obs.Span.sampler_of_metrics (Net.metrics net)) ()
+        in
+        Ssmst_obs.Span.with_ sp Ssmst_obs.Span.Settle (fun () -> drive net);
+        ignore (Ssmst_obs.Span.finish sp)
+      end
+  end in
   (* churning workload: the BFS election re-converges after each periodic
      fault burst (a pure quiescent tail would compare the monitors' O(1)
      cached check against near-free skipped rounds, measuring only timer
      noise; the cache itself is unit-tested in test_obs) *)
-  let g1 = Gen.random_connected (Gen.rng 8100) 256 in
-  let bfs_run probes () =
-    let module P = Ssmst_protocols.Ss_bfs.P in
-    let module Net = Network.Make (P) in
-    let net = Net.create g1 in
-    let drive () =
-      for k = 0 to 7 do
-        ignore (Net.inject_faults net (Gen.rng (8110 + k)) ~count:4);
-        Net.run net Scheduler.Sync ~rounds:128
-      done
-    in
-    if probes then (
-      let view =
-        {
-          Ssmst_obs.Monitor.graph = g1;
-          parent = (fun _ -> None);
-          bits = (fun v -> P.bits (Net.state net v));
-          alarm = (fun v -> P.alarm (Net.state net v));
-          peak_bits = (fun () -> Net.peak_bits net);
-          any_alarm = (fun () -> Net.any_alarm net);
-          change_counter =
-            (fun () ->
-              let m = Net.metrics net in
-              m.Metrics.register_writes + m.Metrics.faults_injected);
-        }
-      in
-      let mon = Ssmst_obs.Monitor.create ~metrics:(Net.metrics net) view in
-      Net.set_round_hook net (fun () -> Ssmst_obs.Monitor.check mon ~round:(Net.rounds net));
-      let sp =
-        Ssmst_obs.Span.create ~sample:(Ssmst_obs.Span.sampler_of_metrics (Net.metrics net)) ()
-      in
-      Ssmst_obs.Span.with_ sp Ssmst_obs.Span.Settle drive;
-      ignore (Ssmst_obs.Span.finish sp))
-    else drive ()
+  let module B = Observed (Ssmst_protocols.Ss_bfs.P) in
+  let bfs_run =
+    B.run ~parent:(fun _ -> None) (Gen.random_connected (Gen.rng 8100) 256) (fun net ->
+        for k = 0 to 7 do
+          ignore (B.Net.inject_faults net (Gen.rng (8110 + k)) ~count:4);
+          B.Net.run net Scheduler.Sync ~rounds:128
+        done)
   in
   report "ss-bfs + faults n=256, 1024 rounds" (time (bfs_run false)) (time (bfs_run true));
   (* write-heavy workload: the verifier rewrites every register every
      round, so every monitored round pays a full re-evaluation *)
   let g2 = Gen.random_connected (Gen.rng 8200) 128 in
   let m2 = Marker.run g2 in
-  let module VC = struct
-    let marker = m2
-    let mode = Verifier.Passive
-  end in
-  let module VP = Verifier.Make (VC) in
-  let verifier_run probes () =
-    let module Net = Network.Make (VP) in
-    let net = Net.create g2 in
-    if probes then (
-      let view =
-        {
-          Ssmst_obs.Monitor.graph = g2;
-          parent = Tree.parent m2.Marker.tree;
-          bits = (fun v -> VP.bits (Net.state net v));
-          alarm = (fun v -> VP.alarm (Net.state net v));
-          peak_bits = (fun () -> Net.peak_bits net);
-          any_alarm = (fun () -> Net.any_alarm net);
-          change_counter =
-            (fun () ->
-              let m = Net.metrics net in
-              m.Metrics.register_writes + m.Metrics.faults_injected);
-        }
-      in
-      let mon = Ssmst_obs.Monitor.create ~metrics:(Net.metrics net) view in
-      Net.set_round_hook net (fun () -> Ssmst_obs.Monitor.check mon ~round:(Net.rounds net));
-      let sp =
-        Ssmst_obs.Span.create ~sample:(Ssmst_obs.Span.sampler_of_metrics (Net.metrics net)) ()
-      in
-      Ssmst_obs.Span.with_ sp Ssmst_obs.Span.Settle (fun () ->
-          Net.run net Scheduler.Sync ~rounds:600);
-      ignore (Ssmst_obs.Span.finish sp))
-    else Net.run net Scheduler.Sync ~rounds:600
+  let module V =
+    Observed
+      (Verifier.Make (struct
+        let marker = m2
+        let mode = Verifier.Passive
+      end))
   in
-  report "verifier n=128, 600 rounds"
-    (time (verifier_run false))
-    (time (verifier_run true));
+  let verifier_run =
+    V.run ~parent:(Tree.parent m2.Marker.tree) g2 (fun net -> V.Net.run net Scheduler.Sync ~rounds:600)
+  in
+  report "verifier n=128, 600 rounds" (time (verifier_run false)) (time (verifier_run true));
   match !failures with
   | [] -> Fmt.pr "observatory overhead within the %.0f%% budget.@." (100. *. obs_budget)
   | fs ->
@@ -744,527 +725,519 @@ let fig_obs () =
       exit 1
 
 (* ==================================================================== *)
+(* Knobs and bench artifacts                                             *)
+(* ==================================================================== *)
+
+(* The SSMST_* knobs.  A malformed value is a typo in a CI step or a
+   shell; running the default instead would hide it, so it ends the run. *)
+let env_parse what parse name ~default =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s -> (
+      match parse (String.trim s) with
+      | Some v -> v
+      | None ->
+          Fmt.epr "bench: %s=%S is not %s.@." name s what;
+          exit 2)
+
+let env_int = env_parse "an integer" int_of_string_opt
+
+let env_float =
+  env_parse "a finite number" (fun s ->
+      Option.bind (float_of_string_opt s) (fun f -> if Float.is_finite f then Some f else None))
+
+module Json = Ssmst_obs.Json_lite
+
+(* Every gate records its results in one schema: BENCH_PR<N>.json in the
+   cwd holds {"pr", "within_budget", "rows"}, one row per recorded value.
+   [better] is the direction of improvement of a measurement REPORT
+   charts; a value with none (a count, a gate parameter, a check stored
+   as 1/0 with unit "bool") is recorded but not charted.  [gated] says
+   whether the row's gate was enforced in this run: false for
+   informational rows and for speedups measured on too few cores.
+   [cores] is unknown only in artifacts written before cores were
+   recorded. *)
+type row = {
+  workload : string;
+  metric : string;
+  value : float;
+  unit : string;
+  better : [ `Higher | `Lower ] option;
+  gated : bool;
+  cores : int option;
+}
+
+let row ?better ~gated workload metric unit value =
+  { workload; metric; value; unit; better; gated; cores = Some (Ssmst_parallel.Pool.cpu_count ()) }
+
+let check ~gated workload metric ok = row ~gated workload metric "bool" (if ok then 1. else 0.)
+
+let json_of_row r =
+  let nullable f = function Some v -> f v | None -> Json.Null in
+  Json.Obj
+    [
+      ("workload", Json.Str r.workload);
+      ("metric", Json.Str r.metric);
+      ("value", Json.Num r.value);
+      ("unit", Json.Str r.unit);
+      ( "better",
+        nullable (function `Higher -> Json.Str "higher" | `Lower -> Json.Str "lower") r.better );
+      ("gated", Json.Bool r.gated);
+      ("cores", nullable (fun c -> Json.Num (float_of_int c)) r.cores);
+    ]
+
+(* The one reader: (pr, within_budget, rows), or [Json.Bad] on anything
+   that is not this schema. *)
+let read_artifact path =
+  let ic = open_in path in
+  let body =
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+        really_input_string ic (in_channel_length ic))
+  in
+  let get key conv obj =
+    match conv (Json.mem key obj) with
+    | Some v -> v
+    | None -> raise (Json.Bad (Printf.sprintf "missing or ill-typed %S" key))
+  in
+  let nullable conv = function Some Json.Null -> Some None | v -> Option.map Option.some (conv v) in
+  let better = function
+    | Some (Json.Str "higher") -> Some `Higher
+    | Some (Json.Str "lower") -> Some `Lower
+    | _ -> None
+  in
+  let cores v = Option.map int_of_float (Json.num_opt v) in
+  let row_of o =
+    {
+      workload = get "workload" Json.str_opt o;
+      metric = get "metric" Json.str_opt o;
+      value = get "value" Json.num_opt o;
+      unit = get "unit" Json.str_opt o;
+      better = get "better" (nullable better) o;
+      gated = get "gated" Json.bool_opt o;
+      cores = get "cores" (nullable cores) o;
+    }
+  in
+  let j = Json.parse body in
+  let rows = get "rows" (function Some (Json.Arr l) -> Some l | _ -> None) j in
+  (int_of_float (get "pr" Json.num_opt j), get "within_budget" Json.bool_opt j, List.map row_of rows)
+
+(* The one writer.  It never lets a run that could not enforce a gate
+   overwrite an artifact that records the gate enforced: REPORT would then
+   chart, say, a 1-core container's 0.88x @ -j 4 as a measured scaling
+   result.  SSMST_PAR_FORCE=1 overrides. *)
+let write_artifact ~pr ~within_budget rows =
+  let path = Printf.sprintf "BENCH_PR%d.json" pr in
+  let was_gated =
+    match read_artifact path with
+    | _, _, old ->
+        fun r -> List.exists (fun o -> o.gated && o.workload = r.workload && o.metric = r.metric) old
+    | exception (Sys_error _ | Json.Bad _) -> fun _ -> false
+  in
+  if
+    List.exists (fun r -> (not r.gated) && was_gated r) rows
+    && Sys.getenv_opt "SSMST_PAR_FORCE" <> Some "1"
+  then
+    Fmt.pr
+      "NOT overwriting %s: it records gated rows this un-gated run could not enforce; set \
+       SSMST_PAR_FORCE=1 to overwrite anyway.@."
+      path
+  else begin
+    let oc = open_out path in
+    output_string oc
+      (Json.to_string
+         (Json.Obj
+            [
+              ("pr", Json.Num (float_of_int pr));
+              ("within_budget", Json.Bool within_budget);
+              ("rows", Json.Arr (List.map json_of_row rows));
+            ])
+      ^ "\n");
+    close_out oc;
+    Fmt.pr "@.(machine-readable results written to %s)@." path
+  end
+
+(* ==================================================================== *)
+(* Shared gate drivers                                                   *)
+(* ==================================================================== *)
+
+(* REPLAY and PROF time the same ENGINE workloads (same graphs, seeds and
+   windows), so the bare wall_off_s rows of BENCH_PR4.json and
+   BENCH_PR9.json measure one experiment.  What rides along differs: the
+   flight recorder (k = 64, attached at creation, so the settle records
+   too) or a Telemetry sink (installed around the timed window only). *)
+type ride = Bare | Recorder | Telemetry
+
+let riding ride f =
+  match ride with
+  | Telemetry ->
+      Ssmst_obs.Telemetry.install (Ssmst_obs.Telemetry.create ());
+      Fun.protect ~finally:Ssmst_obs.Telemetry.uninstall f
+  | Bare | Recorder -> f ()
+
+module Ridden (P : Protocol.S) = struct
+  module Net = Network.Make (P)
+  module R = Ssmst_replay.Recorder.Make (P)
+
+  let create ride g =
+    let net = Net.create g in
+    if ride = Recorder then begin
+      let rec_ = R.create ~interval:64 ~round0:0 g (Net.states net) in
+      Net.set_write_hook net (R.engine_hook rec_ (Net.states net))
+    end;
+    net
+end
+
+module Bfs = Ridden (Ssmst_protocols.Ss_bfs.P)
+
+let w1_graph = lazy (Gen.random_connected (Gen.rng 8300) 256)
+
+(* W1 mirrors ENGINE-W1: settle the ss-bfs election (untimed), then time
+   1 fault + 4096 mostly quiescent rounds. *)
+let w1_ride ride =
+  let net = Bfs.create ride (Lazy.force w1_graph) in
+  Bfs.Net.run net Scheduler.Sync ~rounds:600;
+  Metrics.reset (Bfs.Net.metrics net);
+  let dt =
+    riding ride (fun () ->
+        let t0 = Unix.gettimeofday () in
+        ignore (Bfs.Net.inject_faults net (Gen.rng 8311) ~count:1);
+        Bfs.Net.run net Scheduler.Sync ~rounds:4096;
+        Unix.gettimeofday () -. t0)
+  in
+  (dt, Bfs.Net.metrics net)
+
+(* W2 mirrors ENGINE-W2: the verifier runs until detection after 1 fault,
+   creation and settle timed.  It rewrites every register every round —
+   the recorder's dense case.  The graph and marker are built on the
+   first (warm-up, untimed) run. *)
+let w2 =
+  lazy
+    (let g = Gen.random_connected (Gen.rng 8400) 256 in
+     let m = Marker.run g in
+     let module V =
+       Ridden
+         (Verifier.Make (struct
+           let marker = m
+           let mode = Verifier.Passive
+         end))
+     in
+     let settle = 2 * Verifier.window_bound m.labels.(0) in
+     fun ride ->
+       riding ride (fun () ->
+           let t0 = Unix.gettimeofday () in
+           let net = V.create ride g in
+           V.Net.run net Scheduler.Sync ~rounds:settle;
+           ignore (V.Net.inject_faults net (Gen.rng 8411) ~count:1);
+           ignore (V.Net.detection_time net Scheduler.Sync ~max_rounds:20000);
+           (Unix.gettimeofday () -. t0, V.Net.metrics net)))
+
+let w2_ride ride = Lazy.force w2 ride
+
+(* A gate's failed checks and missed bounds: print each, then exit 1. *)
+let exit_on_failures gate = function
+  | [] -> ()
+  | fs ->
+      List.iter (Fmt.pr "%s: %s.@." gate) fs;
+      exit 1
+
+(* The overhead gates' timer: the off/on repetitions are interleaved so
+   slow drift in machine load biases both sides equally, and the figure is
+   the median of [reps] (a best-of compares the two luckiest runs, which
+   makes an overhead ratio flap under machine noise).  [reps] is
+   per-workload: short windows need more repetitions to converge. *)
+let time_interleaved ~reps run =
+  ignore (run false);
+  ignore (run true);
+  let off = Array.make reps 0. and on_ = Array.make reps 0. in
+  for i = 0 to reps - 1 do
+    off.(i) <- run false;
+    on_.(i) <- run true
+  done;
+  let median a =
+    Array.sort compare a;
+    a.(reps / 2)
+  in
+  (median off, median on_)
+
+(* REPLAY's and PROF's gate.  Each workload [(gated, reps, name, run)] is
+   timed bare vs with [ride]; [extra ~gated name t_on run] gives the
+   gate's own column and rows, whose "bool" rows are checks that must
+   hold on every workload.  Writes BENCH_PR<pr>.json and returns the
+   failed checks and the gated overheads above [budget]. *)
+let overhead_gate ~gate ~pr ~ride ~budget ~column ~extra ~params workloads =
+  let label = if ride = Recorder then "recorder" else "probes" in
+  Fmt.pr "%-38s %12s %12s %10s %10s@." "workload" (label ^ " off") (label ^ " on") "overhead"
+    column;
+  line ();
+  let measure (gated, reps, name, run) =
+    let t_off, t_on = time_interleaved ~reps (fun on -> fst (run (if on then ride else Bare))) in
+    let ov = (t_on -. t_off) /. t_off in
+    let note, rows = extra ~gated name t_on run in
+    Fmt.pr "%-38s %9.2f ms %9.2f ms %+9.1f%% %10s%s@." name (1000. *. t_off) (1000. *. t_on)
+      (100. *. ov) note
+      (if gated then "" else "  (info)");
+    ( (name, ov, gated),
+      [
+        row ~better:`Lower ~gated name "wall_off_s" "s" t_off;
+        row ~better:`Lower ~gated name "wall_on_s" "s" t_on;
+        row ~better:`Lower ~gated name "overhead_pct" "%" (100. *. ov);
+      ]
+      @ rows )
+  in
+  let results = List.map measure workloads in
+  let rows = List.concat_map snd results in
+  let over = List.filter (fun (_, ov, gated) -> gated && ov > budget) (List.map fst results) in
+  write_artifact ~pr ~within_budget:(over = [])
+    (rows @ (row ~gated:true gate "budget_pct" "%" (100. *. budget) :: params));
+  if over = [] then Fmt.pr "%s overhead within the %.0f%% budget.@." gate (100. *. budget);
+  List.filter_map
+    (fun r ->
+      if r.unit = "bool" && r.value = 0. then
+        Some (Fmt.str "check %s failed on %s" r.metric r.workload)
+      else None)
+    rows
+  @ List.map
+      (fun (n, ov, _) ->
+        Fmt.str "overhead budget (%.0f%%) exceeded: %s (%+.1f%%)" (100. *. budget) n (100. *. ov))
+      over
+
+module Flat_bfs = Network.Flat (Ssmst_protocols.Ss_bfs.P)
+
+(* The DOMAINS workload, which PROF's per-phase breakdown also profiles: a
+   streamed grid of about SSMST_DOMAINS_N nodes through 12 sync rounds
+   with a 64-fault burst every 4th (same seeds at every -d).  The bursts
+   keep the frontier wide: a converged election is quiescent and has
+   nothing to parallelize.  Returns the wall time of the rounds. *)
+let burst_grid =
+  lazy
+    (let target = max 1024 (env_int "SSMST_DOMAINS_N" ~default:250_000) in
+     let side = int_of_float (sqrt (float_of_int target)) in
+     Gen.stream_grid ~seed:7700 side side)
+
+let burst_rounds = 12
+
+let grid_burst ~domains =
+  let net = Flat_bfs.create ~domains (Lazy.force burst_grid) in
+  let (), s =
+    wall (fun () ->
+        for r = 1 to burst_rounds do
+          if r mod 4 = 1 then
+            ignore (Flat_bfs.inject net (Gen.rng (9000 + r)) (Fault.uniform ~count:64));
+          Flat_bfs.round net Scheduler.Sync
+        done)
+  in
+  (s, net)
+
+(* PAR's and DOMAINS' gate: [run k] times the workload on k = 1, 2, 4
+   workers and returns its output, which must be identical to the
+   sequential run's on every run (exit 1 otherwise).  The speedup at k = 4
+   is a physical claim that only means something with >= 4 cores and a
+   runtime that can use them, so elsewhere its rows are recorded
+   un-gated: informational.  Writes BENCH_PR<pr>.json. *)
+let scaling_gate ~gate ~pr ~flag ~multicore ~min_speedup ~params run =
+  Fmt.pr "%-10s %12s %10s %10s@." flag "wall" "speedup" "identical";
+  line ();
+  let t1, out1 = run 1 in
+  Fmt.pr "%-10d %9.3f s %10s %10s@." 1 t1 "1.00x" "-";
+  let runs =
+    List.map
+      (fun k ->
+        let t, out = run k in
+        Fmt.pr "%-10d %9.3f s %9.2fx %10b@." k t (t1 /. t) (out = out1);
+        (k, t, out = out1))
+      [ 2; 4 ]
+  in
+  let cores = Ssmst_parallel.Pool.cpu_count () in
+  let gated = cores >= 4 && multicore in
+  let identical = List.for_all (fun (_, _, same) -> same) runs in
+  let speedup4 = List.fold_left (fun s (k, t, _) -> if k = 4 then t1 /. t else s) 0. runs in
+  Fmt.pr "@.%d core(s); speedup gate (>= %.2fx at %s 4) %s@." cores min_speedup flag
+    (if gated then "enforced"
+     else if not multicore then "informational (sequential runtime — OCaml < 5.0)"
+     else "informational (needs >= 4 cores)");
+  if not gated then Fmt.pr "gate skipped: %d cores (scaling gate needs >= 4)@." cores;
+  let point (k, t, same) =
+    let w = Printf.sprintf "%s %d" flag k in
+    [
+      row ~better:`Lower ~gated w "wall_s" "s" t;
+      row ~better:`Higher ~gated w "speedup" "x" (t1 /. t);
+      check ~gated w "identical" same;
+    ]
+  in
+  write_artifact ~pr
+    ~within_budget:(identical && ((not gated) || speedup4 >= min_speedup))
+    (List.concat_map point ((1, t1, true) :: runs)
+    @ row ~gated gate "min_speedup" "x" min_speedup
+      :: List.map (fun (metric, unit, v) -> row ~gated gate metric unit v) params);
+  exit_on_failures gate
+    ((if identical then []
+      else [ Fmt.str "determinism violated: output at %s 2/4 differs from %s 1" flag flag ])
+    @
+    if gated && speedup4 < min_speedup then
+      [ Fmt.str "scaling budget missed: %.2fx at %s 4 (target %.2fx)" speedup4 flag min_speedup ]
+    else [])
+
+(* ==================================================================== *)
 (* REPLAY — flight recorder overhead + BENCH_PR4.json                    *)
 (* ==================================================================== *)
 
 (* The flight recorder's cost contract: running the ENGINE workloads with
    the recorder attached (checkpoint interval k=64, every register write
-   mirrored + pushed to the delta ring) must stay within 20% of the bare
-   engine.  Results are also written as one machine-readable JSON object
-   (BENCH_PR4.json, or $SSMST_BENCH_JSON) for the CI artifact. *)
-let replay_budget = 0.20
-
+   pushed to the delta ring) must stay within 20% of the bare engine. *)
 let fig_replay () =
   header "REPLAY — flight recorder overhead: k=64 checkpoints (budget: 20%)";
-  (* each workload times its own measured window (returning the elapsed
-     seconds along with the window's round/write counts); the off/on
-     repetitions are interleaved so slow drift in machine load biases both
-     sides equally.  The reported figure is the *median* of the reps: a
-     best-of compares the two luckiest runs, which makes the overhead
-     ratio flap under machine noise, while the median is stable.  [reps]
-     is per-workload: short windows need more repetitions to converge. *)
-  let time2 ~reps run =
-    ignore (run false ());
-    ignore (run true ());
-    let off = Array.make reps 0. and on_ = Array.make reps 0. in
-    for i = 0 to reps - 1 do
-      off.(i) <- fst (run false ());
-      on_.(i) <- fst (run true ())
-    done;
-    let median a =
-      Array.sort compare a;
-      a.(Array.length a / 2)
-    in
-    (median off, median on_)
-  in
-  Fmt.pr "%-38s %12s %12s %10s@." "workload" "recorder off" "recorder on" "overhead";
-  line ();
-  let rows = ref [] in
-  let measure ?(gated = true) ~reps name run =
-    let t_off, t_on = time2 ~reps run in
-    let _, (rounds, writes) = run true () in
-    let ov = (t_on -. t_off) /. t_off in
-    Fmt.pr "%-38s %9.2f ms %9.2f ms %+9.1f%%%s@." name (1000. *. t_off) (1000. *. t_on)
-      (100. *. ov)
-      (if gated then "" else "  (info)");
-    Fmt.pr "    %d rounds, %d recorded write(s), %.0f events/sec while recording@." rounds
-      writes
-      (float_of_int writes /. t_on);
-    rows := (name, t_off, t_on, rounds, writes, ov, gated) :: !rows
-  in
-  (* W1 mirrors ENGINE-W1 exactly: settle the ss-bfs network (untimed, the
-     recorder attached and recording throughout), then time the post-fault
-     convergence window of 4096 mostly-quiescent rounds. *)
-  let g1 = Gen.random_connected (Gen.rng 8300) 256 in
-  let bfs_run record () =
-    let module P = Ssmst_protocols.Ss_bfs.P in
-    let module Net = Network.Make (P) in
-    let module R = Ssmst_replay.Recorder.Make (P) in
-    let net = Net.create g1 in
-    if record then begin
-      let rec_ = R.create ~interval:64 ~round0:0 g1 (Net.states net) in
-      Net.set_write_hook net (R.engine_hook rec_ (Net.states net))
-    end;
-    Net.run net Scheduler.Sync ~rounds:600;
-    Metrics.reset (Net.metrics net);
-    let t0 = Unix.gettimeofday () in
-    ignore (Net.inject_faults net (Gen.rng 8311) ~count:1);
-    Net.run net Scheduler.Sync ~rounds:4096;
-    let dt = Unix.gettimeofday () -. t0 in
-    let m = Net.metrics net in
-    (dt, (m.Metrics.rounds, m.Metrics.register_writes + m.Metrics.faults_injected))
-  in
-  measure ~reps:31 "ENGINE-W1 ss-bfs n=256, 1 fault" bfs_run;
-  (* W2 mirrors ENGINE-W2: verifier run-until-detection after 1 fault.  The
-     verifier rewrites every register every round, so every write is
-     mirrored, cause-tagged and ring-pushed — the recorder's dense case. *)
-  let g2 = Gen.random_connected (Gen.rng 8400) 256 in
-  let m2 = Marker.run g2 in
-  let module VC = struct
-    let marker = m2
-    let mode = Verifier.Passive
-  end in
-  let module VP = Verifier.Make (VC) in
-  let settle2 = 2 * Verifier.window_bound m2.labels.(0) in
-  let verifier_run record () =
-    let module Net = Network.Make (VP) in
-    let module R = Ssmst_replay.Recorder.Make (VP) in
-    let t0 = Unix.gettimeofday () in
-    let net = Net.create g2 in
-    if record then begin
-      let rec_ = R.create ~interval:64 ~round0:0 g2 (Net.states net) in
-      Net.set_write_hook net (R.engine_hook rec_ (Net.states net))
-    end;
-    Net.run net Scheduler.Sync ~rounds:settle2;
-    ignore (Net.inject_faults net (Gen.rng 8411) ~count:1);
-    ignore (Net.detection_time net Scheduler.Sync ~max_rounds:20000);
-    let dt = Unix.gettimeofday () -. t0 in
-    let m = Net.metrics net in
-    (dt, (m.Metrics.rounds, m.Metrics.register_writes))
-  in
-  measure ~reps:5 "ENGINE-W2 verifier n=256, detection" verifier_run;
   (* informational stress row: fault bursts keep the dirty set saturated so
      nearly every activation is a recorded write — deliberately harsher
      than the gated ENGINE workloads *)
-  let churn_run record () =
-    let module P = Ssmst_protocols.Ss_bfs.P in
-    let module Net = Network.Make (P) in
-    let module R = Ssmst_replay.Recorder.Make (P) in
+  let churn ride =
     let t0 = Unix.gettimeofday () in
-    let net = Net.create g1 in
-    if record then begin
-      let rec_ = R.create ~interval:64 ~round0:0 g1 (Net.states net) in
-      Net.set_write_hook net (R.engine_hook rec_ (Net.states net))
-    end;
+    let net = Bfs.create ride (Lazy.force w1_graph) in
     for k = 0 to 7 do
-      ignore (Net.inject_faults net (Gen.rng (8310 + k)) ~count:4);
-      Net.run net Scheduler.Sync ~rounds:128
+      ignore (Bfs.Net.inject_faults net (Gen.rng (8310 + k)) ~count:4);
+      Bfs.Net.run net Scheduler.Sync ~rounds:128
     done;
-    let dt = Unix.gettimeofday () -. t0 in
-    let m = Net.metrics net in
-    (dt, (m.Metrics.rounds, m.Metrics.register_writes + m.Metrics.faults_injected))
+    (Unix.gettimeofday () -. t0, Bfs.Net.metrics net)
   in
-  measure ~gated:false ~reps:9 "churn ss-bfs n=256, 8x4 faults" churn_run;
-  let rows = List.rev !rows in
-  (* the machine-readable sink for CI *)
-  let json_path =
-    Option.value ~default:"BENCH_PR4.json" (Sys.getenv_opt "SSMST_BENCH_JSON")
+  let recorded ~gated name t_on run =
+    let _, (m : Metrics.t) = run Recorder in
+    let writes = float_of_int (m.register_writes + m.faults_injected) in
+    ( Printf.sprintf "%.0f" (writes /. t_on),
+      [
+        row ~gated name "rounds" "rounds" (float_of_int m.rounds);
+        row ~gated name "writes" "writes" writes;
+        row ~better:`Higher ~gated name "events_per_sec" "events/s" (writes /. t_on);
+      ] )
   in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    {|{"pr":4,"checkpoint_interval":64,"budget_pct":%.1f,"workloads":[%s],"within_budget":%b}
-|}
-    (100. *. replay_budget)
-    (String.concat ","
-       (List.map
-          (fun (name, t_off, t_on, rounds, writes, ov, gated) ->
-            Printf.sprintf
-              {|{"name":"%s","wall_off_s":%.6f,"wall_on_s":%.6f,"rounds":%d,"writes":%d,"events_per_sec":%.0f,"overhead_pct":%.2f,"gated":%b}|}
-              (Ssmst_sim.Trace.json_escape name)
-              t_off t_on rounds writes
-              (float_of_int writes /. t_on)
-              (100. *. ov) gated)
-          rows))
-    (List.for_all (fun (_, _, _, _, _, ov, gated) -> (not gated) || ov <= replay_budget) rows);
-  close_out oc;
-  Fmt.pr "@.(machine-readable results written to %s)@." json_path;
-  match List.filter (fun (_, _, _, _, _, ov, gated) -> gated && ov > replay_budget) rows with
-  | [] -> Fmt.pr "recorder overhead within the %.0f%% budget.@." (100. *. replay_budget)
-  | fs ->
-      Fmt.pr "REPLAY overhead budget (%.0f%%) exceeded: %a@." (100. *. replay_budget)
-        Fmt.(list ~sep:comma string)
-        (List.map (fun (n, _, _, _, _, ov, _) -> Fmt.str "%s (%+.1f%%)" n (100. *. ov)) fs);
-      exit 1
-
-(* The minimal JSON reader for the bench artifacts lives in
-   [Ssmst_obs.Json_lite] since PR 9 (the trend report, the perf-trajectory
-   section and the unit tests share it); the alias keeps the call sites
-   below unchanged. *)
-module Json = Ssmst_obs.Json_lite
-
-(* Never let an un-gated run (too few cores for the scaling gate) clobber
-   an artifact that records a gated one: REPORT would then chart the
-   degraded speedups as if they were measured on real parallelism — the
-   PR 5 blind spot, where a 1-core container's 0.88x @ -j 4 sat in the
-   trend table as an apparent regression.  SSMST_PAR_FORCE=1 overrides.
-   Returns whether the artifact was written. *)
-let write_artifact_guarded ~json_path ~gated contents =
-  let existing_gated =
-    match open_in json_path with
-    | exception Sys_error _ -> None
-    | ic ->
-        let body = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        (match Json.parse body with
-        | j -> Json.bool_opt (Json.mem "gated" j)
-        | exception Json.Bad _ -> None)
-  in
-  let force = Sys.getenv_opt "SSMST_PAR_FORCE" = Some "1" in
-  match existing_gated with
-  | Some true when (not gated) && not force ->
-      Fmt.pr
-        "NOT overwriting %s: it records a gated (>= 4 cores) run and this run is un-gated; \
-         set SSMST_PAR_FORCE=1 to overwrite anyway.@."
-        json_path;
-      false
-  | _ ->
-      let oc = open_out json_path in
-      output_string oc contents;
-      close_out oc;
-      Fmt.pr "(machine-readable results written to %s)@." json_path;
-      true
+  exit_on_failures "REPLAY"
+    (overhead_gate ~gate:"REPLAY" ~pr:4 ~ride:Recorder ~budget:0.20
+       ~column:"events/s" ~extra:recorded
+       ~params:[ row ~gated:true "REPLAY" "checkpoint_interval" "rounds" 64. ]
+       [
+         (true, 31, "ENGINE-W1 ss-bfs n=256, 1 fault", w1_ride);
+         (true, 5, "ENGINE-W2 verifier n=256, detection", w2_ride);
+         (false, 9, "churn ss-bfs n=256, 8x4 faults", churn);
+       ])
 
 (* ==================================================================== *)
-(* PROF — telemetry overhead gate + BENCH_PR9.json                       *)
+(* PROF — telemetry overhead gate + BENCH_PR9.json / BENCH_PR10.json     *)
 (* ==================================================================== *)
 
-(* The telemetry layer's cost contract, measured on the same ENGINE
-   workloads the flight recorder is gated on: installing a Telemetry
-   profiler on the global Probe hook must stay within 5% of the bare run
-   (median of interleaved reps, like REPLAY).  The disabled side needs no
-   separate gate: with no sink installed every probe is one ref read and
-   a branch — the bare baseline measured here IS the disabled path.
-   Alongside the overhead gate the run asserts out-of-band-ness cheaply:
-   the profiled run's metrics CSV row must equal the bare run's byte for
-   byte (the full seven-observable identity suite at -d 1/2/4 lives in
-   test_domains).  Results land in BENCH_PR9.json (or
-   $SSMST_BENCH_PR9_JSON); noisy runners can soften the budget via
-   SSMST_PROF_BUDGET (percent). *)
-let prof_budget () =
-  match Sys.getenv_opt "SSMST_PROF_BUDGET" with
-  | Some s -> ( try float_of_string s /. 100. with Failure _ -> 0.05)
-  | None -> 0.05
+(* The telemetry layer's cost contract, measured on the ENGINE workloads
+   the flight recorder is gated on: installing a Telemetry profiler on the
+   global Probe hook must stay within 5% of the bare run.  The disabled
+   side needs no separate gate: with no sink installed every probe is one
+   ref read and a branch — the bare baseline measured here IS the disabled
+   path.  Alongside the overhead gate the run asserts out-of-band-ness
+   cheaply: the profiled run's metrics CSV row must equal the bare run's
+   byte for byte (the full seven-observable identity suite at -d 1/2/4
+   lives in test_domains).  The dense-frontier contract rides along: at
+   scale, the flat.frontier phase stays under 25% of the flat.* round wall
+   time (the list frontier sat at ~42%). *)
+let frontier_budget_pct = 25.
 
 let fig_prof () =
-  let budget = prof_budget () in
-  header
-    (Printf.sprintf "PROF — telemetry overhead: probes on the ENGINE workloads (budget: %.0f%%)"
-       (100. *. budget));
-  let time2 ~reps run =
-    ignore (run false ());
-    ignore (run true ());
-    let off = Array.make reps 0. and on_ = Array.make reps 0. in
-    for i = 0 to reps - 1 do
-      off.(i) <- fst (run false ());
-      on_.(i) <- fst (run true ())
-    done;
-    let median a =
-      Array.sort compare a;
-      a.(Array.length a / 2)
-    in
-    (median off, median on_)
-  in
-  Fmt.pr "%-38s %12s %12s %10s %9s@." "workload" "probes off" "probes on" "overhead" "identical";
-  line ();
-  let rows = ref [] in
-  let measure ?(gated = true) ~reps name run =
-    let t_off, t_on = time2 ~reps run in
-    let _, csv_off = run false () in
-    let _, csv_on = run true () in
-    let identical = csv_off = csv_on in
-    let ov = (t_on -. t_off) /. t_off in
-    Fmt.pr "%-38s %9.2f ms %9.2f ms %+9.1f%% %9s%s@." name (1000. *. t_off) (1000. *. t_on)
-      (100. *. ov)
-      (if identical then "yes" else "NO")
-      (if gated then "" else "  (info)");
-    rows := (name, t_off, t_on, ov, identical, gated) :: !rows
-  in
-  let profiled telemetry f =
-    if not telemetry then f ()
-    else begin
-      let tel = Ssmst_obs.Telemetry.create () in
-      Ssmst_obs.Telemetry.install tel;
-      Fun.protect ~finally:Ssmst_obs.Telemetry.uninstall f
-    end
-  in
-  (* W1/W2 mirror REPLAY's ENGINE workloads exactly (same graphs, seeds
-     and windows), so the bare wall_off_s columns of BENCH_PR4.json and
-     BENCH_PR9.json chart the same experiment across PRs — the
-     perf-trajectory section keys on that. *)
-  let g1 = Gen.random_connected (Gen.rng 8300) 256 in
-  let bfs_run telemetry () =
-    let module P = Ssmst_protocols.Ss_bfs.P in
-    let module Net = Network.Make (P) in
-    let net = Net.create g1 in
-    Net.run net Scheduler.Sync ~rounds:600;
-    Metrics.reset (Net.metrics net);
-    let dt =
-      profiled telemetry (fun () ->
-          let t0 = Unix.gettimeofday () in
-          ignore (Net.inject_faults net (Gen.rng 8311) ~count:1);
-          Net.run net Scheduler.Sync ~rounds:4096;
-          Unix.gettimeofday () -. t0)
-    in
-    (dt, Metrics.to_csv_row (Net.metrics net))
-  in
-  measure ~reps:31 "ENGINE-W1 ss-bfs n=256, 1 fault" bfs_run;
-  let g2 = Gen.random_connected (Gen.rng 8400) 256 in
-  let m2 = Marker.run g2 in
-  let module VC = struct
-    let marker = m2
-    let mode = Verifier.Passive
-  end in
-  let module VP = Verifier.Make (VC) in
-  let settle2 = 2 * Verifier.window_bound m2.labels.(0) in
-  let verifier_run telemetry () =
-    let module Net = Network.Make (VP) in
-    let dt, m =
-      profiled telemetry (fun () ->
-          let t0 = Unix.gettimeofday () in
-          let net = Net.create g2 in
-          Net.run net Scheduler.Sync ~rounds:settle2;
-          ignore (Net.inject_faults net (Gen.rng 8411) ~count:1);
-          ignore (Net.detection_time net Scheduler.Sync ~max_rounds:20000);
-          (Unix.gettimeofday () -. t0, Net.metrics net))
-    in
-    (dt, Metrics.to_csv_row m)
-  in
-  measure ~reps:5 "ENGINE-W2 verifier n=256, detection" verifier_run;
+  header "PROF — telemetry overhead: probes on the ENGINE workloads (budget: 5%)";
   (* the flat engine's probe set (frontier/compute/apply), informational:
      the packed election at n=4096 exercises flat.* and, under -d, the
      per-worker spans — but its wall time breathes with the allocator *)
-  let g3 = Gen.random_connected (Gen.rng 8500) 4096 in
-  let flat_run telemetry () =
-    let module P = Ssmst_protocols.Ss_bfs.P in
-    let module F = Network.Flat (P) in
-    let net = F.create g3 in
+  let g3 = lazy (Gen.random_connected (Gen.rng 8500) 4096) in
+  let flat_run ride =
+    let net = Flat_bfs.create (Lazy.force g3) in
     let dt =
-      profiled telemetry (fun () ->
+      riding ride (fun () ->
           let t0 = Unix.gettimeofday () in
-          F.run net Scheduler.Sync ~rounds:200;
+          Flat_bfs.run net Scheduler.Sync ~rounds:200;
           Unix.gettimeofday () -. t0)
     in
-    (dt, Metrics.to_csv_row (F.metrics net))
+    (dt, Flat_bfs.metrics net)
   in
-  measure ~gated:false ~reps:5 "flat ss-bfs n=4096, election" flat_run;
-  (* ---- per-phase breakdown at scale (informational) -------------------
-     The measured table EXPERIMENTS.md quotes: the DOMAINS workload (grid
-     n ~= 250k, 12 sync rounds, a fault burst every 4) with a live
-     profiler attached, at -d min(4, cores) — flat.frontier vs
-     flat.compute vs flat.apply is exactly the wrote-tag scan /
-     scratch-blit cost split ROADMAP asks about.  SSMST_PROF_BREAKDOWN_N
-     shrinks it for smoke runs; 0 skips it. *)
-  let breakdown_n =
-    match Sys.getenv_opt "SSMST_PROF_BREAKDOWN_N" with
-    | Some s -> ( try int_of_string s with _ -> 250_000)
-    | None -> 250_000
+  let out_of_band ~gated name _ run =
+    let csv ride = Metrics.to_csv_row (snd (run ride)) in
+    let identical = csv Bare = csv Telemetry in
+    ((if identical then "yes" else "NO"), [ check ~gated name "identical" identical ])
   in
-  (* The dense-frontier budget (PR 10): the flat.frontier phase must stay
-     under this share of the flat.* round wall time at scale.  The list
-     frontier sat at ~42%; the dense frontier's contract is < 25%.
-     SSMST_PROF_FRONTIER_BUDGET (percent) softens it for noisy runners. *)
-  let frontier_budget =
-    match Sys.getenv_opt "SSMST_PROF_FRONTIER_BUDGET" with
-    | Some s -> ( try float_of_string s with Failure _ -> 25.)
-    | None -> 25.
+  let failures =
+    overhead_gate ~gate:"PROF" ~pr:9 ~ride:Telemetry ~budget:0.05
+      ~column:"identical" ~extra:out_of_band ~params:[]
+      [
+        (true, 31, "ENGINE-W1 ss-bfs n=256, 1 fault", w1_ride);
+        (true, 5, "ENGINE-W2 verifier n=256, detection", w2_ride);
+        (false, 5, "flat ss-bfs n=4096, election", flat_run);
+      ]
   in
-  let frontier_fail = ref None in
-  if breakdown_n > 0 then begin
-    let module P = Ssmst_protocols.Ss_bfs.P in
-    let module F = Network.Flat (P) in
-    let side = max 2 (int_of_float (sqrt (float_of_int breakdown_n))) in
-    let g = Gen.stream_grid ~seed:7700 side side in
-    let d = min 4 (Ssmst_parallel.Pool.cpu_count ()) in
-    let rounds = 12 in
-    let tel = Ssmst_obs.Telemetry.create () in
-    Ssmst_obs.Telemetry.install tel;
-    Fun.protect ~finally:Ssmst_obs.Telemetry.uninstall (fun () ->
-        let net = F.create ~domains:d g in
-        for r = 1 to rounds do
-          if r mod 4 = 1 then
-            ignore (F.inject net (Gen.rng (9000 + r)) (Fault.uniform ~count:64));
-          F.round net Scheduler.Sync
-        done);
-    Fmt.pr "@.per-phase breakdown — flat parallel round, grid n=%d, -d %d:@.@.%s@."
-      (Graph.n g) d
-      (Ssmst_obs.Telemetry.to_markdown tel);
-    (* distil the two trajectory metrics the REPORT regression flag keys
-       on: frontier's share of the flat.* round wall, and allocation per
-       round summed over the flat.* phases *)
-    let flat_phase (p : Ssmst_obs.Telemetry.phase) =
-      String.length p.name > 5 && String.sub p.name 0 5 = "flat."
-    in
-    let phases = List.filter flat_phase (Ssmst_obs.Telemetry.phases tel) in
-    let sum f = List.fold_left (fun acc p -> acc +. f p) 0. phases in
-    let wall = sum (fun p -> p.Ssmst_obs.Telemetry.wall_s) in
-    let frontier_wall =
-      sum (fun p -> if p.Ssmst_obs.Telemetry.name = "flat.frontier" then p.wall_s else 0.)
-    in
-    let share = if wall > 0. then 100. *. frontier_wall /. wall else 0. in
-    let minor_per_round =
-      sum (fun p -> p.Ssmst_obs.Telemetry.minor_words) /. float_of_int rounds
-    in
-    Fmt.pr "frontier share of round wall: %.1f%% (budget < %.0f%%)@." share frontier_budget;
-    Fmt.pr "minor words per round (flat.* phases): %.3e@." minor_per_round;
-    if share >= frontier_budget then
-      frontier_fail :=
-        Some (Fmt.str "frontier share %.1f%% >= budget %.0f%%" share frontier_budget);
-    let json_path =
-      Option.value ~default:"BENCH_PR10.json" (Sys.getenv_opt "SSMST_BENCH_PR10_JSON")
-    in
-    let contents =
-      Printf.sprintf
-        {|{"pr":10,"gated":true,"frontier_budget_pct":%.1f,"workloads":[{"name":"flat grid n=%d -d %d breakdown","frontier_share_pct":%.2f,"minor_words_per_round":%.1f,"wall_s":%.6f}],"within_budget":%b}
-|}
-        frontier_budget (Graph.n g) d share minor_per_round wall
-        (share < frontier_budget)
-    in
-    ignore (write_artifact_guarded ~json_path ~gated:true contents)
-  end;
-  let rows = List.rev !rows in
-  let identity_ok = List.for_all (fun (_, _, _, _, id, _) -> id) rows in
-  let within =
-    List.for_all (fun (_, _, _, ov, _, gated) -> (not gated) || ov <= budget) rows
+  (* ---- per-phase breakdown at scale -----------------------------------
+     The measured table EXPERIMENTS.md quotes: the DOMAINS workload with a
+     live profiler attached, at -d min(4, cores) — flat.frontier vs
+     flat.compute vs flat.apply is the cost split of the flat round. *)
+  let d = min 4 (Ssmst_parallel.Pool.cpu_count ()) in
+  let tel = Ssmst_obs.Telemetry.create () in
+  Ssmst_obs.Telemetry.install tel;
+  Fun.protect ~finally:Ssmst_obs.Telemetry.uninstall (fun () -> ignore (grid_burst ~domains:d));
+  let n = Graph.n (Lazy.force burst_grid) in
+  Fmt.pr "@.per-phase breakdown — flat parallel round, grid n=%d, -d %d:@.@.%s@." n d
+    (Ssmst_obs.Telemetry.to_markdown tel);
+  (* frontier's share of the flat.* round wall, and allocation per round
+     summed over the flat.* phases *)
+  let phases =
+    List.filter
+      (fun (p : Ssmst_obs.Telemetry.phase) -> String.starts_with ~prefix:"flat." p.name)
+      (Ssmst_obs.Telemetry.phases tel)
   in
-  let json_path =
-    Option.value ~default:"BENCH_PR9.json" (Sys.getenv_opt "SSMST_BENCH_PR9_JSON")
+  let sum f = List.fold_left (fun acc p -> acc +. f p) 0. phases in
+  let wall_s = sum (fun p -> p.Ssmst_obs.Telemetry.wall_s) in
+  let frontier_wall =
+    sum (fun p -> if p.Ssmst_obs.Telemetry.name = "flat.frontier" then p.wall_s else 0.)
   in
-  let contents =
-    Printf.sprintf
-      {|{"pr":9,"budget_pct":%.1f,"gated":true,"identity_ok":%b,"workloads":[%s],"within_budget":%b}
-|}
-      (100. *. budget) identity_ok
-      (String.concat ","
-         (List.map
-            (fun (name, t_off, t_on, ov, identical, gated) ->
-              Printf.sprintf
-                {|{"name":"%s","wall_off_s":%.6f,"wall_on_s":%.6f,"overhead_pct":%.2f,"identical":%b,"gated":%b}|}
-                (Ssmst_sim.Trace.json_escape name)
-                t_off t_on (100. *. ov) identical gated)
-            rows))
-      within
+  let share = if wall_s > 0. then 100. *. frontier_wall /. wall_s else 0. in
+  let minor_per_round =
+    sum (fun p -> p.Ssmst_obs.Telemetry.minor_words) /. float_of_int burst_rounds
   in
-  ignore (write_artifact_guarded ~json_path ~gated:true contents);
-  if not identity_ok then begin
-    Fmt.pr "PROF: telemetry leaked into the metrics CSV — out-of-band contract broken.@.";
-    exit 1
-  end;
-  (match List.filter (fun (_, _, _, ov, _, gated) -> gated && ov > budget) rows with
-  | [] -> Fmt.pr "telemetry overhead within the %.0f%% budget.@." (100. *. budget)
-  | fs ->
-      Fmt.pr "PROF overhead budget (%.0f%%) exceeded: %a@." (100. *. budget)
-        Fmt.(list ~sep:comma string)
-        (List.map (fun (n, _, _, ov, _, _) -> Fmt.str "%s (%+.1f%%)" n (100. *. ov)) fs);
-      exit 1);
-  match !frontier_fail with
-  | None -> ()
-  | Some msg ->
-      Fmt.pr "PROF frontier budget exceeded: %s@." msg;
-      exit 1
+  Fmt.pr "frontier share of round wall: %.1f%% (budget < %.0f%%)@." share frontier_budget_pct;
+  Fmt.pr "minor words per round (flat.* phases): %.3e@." minor_per_round;
+  let breakdown = Printf.sprintf "flat grid n=%d -d %d breakdown" n d in
+  write_artifact ~pr:10 ~within_budget:(share < frontier_budget_pct)
+    [
+      row ~better:`Lower ~gated:true breakdown "frontier_share_pct" "%" share;
+      row ~better:`Lower ~gated:true breakdown "minor_words_per_round" "words" minor_per_round;
+      row ~better:`Lower ~gated:true breakdown "wall_s" "s" wall_s;
+      row ~gated:true "PROF" "frontier_budget_pct" "%" frontier_budget_pct;
+    ];
+  exit_on_failures "PROF"
+    (failures
+    @
+    if share < frontier_budget_pct then []
+    else [ Fmt.str "frontier share %.1f%% >= budget %.0f%%" share frontier_budget_pct ])
 
 (* ==================================================================== *)
 (* PAR — parallel campaign scaling + byte-determinism + BENCH_PR5.json   *)
 (* ==================================================================== *)
 
-(* The fork pool's two contracts, measured on the real campaign sweep:
-   (1) the CSV/JSONL bytes are identical for every -j (checked here on
-   every run, unconditionally), and (2) -j 4 is at least 2.5x faster than
-   sequential — a physical claim that only means something with >= 4
-   cores, so the speedup gate is core-aware: on smaller machines the row
-   is informational and BENCH_PR5.json records gated=false.  CI (and
-   noisy shared runners) can soften the target via SSMST_PAR_MIN_SPEEDUP.
-   Results land in BENCH_PR5.json (or $SSMST_BENCH_PR5_JSON). *)
-let par_min_speedup () =
-  match Sys.getenv_opt "SSMST_PAR_MIN_SPEEDUP" with
-  | Some s -> (try max 1.0 (float_of_string s) with _ -> 2.5)
-  | None -> 2.5
-
+(* The fork pool's two contracts, measured on the real campaign sweep: the
+   CSV/JSONL bytes are identical for every -j, and -j 4 is at least 2.5x
+   faster than sequential (SSMST_PAR_MIN_SPEEDUP overrides the target). *)
 let fig_par () =
   header "PAR — parallel campaign sweep: fork-pool scaling vs sequential";
+  let min_speedup = max 1.0 (env_float "SSMST_PAR_MIN_SPEEDUP" ~default:2.5) in
   let families = [ "random"; "grid" ] and sizes = [ 48; 64 ] in
   let fault_counts = [ 1; 2; 4 ] and models = [ "uniform"; "clustered"; "near-root" ] in
-  let sweep jobs =
-    Verifier_campaign.sweep ~jobs ~families ~sizes ~fault_counts ~models ~seeds:3 ~seed:9500
-      ~max_rounds:20000 ()
-  in
-  (* the exact bytes msst campaign would write: CSV document + JSONL *)
-  let doc trials =
-    String.concat "\n" (Campaign.csv_header :: List.map Campaign.trial_to_csv trials)
-    ^ "\n"
-    ^ String.concat "\n" (List.map Campaign.trial_to_json trials)
-  in
-  let time jobs =
-    let t0 = Unix.gettimeofday () in
-    let trials = sweep jobs in
-    (Unix.gettimeofday () -. t0, trials)
-  in
-  let t1, seq = time 1 in
-  let base = doc seq in
-  Fmt.pr "%d instances x %d trials each; %d trials total@."
-    (List.length families * List.length sizes * 3)
-    (List.length fault_counts * List.length models)
-    (List.length seq);
-  Fmt.pr "%-10s %12s %10s %10s@." "jobs" "wall" "speedup" "identical";
-  line ();
-  Fmt.pr "%-10d %9.3f s %10s %10s@." 1 t1 "1.00x" "-";
-  let rows =
-    List.map
-      (fun jobs ->
-        let tj, trials = time jobs in
-        let same = String.equal (doc trials) base in
-        Fmt.pr "%-10d %9.3f s %9.2fx %10b@." jobs tj (t1 /. tj) same;
-        (jobs, tj, t1 /. tj, same))
-      [ 2; 4 ]
-  in
-  let cores = Ssmst_parallel.Pool.cpu_count () in
-  let min_speedup = par_min_speedup () in
-  let gated = cores >= 4 in
-  let identical = List.for_all (fun (_, _, _, same) -> same) rows in
-  let speedup4 =
-    match List.find_opt (fun (j, _, _, _) -> j = 4) rows with
-    | Some (_, _, s, _) -> s
-    | None -> 0.
-  in
-  let within = identical && ((not gated) || speedup4 >= min_speedup) in
-  let json_path =
-    Option.value ~default:"BENCH_PR5.json" (Sys.getenv_opt "SSMST_BENCH_PR5_JSON")
-  in
-  let contents =
-    Printf.sprintf
-      {|{"pr":5,"cores":%d,"min_speedup":%.2f,"gated":%b,"trials":%d,"workloads":[%s],"identical":%b,"within_budget":%b}
-|}
-      cores min_speedup gated (List.length seq)
-      (String.concat ","
-         ((Printf.sprintf {|{"jobs":1,"wall_s":%.6f,"speedup":1.0,"identical":true}|} t1)
-         :: List.map
-              (fun (jobs, tj, s, same) ->
-                Printf.sprintf {|{"jobs":%d,"wall_s":%.6f,"speedup":%.3f,"identical":%b}|} jobs
-                  tj s same)
-              rows))
-      identical within
-  in
-  Fmt.pr "@.%d core(s); speedup gate (>= %.2fx at -j 4) %s@." cores min_speedup
-    (if gated then "enforced" else "informational (needs >= 4 cores)");
-  if not gated then Fmt.pr "gate skipped: %d cores (scaling gate needs >= 4)@." cores;
-  ignore (write_artifact_guarded ~json_path ~gated contents);
-  if not identical then begin
-    Fmt.pr "PAR determinism violated: parallel CSV/JSONL differ from sequential.@.";
-    exit 1
-  end;
-  if gated && speedup4 < min_speedup then begin
-    Fmt.pr "PAR scaling budget missed: %.2fx at -j 4 (target %.2fx).@." speedup4 min_speedup;
-    exit 1
-  end
+  (* one trial per (instance, fault count, model) *)
+  let instances = List.length families * List.length sizes * 3 in
+  let per_instance = List.length fault_counts * List.length models in
+  Fmt.pr "%d instances x %d trials each; %d trials total@." instances per_instance
+    (instances * per_instance);
+  scaling_gate ~gate:"PAR" ~pr:5 ~flag:"-j" ~multicore:true ~min_speedup
+    ~params:[ ("trials", "trials", float_of_int (instances * per_instance)) ]
+    (fun jobs ->
+      let trials, t =
+        wall (fun () ->
+            Verifier_campaign.sweep ~jobs ~families ~sizes ~fault_counts ~models ~seeds:3
+              ~seed:9500 ~max_rounds:20000 ())
+      in
+      (* the exact bytes msst campaign would write: CSV document + JSONL *)
+      ( t,
+        String.concat "\n" (Campaign.csv_header :: List.map Campaign.trial_to_csv trials)
+        ^ "\n"
+        ^ String.concat "\n" (List.map Campaign.trial_to_json trials) ))
 
 (* ==================================================================== *)
 (* SCALE — the million-node unlock: flat engine over streamed CSR graphs *)
@@ -1276,15 +1249,14 @@ let fig_par () =
 
    - measured bytes/node: [8 * words] must stay within 64·⌈log2 n⌉ bits
      (the Section 2.4 memory-size claim, in whole 64-bit words);
-   - throughput: at least $SSMST_SCALE_MIN_RPS rounds/sec (default 1.0 —
-     a liveness floor, not a performance claim; the printed numbers are
-     the claim);
+   - throughput: at least 0.25 rounds/sec (a liveness floor, not a
+     performance claim; the printed numbers are the claim);
    - residency: the VmHWM high-water delta of each instance must stay
      within 6x its accounted storage (CSR arrays + register file) plus a
      fixed GC slack — the "memory is the register file" honesty check.
 
-   CI trims the sweep with SSMST_SCALE_MAX_N (the smoke job runs 10^5).
-   Results land in BENCH_PR6.json (or $SSMST_BENCH_PR6_JSON). *)
+   CI trims the sweep with SSMST_SCALE_MAX_N (the smoke job runs 10^5). *)
+let scale_min_rps = 0.25
 
 let vm_hwm_kb () =
   match open_in "/proc/self/status" with
@@ -1308,16 +1280,6 @@ let vm_hwm_kb () =
       in
       go None
 
-let scale_max_n () =
-  match Sys.getenv_opt "SSMST_SCALE_MAX_N" with
-  | Some s -> ( try max 1 (int_of_string s) with _ -> 1_000_000)
-  | None -> 1_000_000
-
-let scale_min_rps () =
-  match Sys.getenv_opt "SSMST_SCALE_MIN_RPS" with
-  | Some s -> ( try float_of_string s with _ -> 0.25)
-  | None -> 0.25
-
 (* the streamed instance of each family closest to the target size *)
 let scale_instance family target seed =
   match family with
@@ -1336,78 +1298,67 @@ let scale_instance family target seed =
 
 let fig_scale () =
   header "SCALE — flat engine over streamed CSR instances (packed ss-bfs election)";
-  let module P = Ssmst_protocols.Ss_bfs.P in
-  let module F = Network.Flat (P) in
-  let max_n = scale_max_n () and min_rps = scale_min_rps () in
+  let max_n = max 1 (env_int "SSMST_SCALE_MAX_N" ~default:1_000_000) in
   let sizes = List.filter (fun n -> n <= max_n) [ 10_000; 100_000; 1_000_000 ] in
   let rounds = 20 in
   (* SSMST_DOMAINS > 1 runs every instance's sync rounds domain-parallel;
      states/metrics are byte-identical, only rounds/s moves *)
-  let domains = Ssmst_parallel.Domain_pool.domains_from_env ~var:"SSMST_DOMAINS" ~default:1 () in
+  let domains = max 1 (env_int "SSMST_DOMAINS" ~default:1) in
   if domains > 1 then
     Fmt.pr "sync rounds sharded across %d domains (multicore runtime: %b)@." domains
       Ssmst_parallel.Domain_pool.available;
   Fmt.pr "%-10s %-9s %8s %6s %9s %9s %10s %9s %8s@." "family" "n" "build" "B/node" "budget"
     "run" "rounds/s" "rss MB" "rss ok";
   line ();
-  let rows = ref [] in
-  List.iter
-    (fun target ->
-      List.iter
-        (fun family ->
-          let hwm0 = Option.value ~default:0 (vm_hwm_kb ()) in
-          let g, build_s = wall (fun () -> scale_instance family target (6400 + target)) in
-          let n = Graph.n g in
-          let net, create_s = wall (fun () -> F.create ~domains g) in
-          let (), run_s = wall (fun () -> F.run net Scheduler.Sync ~rounds) in
-          let rps = float_of_int rounds /. run_s in
-          let bytes_per_node = F.measured_bytes_per_node net in
-          let budget_ok = Memory.within_log_budget ~c:64 ~n ~words:(F.words net) in
-          let hwm1 = Option.value ~default:0 (vm_hwm_kb ()) in
-          let rss_delta_mb = float_of_int (hwm1 - hwm0) /. 1024. in
-          let accounted_mb =
-            float_of_int ((8 * Graph.storage_words g) + (bytes_per_node * n))
-            /. (1024. *. 1024.)
-          in
-          (* 6x accounted + 256 MB GC slack; only meaningful when this
-             instance actually raised the high-water mark *)
-          let rss_ok = rss_delta_mb <= (6. *. accounted_mb) +. 256. in
-          Fmt.pr "%-10s %-9d %7.2fs %6d %9s %8.2fs %10.2f %9.1f %8b@." family n
-            (build_s +. create_s) bytes_per_node
-            (if budget_ok then "ok" else "OVER")
-            run_s rps rss_delta_mb rss_ok;
-          rows :=
-            (family, n, build_s +. create_s, bytes_per_node, budget_ok, run_s, rps,
-             rss_delta_mb, accounted_mb, rss_ok)
-            :: !rows)
-        [ "grid"; "random"; "hypertree" ])
-    sizes;
-  let rows = List.rev !rows in
-  let within =
-    List.for_all
-      (fun (_, _, _, _, budget_ok, _, rps, _, _, rss_ok) ->
-        budget_ok && rss_ok && rps >= min_rps)
-      rows
+  let instance target family =
+    let hwm0 = Option.value ~default:0 (vm_hwm_kb ()) in
+    let g, build_s = wall (fun () -> scale_instance family target (6400 + target)) in
+    let n = Graph.n g in
+    let net, create_s = wall (fun () -> Flat_bfs.create ~domains g) in
+    let (), run_s = wall (fun () -> Flat_bfs.run net Scheduler.Sync ~rounds) in
+    let rps = float_of_int rounds /. run_s in
+    let bytes_per_node = Flat_bfs.measured_bytes_per_node net in
+    let budget_ok = Memory.within_log_budget ~c:64 ~n ~words:(Flat_bfs.words net) in
+    let hwm1 = Option.value ~default:0 (vm_hwm_kb ()) in
+    let rss_delta_mb = float_of_int (hwm1 - hwm0) /. 1024. in
+    let accounted_mb =
+      float_of_int ((8 * Graph.storage_words g) + (bytes_per_node * n)) /. (1024. *. 1024.)
+    in
+    (* 6x accounted + 256 MB GC slack; only meaningful when this instance
+       actually raised the high-water mark *)
+    let rss_ok = rss_delta_mb <= (6. *. accounted_mb) +. 256. in
+    Fmt.pr "%-10s %-9d %7.2fs %6d %9s %8.2fs %10.2f %9.1f %8b@." family n (build_s +. create_s)
+      bytes_per_node
+      (if budget_ok then "ok" else "OVER")
+      run_s rps rss_delta_mb rss_ok;
+    let w = Printf.sprintf "%s n=%d" family n in
+    ( budget_ok && rss_ok && rps >= scale_min_rps,
+      [
+        row ~better:`Lower ~gated:true w "build_s" "s" (build_s +. create_s);
+        row ~better:`Lower ~gated:true w "bytes_per_node" "B" (float_of_int bytes_per_node);
+        check ~gated:true w "log_budget_ok" budget_ok;
+        row ~better:`Lower ~gated:true w "run_s" "s" run_s;
+        row ~better:`Higher ~gated:true w "rounds_per_sec" "rounds/s" rps;
+        row ~better:`Lower ~gated:true w "rss_delta_mb" "MB" rss_delta_mb;
+        row ~gated:true w "accounted_mb" "MB" accounted_mb;
+        check ~gated:true w "rss_ok" rss_ok;
+      ] )
   in
-  let json_path =
-    Option.value ~default:"BENCH_PR6.json" (Sys.getenv_opt "SSMST_BENCH_PR6_JSON")
+  let results =
+    List.concat_map
+      (fun target -> List.map (instance target) [ "grid"; "random"; "hypertree" ])
+      sizes
   in
-  let oc = open_out json_path in
-  Printf.fprintf oc
-    {|{"pr":6,"engine":"flat","protocol":"ss-bfs","rounds":%d,"max_n":%d,"domains":%d,"min_rounds_per_sec":%.2f,"workloads":[%s],"within_budget":%b}
-|}
-    rounds max_n domains min_rps
-    (String.concat ","
-       (List.map
-          (fun (family, n, build_s, bpn, budget_ok, run_s, rps, rss, acc, rss_ok) ->
-            Printf.sprintf
-              {|{"family":"%s","n":%d,"build_s":%.3f,"bytes_per_node":%d,"log_budget_ok":%b,"run_s":%.3f,"rounds_per_sec":%.1f,"rss_delta_mb":%.1f,"accounted_mb":%.1f,"rss_ok":%b}|}
-              family n build_s bpn budget_ok run_s rps rss acc rss_ok)
-          rows))
-    within;
-  close_out oc;
+  let within = List.for_all fst results in
+  write_artifact ~pr:6 ~within_budget:within
+    (List.concat_map snd results
+    @ [
+        row ~gated:true "SCALE" "rounds" "rounds" (float_of_int rounds);
+        row ~gated:true "SCALE" "max_n" "nodes" (float_of_int max_n);
+        row ~gated:true "SCALE" "domains" "domains" (float_of_int domains);
+        row ~gated:true "SCALE" "min_rounds_per_sec" "rounds/s" scale_min_rps;
+      ]);
   Fmt.pr "@.modeled bound: 64 * ceil(log2 n) bits/node; measured: 8 * words bytes/node.@.";
-  Fmt.pr "(machine-readable results written to %s)@." json_path;
   if not within then begin
     Fmt.pr "SCALE gates missed (see the budget/rss columns above).@.";
     exit 1
@@ -1417,315 +1368,151 @@ let fig_scale () =
 (* DOMAINS — intra-instance scaling: Flat sync rounds across domains     *)
 (* ==================================================================== *)
 
-(* The tentpole acceptance experiment: one large Flat instance, its sync
-   rounds sharded across -d 1/2/4 domains.  Byte-identity of the register
-   file and the metrics CSV row across every domain count is checked
-   unconditionally on every run; the >= 2x @ -d 4 speedup gate is
-   core-aware — enforced only on >= 4 cores AND a multicore runtime
-   (SSMST_DOMAIN_MIN_SPEEDUP overrides the target).  Periodic
-   deterministic fault bursts keep the frontier wide: a converged election
-   is quiescent and has nothing to parallelize.  Results land in
-   BENCH_PR7.json (or $SSMST_BENCH_PR7_JSON), written through the same
-   gated-artifact guard as PAR. *)
-
-let domains_min_speedup () =
-  match Sys.getenv_opt "SSMST_DOMAIN_MIN_SPEEDUP" with
-  | Some s -> ( try max 1.0 (float_of_string s) with _ -> 2.0)
-  | None -> 2.0
-
-let domains_target_n () =
-  match Sys.getenv_opt "SSMST_DOMAINS_N" with
-  | Some s -> ( try max 1024 (int_of_string s) with _ -> 250_000)
-  | None -> 250_000
-
+(* One large Flat instance, its sync rounds sharded across -d 1/2/4
+   domains: the register file and the metrics CSV row must be identical
+   at every domain count, and -d 4 at least 2x faster than -d 1
+   (SSMST_DOMAIN_MIN_SPEEDUP overrides the target). *)
 let fig_domains () =
   header "DOMAINS — domain-parallel sync rounds on one Network.Flat instance";
-  let module P = Ssmst_protocols.Ss_bfs.P in
-  let module F = Network.Flat (P) in
-  let target = domains_target_n () in
-  let side = max 2 (int_of_float (sqrt (float_of_int target))) in
-  let g = Gen.stream_grid ~seed:7700 side side in
-  let rounds = 12 in
-  let run d =
-    let net = F.create ~domains:d g in
-    let (), s =
-      wall (fun () ->
-          for r = 1 to rounds do
-            (* a burst every 4 rounds, same seeds at every -d *)
-            if r mod 4 = 1 then
-              ignore (F.inject net (Gen.rng (9000 + r)) (Fault.uniform ~count:64));
-            F.round net Scheduler.Sync
-          done)
-    in
-    (s, F.registers net, Metrics.to_csv_row (F.metrics net))
-  in
-  Fmt.pr "grid n=%d, %d sync rounds with fault bursts; multicore runtime: %b@." (Graph.n g)
-    rounds Ssmst_parallel.Domain_pool.available;
-  Fmt.pr "%-10s %12s %10s %10s@." "domains" "wall" "speedup" "identical";
-  line ();
-  let t1, regs1, csv1 = run 1 in
-  Fmt.pr "%-10d %9.3f s %10s %10s@." 1 t1 "1.00x" "-";
-  let rows =
-    List.map
-      (fun d ->
-        let td, regs, csv = run d in
-        let same = regs = regs1 && String.equal csv csv1 in
-        Fmt.pr "%-10d %9.3f s %9.2fx %10b@." d td (t1 /. td) same;
-        (d, td, t1 /. td, same))
-      [ 2; 4 ]
-  in
-  let cores = Ssmst_parallel.Pool.cpu_count () in
-  let min_speedup = domains_min_speedup () in
-  let gated = cores >= 4 && Ssmst_parallel.Domain_pool.available in
-  let identical = List.for_all (fun (_, _, _, same) -> same) rows in
-  let speedup4 =
-    match List.find_opt (fun (d, _, _, _) -> d = 4) rows with
-    | Some (_, _, s, _) -> s
-    | None -> 0.
-  in
-  let within = identical && ((not gated) || speedup4 >= min_speedup) in
-  let json_path =
-    Option.value ~default:"BENCH_PR7.json" (Sys.getenv_opt "SSMST_BENCH_PR7_JSON")
-  in
-  let contents =
-    Printf.sprintf
-      {|{"pr":7,"engine":"flat","protocol":"ss-bfs","n":%d,"rounds":%d,"cores":%d,"min_speedup":%.2f,"gated":%b,"workloads":[%s],"identical":%b,"within_budget":%b}
-|}
-      (Graph.n g) rounds cores min_speedup gated
-      (String.concat ","
-         ((Printf.sprintf {|{"domains":1,"wall_s":%.6f,"speedup":1.0,"identical":true}|} t1)
-         :: List.map
-              (fun (d, td, s, same) ->
-                Printf.sprintf {|{"domains":%d,"wall_s":%.6f,"speedup":%.3f,"identical":%b}|} d
-                  td s same)
-              rows))
-      identical within
-  in
-  Fmt.pr "@.%d core(s); speedup gate (>= %.2fx at -d 4) %s@." cores min_speedup
-    (if gated then "enforced"
-     else if not Ssmst_parallel.Domain_pool.available then
-       "informational (sequential runtime — OCaml < 5.0)"
-     else "informational (needs >= 4 cores)");
-  if not gated then Fmt.pr "gate skipped: %d cores (scaling gate needs >= 4)@." cores;
-  ignore (write_artifact_guarded ~json_path ~gated contents);
-  if not identical then begin
-    Fmt.pr "DOMAINS determinism violated: registers/metrics differ from -d 1.@.";
-    exit 1
-  end;
-  if gated && speedup4 < min_speedup then begin
-    Fmt.pr "DOMAINS scaling budget missed: %.2fx at -d 4 (target %.2fx).@." speedup4
-      min_speedup;
-    exit 1
-  end
+  let min_speedup = max 1.0 (env_float "SSMST_DOMAIN_MIN_SPEEDUP" ~default:2.0) in
+  let n = Graph.n (Lazy.force burst_grid) in
+  Fmt.pr "grid n=%d, %d sync rounds with fault bursts; multicore runtime: %b@." n burst_rounds
+    Ssmst_parallel.Domain_pool.available;
+  scaling_gate ~gate:"DOMAINS" ~pr:7 ~flag:"-d" ~multicore:Ssmst_parallel.Domain_pool.available
+    ~min_speedup
+    ~params:[ ("n", "nodes", float_of_int n); ("rounds", "rounds", float_of_int burst_rounds) ]
+    (fun d ->
+      let s, net = grid_burst ~domains:d in
+      (s, (Flat_bfs.registers net, Metrics.to_csv_row (Flat_bfs.metrics net))))
 
 (* ==================================================================== *)
-(* REPORT — merge every BENCH_*.json into one trend table                *)
+(* REPORT — merge every BENCH_PR*.json into one trend report             *)
 (* ==================================================================== *)
 
-(* One line summarizing a workload entry, tolerant of each PR's shape.
-   [gated]/[cores] come from the enclosing artifact: a speedup measured on
-   an un-gated run (too few cores for the parallelism to be physical) is
-   NOT a measurement and must not read like one — render it SKIPPED
-   instead of charting a 1-core 0.88x as a regression. *)
-let workload_headline ~gated ~cores (w : Json.t) =
-  let name =
-    match (Json.str_opt (Json.mem "name" w), Json.str_opt (Json.mem "family" w)) with
-    | Some n, _ -> n
-    | None, Some f -> (
-        match Json.num_opt (Json.mem "n" w) with
-        | Some n -> Printf.sprintf "%s n=%.0f" f n
-        | None -> f)
-    | None, None -> (
-        match
-          (Json.num_opt (Json.mem "jobs" w), Json.num_opt (Json.mem "domains" w))
-        with
-        | Some j, _ -> Printf.sprintf "-j %.0f" j
-        | None, Some d -> Printf.sprintf "-d %.0f" d
-        | None, None -> "?")
-  in
-  let speedup =
-    match Json.num_opt (Json.mem "speedup" w) with
-    | None -> None
-    | Some s when gated -> Some (Printf.sprintf "speedup %.2fx" s)
-    | Some _ -> Some (Printf.sprintf "speedup SKIPPED (%.0f core(s))" cores)
-  in
-  let metrics =
-    List.filter_map
-      (fun (key, fmt) ->
-        Option.map (fun v -> Printf.sprintf fmt v) (Json.num_opt (Json.mem key w)))
-      [
-        ("overhead_pct", "overhead %+.1f%%");
-        ("rounds_per_sec", "%.1f rounds/s");
-        ("bytes_per_node", "%.0f B/node");
-        ("rss_delta_mb", "rss %.1f MB");
-      ]
-  in
-  (name, String.concat ", " (Option.to_list speedup @ metrics))
+(* A speedup measured on an un-gated run (too few cores for the
+   parallelism to be physical) is NOT a measurement and must not read like
+   one: REPORT renders it SKIPPED, in the headline and the trajectory. *)
+let skipped r = r.metric = "speedup" && not r.gated
+
+let shown r =
+  if skipped r then
+    "SKIPPED" ^ match r.cores with Some c -> Printf.sprintf " (%d core(s))" c | None -> ""
+  else if r.unit = "bool" then string_of_bool (r.value <> 0.)
+  else if Float.is_integer r.value && Float.abs r.value < 1e15 then Printf.sprintf "%.0f" r.value
+  else Printf.sprintf "%.4g" r.value
 
 let fig_report () =
-  header "REPORT — merged bench artifacts (BENCH_*.json)";
-  let files =
+  header "REPORT — merged bench artifacts (BENCH_PR*.json)";
+  let artifacts =
     Sys.readdir "."
     |> Array.to_list
     |> List.filter (fun f ->
-           String.length f > 6
-           && String.sub f 0 6 = "BENCH_"
-           && Filename.check_suffix f ".json"
-           && f <> "BENCH_REPORT.json")
-    |> List.sort compare
+           String.starts_with ~prefix:"BENCH_PR" f && Filename.check_suffix f ".json")
+    |> List.map (fun file ->
+           match read_artifact file with
+           | pr, within, rows -> (pr, file, within, rows)
+           | exception (Sys_error msg | Json.Bad msg) ->
+               Fmt.epr "REPORT: cannot read %s: %s@." file msg;
+               exit 1)
+    |> List.sort (fun (p, f, _, _) (q, g, _, _) -> compare (p, f) (q, g))
   in
-  if files = [] then Fmt.pr "no BENCH_*.json artifacts in the current directory.@."
+  if artifacts = [] then Fmt.pr "no BENCH_PR*.json artifacts in the current directory.@."
   else begin
-    let reports =
-      List.filter_map
-        (fun file ->
-          let ic = open_in file in
-          let len = in_channel_length ic in
-          let body = really_input_string ic len in
-          close_in ic;
-          match Json.parse body with
-          | j -> Some (file, j)
-          | exception Json.Bad msg ->
-              Fmt.pr "(skipping %s: %s)@." file msg;
-              None)
-        files
-    in
     let b = Buffer.create 4096 in
     let out fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
     out "# Bench trend report";
     out "";
-    (* cores + gating status first: a speedup row from a 2-core container
-       and one from a 16-core workstation are different experiments *)
-    List.iter
-      (fun (file, j) ->
-        match Json.num_opt (Json.mem "cores" j) with
-        | Some cores ->
-            let gated = Option.value ~default:true (Json.bool_opt (Json.mem "gated" j)) in
-            out "Parallel gate (%s): %.0f core(s), scaling gate %s." file cores
-              (if gated then "ENFORCED"
-               else Printf.sprintf "SKIPPED — %.0f cores (needs >= 4)" cores)
-        | None -> ())
-      reports;
-    out "";
-    out "| artifact | pr | workloads | cores | gated | within budget |";
+    (* cores beside the gate status: a speedup from a 2-core container and
+       one from a 16-core workstation are different experiments *)
+    out "| artifact | pr | rows | gated rows | cores | within budget |";
     out "|---|---|---|---|---|---|";
     List.iter
-      (fun (file, j) ->
-        let num k = match Json.num_opt (Json.mem k j) with Some f -> Printf.sprintf "%.0f" f | None -> "-" in
-        let bool k =
-          match Json.bool_opt (Json.mem k j) with
-          | Some true -> "yes"
-          | Some false -> "NO"
-          | None -> "-"
-        in
-        out "| %s | %s | %d | %s | %s | %s |" file (num "pr")
-          (List.length (Json.arr (Json.mem "workloads" j)))
-          (num "cores") (bool "gated") (bool "within_budget"))
-      reports;
+      (fun (pr, file, within, rows) ->
+        let cores = List.sort_uniq compare (List.filter_map (fun r -> r.cores) rows) in
+        out "| %s | %d | %d | %d | %s | %s |" file pr (List.length rows)
+          (List.length (List.filter (fun r -> r.gated) rows))
+          (if cores = [] then "-" else String.concat ", " (List.map string_of_int cores))
+          (if within then "yes" else "NO"))
+      artifacts;
     out "";
     out "## Workloads";
-    out "";
+    let workloads rows =
+      List.rev
+        (List.fold_left
+           (fun acc r -> if List.mem r.workload acc then acc else r.workload :: acc)
+           [] rows)
+    in
     List.iter
-      (fun (file, j) ->
+      (fun (_, file, _, rows) ->
+        out "";
         out "### %s" file;
         out "";
-        (* artifacts without a cores field predate the parallel gates and
-           report no speedups; treat them as gated so nothing is hidden *)
-        let gated = Option.value ~default:true (Json.bool_opt (Json.mem "gated" j)) in
-        let cores = Option.value ~default:1. (Json.num_opt (Json.mem "cores" j)) in
         List.iter
           (fun w ->
-            let name, metrics = workload_headline ~gated ~cores w in
-            out "- %s%s" name (if metrics = "" then "" else ": " ^ metrics))
-          (Json.arr (Json.mem "workloads" j));
-        out "")
-      reports;
-    (* ---- perf trajectory ----------------------------------------------
-       Chart every numeric gate metric per (workload, metric) across the
-       per-PR artifacts, delta against the previous PR that recorded it,
-       and flag a regression when a *gated* metric worsens by more than
-       10%.  The wall_off_s series is the backbone: PROF's ENGINE
-       workloads replay the same graphs/seeds/windows PR after PR, so the
-       telemetry-off wall time is one experiment measured repeatedly. *)
-    let worse_if_up =
-      [
-        "overhead_pct"; "wall_s"; "wall_on_s"; "wall_off_s"; "run_s"; "build_s";
-        "bytes_per_node"; "rss_delta_mb"; "frontier_share_pct"; "minor_words_per_round";
-      ]
-    and worse_if_down = [ "rounds_per_sec"; "speedup"; "events_per_sec" ] in
-    let series = Hashtbl.create 32 and keys_rev = ref [] in
-    let add key pt =
-      match Hashtbl.find_opt series key with
-      | None ->
-          keys_rev := key :: !keys_rev;
-          Hashtbl.add series key [ pt ]
-      | Some pts -> Hashtbl.replace series key (pt :: pts)
-    in
-    List.iter
-      (fun (_file, j) ->
-        match Json.num_opt (Json.mem "pr" j) with
-        | None -> ()
-        | Some pr ->
-            let art_gated =
-              Option.value ~default:true (Json.bool_opt (Json.mem "gated" j))
+            let values =
+              List.filter_map
+                (fun r ->
+                  if r.workload <> w then None
+                  else
+                    Some
+                      (Printf.sprintf "%s %s%s" r.metric (shown r)
+                         (if skipped r || r.unit = "bool" then "" else " " ^ r.unit)))
+                rows
             in
-            let cores = Option.value ~default:1. (Json.num_opt (Json.mem "cores" j)) in
-            List.iter
-              (fun w ->
-                let name, _ = workload_headline ~gated:art_gated ~cores w in
-                let w_gated =
-                  Option.value ~default:art_gated (Json.bool_opt (Json.mem "gated" w))
-                in
-                List.iter
-                  (fun key ->
-                    match Json.num_opt (Json.mem key w) with
-                    | Some v -> add (name, key) (pr, v, w_gated)
-                    | None -> ())
-                  (worse_if_up @ worse_if_down))
-              (Json.arr (Json.mem "workloads" j)))
-      reports;
-    let traj_rows =
+            out "- %s: %s" w (String.concat ", " values))
+          (workloads rows))
+      artifacts;
+    (* ---- perf trajectory ----------------------------------------------
+       Every row with a direction, charted per (workload, metric) across
+       the artifacts in pr order.  Points of one series come from gates of
+       the checkout that wrote the artifacts (REPLAY's and PROF's bare
+       ENGINE runs, for one); comparing commits is benchmark/'s job.  A
+       gated metric that worsens by more than 10% against the previous
+       measured point is flagged; SKIPPED points are not measurements. *)
+    let series = Hashtbl.create 32 and keys = ref [] in
+    List.iter
+      (fun (pr, _, _, rows) ->
+        List.iter
+          (fun r ->
+            if r.better <> None then begin
+              let key = (r.workload, r.metric) in
+              if not (Hashtbl.mem series key) then keys := key :: !keys;
+              Hashtbl.add series key (pr, r)
+            end)
+          rows)
+      artifacts;
+    let traj =
       List.rev_map
-        (fun ((wname, metric) as key) ->
-          let pts =
-            List.sort
-              (fun (a, _, _) (b, _, _) -> compare (a : float) b)
-              (List.rev (Hashtbl.find series key))
-          in
-          let chart =
-            String.concat " -> "
-              (List.map (fun (pr, v, _) -> Printf.sprintf "%.0f:%.4g" pr v) pts)
-          in
+        (fun key ->
+          let pts = List.rev (Hashtbl.find_all series key) in
           let delta, regression =
-            match List.rev pts with
-            | (_, last, g_last) :: (_, prev, _) :: _ when prev <> 0. ->
-                let pct = 100. *. (last -. prev) /. Float.abs prev in
-                let worsened = if List.mem metric worse_if_down then -.pct else pct in
-                (Some pct, g_last && worsened > 10.)
+            match List.rev (List.filter (fun (_, r) -> not (skipped r)) pts) with
+            | (_, last) :: (_, prev) :: _ when prev.value <> 0. ->
+                let pct = 100. *. (last.value -. prev.value) /. Float.abs prev.value in
+                let worsened = if last.better = Some `Higher then -.pct else pct in
+                (Some pct, last.gated && worsened > 10.)
             | _ -> (None, false)
           in
-          (wname, metric, pts, chart, delta, regression))
-        !keys_rev
+          (key, pts, delta, regression))
+        !keys
     in
+    out "";
     out "## Perf trajectory";
     out "";
-    if traj_rows = [] then out "(no per-PR numeric series yet)"
-    else begin
-      out "| workload | metric | trajectory (pr:value) | delta vs prev | flag |";
-      out "|---|---|---|---|---|";
-      List.iter
-        (fun (wname, metric, _, chart, delta, regression) ->
-          out "| %s | %s | %s | %s | %s |" wname metric chart
-            (match delta with Some d -> Printf.sprintf "%+.1f%%" d | None -> "-")
-            (if regression then "REGRESSION"
-             else match delta with Some _ -> "ok" | None -> "-"))
-        traj_rows;
-      match List.filter (fun (_, _, _, _, _, r) -> r) traj_rows with
-      | [] -> ()
-      | rs ->
-          out "";
-          out "%d gated metric(s) regressed > 10%% vs the previous PR." (List.length rs)
-    end;
+    out "| workload | metric | trajectory (pr:value) | delta vs prev point | flag |";
+    out "|---|---|---|---|---|";
+    List.iter
+      (fun ((w, metric), pts, delta, regression) ->
+        out "| %s | %s | %s | %s | %s |" w metric
+          (String.concat " -> " (List.map (fun (pr, r) -> Printf.sprintf "%d:%s" pr (shown r)) pts))
+          (match delta with Some d -> Printf.sprintf "%+.1f%%" d | None -> "-")
+          (if regression then "REGRESSION" else if delta = None then "-" else "ok"))
+      traj;
+    (match List.filter (fun (_, _, _, r) -> r) traj with
+    | [] -> ()
+    | rs ->
+        out "";
+        out "%d gated metric(s) regressed > 10%% vs the previous point." (List.length rs));
     out "";
     let md = Buffer.contents b in
     print_string md;
@@ -1735,34 +1522,34 @@ let fig_report () =
       close_out oc
     in
     write "BENCH_REPORT.md" md;
+    let point (pr, r) =
+      Json.Obj
+        [
+          ("pr", Json.Num (float_of_int pr));
+          ("value", if skipped r then Json.Null else Json.Num r.value);
+          ("gated", Json.Bool r.gated);
+        ]
+    in
     write "BENCH_REPORT.json"
       (Json.to_string
          (Json.Obj
             [
-              ("merged_from", Json.Arr (List.map (fun (f, _) -> Json.Str f) reports));
+              ("merged_from", Json.Arr (List.map (fun (_, f, _, _) -> Json.Str f) artifacts));
               ( "trajectory",
                 Json.Arr
                   (List.map
-                     (fun (wname, metric, pts, _, delta, regression) ->
+                     (fun ((w, metric), pts, delta, regression) ->
                        Json.Obj
                          [
-                           ("workload", Json.Str wname);
+                           ("workload", Json.Str w);
                            ("metric", Json.Str metric);
-                           ( "points",
-                             Json.Arr
-                               (List.map
-                                  (fun (pr, v, _) ->
-                                    Json.Obj
-                                      [ ("pr", Json.Num pr); ("value", Json.Num v) ])
-                                  pts) );
-                           ( "delta_pct",
-                             match delta with Some d -> Json.Num d | None -> Json.Null );
+                           ("points", Json.Arr (List.map point pts));
+                           ("delta_pct", match delta with Some d -> Json.Num d | None -> Json.Null);
                            ("regression", Json.Bool regression);
                          ])
-                     traj_rows) );
-              ("reports", Json.Arr (List.map snd reports));
+                     traj) );
             ])
-       ^ "\n");
+      ^ "\n");
     Fmt.pr "@.(written to BENCH_REPORT.md and BENCH_REPORT.json)@."
   end
 
@@ -1849,7 +1636,14 @@ let all_experiments =
   ]
 
 let () =
-  let requested = Array.to_list Sys.argv |> List.tl in
+  let requested = List.filter (( <> ) "--") (List.tl (Array.to_list Sys.argv)) in
+  let ids = List.map fst all_experiments in
+  (match List.filter (fun id -> not (List.mem id ids)) requested with
+  | [] -> ()
+  | unknown ->
+      Fmt.epr "bench: unknown experiment id(s): %s@.valid ids: %s@." (String.concat " " unknown)
+        (String.concat " " ids);
+      exit 2);
   let to_run =
     if requested = [] then all_experiments
     else List.filter (fun (name, _) -> List.mem name requested) all_experiments
