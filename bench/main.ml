@@ -100,7 +100,7 @@ let table2 () =
   pr_table "Or-EndP" (fun v j -> if labels.(v).Labels.cnt.(j) > 0 then "1" else "0");
   (* machine-check legality, as the paper's Table 2 is claimed legal *)
   let vw = Labels.view_of_tree m.tree labels in
-  let ok = List.for_all (fun v -> Labels.check_node vw v = []) (List.init 18 Fun.id) in
+  let ok = List.for_all (fun v -> Labels.check_view vw v = []) (List.init 18 Fun.id) in
   Fmt.pr "@.RS0-RS5 and EPS0-EPS5 legality of all strings: %b@." ok
 
 (* ==================================================================== *)
@@ -1386,6 +1386,68 @@ let fig_domains () =
       (s, (Flat_bfs.registers net, Metrics.to_csv_row (Flat_bfs.metrics net))))
 
 (* ==================================================================== *)
+(* VSTEP — one verifier activation: rounds/s and words on Make and Flat  *)
+(* ==================================================================== *)
+
+(* The verifier never stops, so the cost of one activation sets the round
+   rate.  On random graphs (Passive mode, sync) every node steps every
+   round; after a short warm-up, three chunks of rounds are timed on the
+   boxed (Make) and packed (Flat) stores.  rounds/s is the median chunk;
+   minor words per node per round is the allocation of all three chunks,
+   which barely moves between runs, so it is the gated figure: Make at
+   n = 1024 must stay within [vstep_words_budget]. *)
+let vstep_words_budget = 200.
+
+let fig_vstep () =
+  header "VSTEP — verifier activation cost: rounds/s and minor words/node/round";
+  Fmt.pr "%-8s %-6s %8s %12s %18s@." "engine" "n" "rounds" "rounds/s" "words/node/round";
+  line ();
+  let measure ~n ~rounds run =
+    run 5;
+    let rates = Array.make 3 0. and w0 = Gc.minor_words () in
+    for i = 0 to 2 do
+      let t0 = Unix.gettimeofday () in
+      run rounds;
+      rates.(i) <- float_of_int rounds /. (Unix.gettimeofday () -. t0)
+    done;
+    let words = (Gc.minor_words () -. w0) /. float_of_int (3 * n * rounds) in
+    Array.sort compare rates;
+    (rates.(1), words)
+  in
+  let instance (n, rounds) =
+    let g = Gen.random_connected (Gen.rng (8700 + n)) n in
+    let module V = Verifier.Make (struct
+      let marker = Marker.run g
+      let mode = Verifier.Passive
+    end) in
+    let module M = Network.Make (V) in
+    let module F = Network.Flat (V) in
+    let make = M.create g and flat = F.create g in
+    let one engine (rate, words) =
+      Fmt.pr "%-8s %-6d %8d %12.1f %18.0f@." engine n (3 * rounds) rate words;
+      let w = Printf.sprintf "verifier %s random n=%d" engine n in
+      let gated = engine = "make" && n = 1024 in
+      ( (not gated) || words <= vstep_words_budget,
+        [
+          row ~better:`Higher ~gated:false w "rounds_per_s" "rounds/s" rate;
+          row ~better:`Lower ~gated w "minor_words_per_node_round" "words" words;
+        ] )
+    in
+    let on_make = one "make" (measure ~n ~rounds (fun r -> M.run make Scheduler.Sync ~rounds:r)) in
+    let on_flat = one "flat" (measure ~n ~rounds (fun r -> F.run flat Scheduler.Sync ~rounds:r)) in
+    [ on_make; on_flat ]
+  in
+  let results = List.concat_map instance [ (256, 200); (1024, 60); (4096, 15) ] in
+  let within = List.for_all fst results in
+  write_artifact ~pr:17 ~within_budget:within
+    (List.concat_map snd results
+    @ [ row ~gated:true "VSTEP" "words_budget" "words" vstep_words_budget ]);
+  if not within then begin
+    Fmt.pr "VSTEP: make n=1024 allocates more than %.0f words/node/round.@." vstep_words_budget;
+    exit 1
+  end
+
+(* ==================================================================== *)
 (* REPORT — merge every BENCH_PR*.json into one trend report             *)
 (* ==================================================================== *)
 
@@ -1631,6 +1693,7 @@ let all_experiments =
     ("SCALE", fig_scale);
     ("DOMAINS", fig_domains);
     ("PROF", fig_prof);
+    ("VSTEP", fig_vstep);
     ("REPORT", fig_report);
     ("BENCH", bechamel_suite);
   ]

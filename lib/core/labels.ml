@@ -105,138 +105,134 @@ let of_hierarchy (h : Fragment.hierarchy) =
 (* ------------------------------------------------------------------ *)
 (* Verifier: conditions RS0-RS5 and EPS0-EPS5.
 
-   The checks run at a node [v] given read access to its *claimed* tree
-   parent's and children's labels (the claims themselves are certified by
-   the Example SP scheme, see Verifier).  Each violated condition is
-   reported by name. *)
+   The checks run at a node given its own label and the labels of its
+   *claimed* tree parent and children (the claims themselves are certified
+   by the Example SP scheme, see Verifier).  [check] streams the name of
+   every violated condition into [fail], in a fixed order; it allocates
+   nothing, so the verifier's activation can run it with a sink that stops
+   at the first violation. *)
 
-type view = {
-  label : int -> t;  (* label of a node *)
-  parent : int -> int option;  (* claimed tree parent *)
-  children : int -> int list;  (* claimed tree children *)
-  is_root : int -> bool;  (* claimed to be the root of T *)
-  ident : int -> int;  (* node identity *)
-}
+(* monomorphic membership tests: [Array.mem] compares polymorphically *)
+let rec has_rsym (x : rsym) a i = i < Array.length a && (a.(i) = x || has_rsym x a (i + 1))
+let rec has_esym (x : esym) a i = i < Array.length a && (a.(i) = x || has_esym x a (i + 1))
+let rec has_true a i = i < Array.length a && (a.(i) || has_true a (i + 1))
 
-let check_node (vw : view) v =
-  let l = vw.label v in
-  let bad = ref [] in
-  let fail name = bad := name :: !bad in
+let check fail (l : t) ~(parent : t option) ~(children : t array) ~is_root =
   let ell = l.len - 1 in
   (* RS1: all strings across the tree have the same length; locally: same
      as the parent's length (the root anchors it against a certified n) *)
-  (match vw.parent v with
-  | Some p -> if (vw.label p).len <> l.len then fail "RS1"
-  | None -> ());
+  (match parent with Some lp -> if lp.len <> l.len then fail "RS1" | None -> ());
   (* RS0: roots is a prefix over {1,*} followed by a suffix over {0,*} *)
   let seen_zero = ref false in
-  Array.iter
-    (fun s ->
-      match s with
-      | R0 -> seen_zero := true
-      | R1 -> if !seen_zero then fail "RS0"
-      | RStar -> ())
-    l.roots;
+  for j = 0 to Array.length l.roots - 1 do
+    match l.roots.(j) with
+    | R0 -> seen_zero := true
+    | R1 -> if !seen_zero then fail "RS0"
+    | RStar -> ()
+  done;
   (* RS2: the root of T has no '0' and its ell'th entry is '1' *)
-  if vw.is_root v then begin
-    if Array.exists (fun s -> s = R0) l.roots then fail "RS2";
+  if is_root then begin
+    if has_rsym R0 l.roots 0 then fail "RS2";
     if l.roots.(ell) <> R1 then fail "RS2"
   end;
   (* RS3: entry 0 is '1' *)
   if l.roots.(0) <> R1 then fail "RS3";
   (* RS4: the ell'th entry of every non-root is '0' *)
-  if (not (vw.is_root v)) && l.roots.(ell) <> R0 then fail "RS4";
+  if (not is_root) && l.roots.(ell) <> R0 then fail "RS4";
   (* RS5: a '0' at level j forces the parent's entry j to not be '*' *)
-  (match vw.parent v with
-  | Some p ->
-      let lp = vw.label p in
-      if lp.len = l.len then
-        Array.iteri (fun j s -> if s = R0 && lp.roots.(j) = RStar then fail "RS5") l.roots
-  | None -> ());
-  (* membership helpers from the claimed strings *)
-  let in_frag j = l.roots.(j) <> RStar in
+  (match parent with
+  | Some lp when lp.len = l.len ->
+      for j = 0 to Array.length l.roots - 1 do
+        if l.roots.(j) = R0 && lp.roots.(j) = RStar then fail "RS5"
+      done
+  | Some _ | None -> ());
   (* EPS0: parents bit j set implies the parent's endp at j is "down" *)
-  (match vw.parent v with
-  | Some p ->
-      let lp = vw.label p in
+  (match parent with
+  | Some lp ->
       if lp.len = l.len then
-        Array.iteri (fun j b -> if b && lp.endp.(j) <> Down then fail "EPS0") l.parents
-  | None -> if Array.exists Fun.id l.parents then fail "EPS0");
-  (* EPS2: endp "down" at j implies exactly one child has parents bit j *)
-  Array.iteri
-    (fun j e ->
-      if e = Down then begin
-        let marked =
-          List.filter
-            (fun c ->
-              let lc = vw.label c in
-              lc.len = l.len && lc.parents.(j))
-            (vw.children v)
-        in
-        if List.length marked <> 1 then fail "EPS2"
-      end)
-    l.endp;
-  (* consistency of endp/roots stars *)
-  Array.iteri
-    (fun j e ->
-      let star_e = e = EStar and star_r = not (in_frag j) in
-      if star_e <> star_r then fail "EPS-star")
-    l.endp;
-  (* EPS3: endp "up" at j: roots_j = '1' and no '1' above j *)
-  Array.iteri
-    (fun j e ->
-      if e = Up then begin
-        if l.roots.(j) <> R1 then fail "EPS3";
-        for i = j + 1 to ell do
-          if l.roots.(i) = R1 then fail "EPS3"
-        done;
-        (* an "up" endpoint must actually have a tree parent *)
-        if vw.parent v = None then fail "EPS3"
-      end)
-    l.endp;
-  (* EPS4: parents bit j: roots_j <> '0' and no '1' above j *)
-  Array.iteri
-    (fun j b ->
-      if b then begin
-        if l.roots.(j) = R0 then fail "EPS4";
-        for i = j + 1 to ell do
-          if l.roots.(i) = R1 then fail "EPS4"
+        for j = 0 to Array.length l.parents - 1 do
+          if l.parents.(j) && lp.endp.(j) <> Down then fail "EPS0"
         done
-      end)
-    l.parents;
+  | None -> if has_true l.parents 0 then fail "EPS0");
+  (* EPS2: endp "down" at j implies exactly one child has parents bit j *)
+  for j = 0 to Array.length l.endp - 1 do
+    if l.endp.(j) = Down then begin
+      let marked = ref 0 in
+      for c = 0 to Array.length children - 1 do
+        let lc = children.(c) in
+        if lc.len = l.len && lc.parents.(j) then incr marked
+      done;
+      if !marked <> 1 then fail "EPS2"
+    end
+  done;
+  (* consistency of endp/roots stars *)
+  for j = 0 to Array.length l.endp - 1 do
+    if (l.endp.(j) = EStar) <> (l.roots.(j) = RStar) then fail "EPS-star"
+  done;
+  (* EPS3: endp "up" at j: roots_j = '1' and no '1' above j *)
+  for j = 0 to Array.length l.endp - 1 do
+    if l.endp.(j) = Up then begin
+      if l.roots.(j) <> R1 then fail "EPS3";
+      for i = j + 1 to ell do
+        if l.roots.(i) = R1 then fail "EPS3"
+      done;
+      (* an "up" endpoint must actually have a tree parent *)
+      if Option.is_none parent then fail "EPS3"
+    end
+  done;
+  (* EPS4: parents bit j: roots_j <> '0' and no '1' above j *)
+  for j = 0 to Array.length l.parents - 1 do
+    if l.parents.(j) then begin
+      if l.roots.(j) = R0 then fail "EPS4";
+      for i = j + 1 to ell do
+        if l.roots.(i) = R1 then fail "EPS4"
+      done
+    end
+  done;
   (* EPS5: every non-root has some "up" endp or some parents bit *)
-  if not (vw.is_root v) then begin
-    let has =
-      Array.exists (fun e -> e = Up) l.endp || Array.exists Fun.id l.parents
-    in
-    if not has then fail "EPS5"
-  end;
+  if (not is_root) && not (has_esym Up l.endp 0 || has_true l.parents 0) then fail "EPS5";
   (* EPS1 via counting: cnt consistency at v, and cnt = 1 at every fragment
      root below the top level (cnt = 0 for T's root at level ell) *)
-  Array.iteri
-    (fun j _ ->
-      if in_frag j then begin
-        let own = match l.endp.(j) with Up | Down -> 1 | ENone | EStar -> 0 in
-        let from_children =
-          List.fold_left
-            (fun acc c ->
-              let lc = vw.label c in
-              if lc.len = l.len && lc.roots.(j) = R0 then acc + lc.cnt.(j) else acc)
-            0 (vw.children v)
-        in
-        if l.cnt.(j) <> min 2 (own + from_children) then fail "EPS1-sum";
-        if l.roots.(j) = R1 then begin
-          let expected = if j = ell then 0 else 1 in
-          if l.cnt.(j) <> expected then fail "EPS1-root"
-        end
+  for j = 0 to Array.length l.cnt - 1 do
+    if l.roots.(j) <> RStar then begin
+      let own = match l.endp.(j) with Up | Down -> 1 | ENone | EStar -> 0 in
+      let from_children = ref 0 in
+      for c = 0 to Array.length children - 1 do
+        let lc = children.(c) in
+        if lc.len = l.len && lc.roots.(j) = R0 then from_children := !from_children + lc.cnt.(j)
+      done;
+      if l.cnt.(j) <> min 2 (own + !from_children) then fail "EPS1-sum";
+      if l.roots.(j) = R1 then begin
+        let expected = if j = ell then 0 else 1 in
+        if l.cnt.(j) <> expected then fail "EPS1-root"
       end
-      else if l.cnt.(j) <> 0 then fail "EPS1-star")
-    l.cnt;
+    end
+    else if l.cnt.(j) <> 0 then fail "EPS1-star"
+  done
+
+let check_node l ~parent ~children ~is_root =
+  let bad = ref [] in
+  check (fun name -> bad := name :: !bad) l ~parent ~children ~is_root;
   List.rev !bad
+
+(* A trusted tree's view of the labels, for tests and tools that check
+   every node at once. *)
+type view = {
+  label : int -> t;  (* label of a node *)
+  parent : int -> int option;  (* claimed tree parent *)
+  children : int -> int list;  (* claimed tree children *)
+  is_root : int -> bool;  (* claimed to be the root of T *)
+}
+
+let check_view (vw : view) v =
+  check_node (vw.label v)
+    ~parent:(Option.map vw.label (vw.parent v))
+    ~children:(Array.of_list (List.map vw.label (vw.children v)))
+    ~is_root:(vw.is_root v)
 
 (* Convenience: run the checks at every node; returns per-node violation
    lists (non-empty lists mean alarms). *)
-let check_all (vw : view) n = List.init n (check_node vw)
+let check_all (vw : view) n = List.init n (check_view vw)
 
 let view_of_tree (tree : Tree.t) labels =
   {
@@ -244,7 +240,6 @@ let view_of_tree (tree : Tree.t) labels =
     parent = (fun v -> Tree.parent tree v);
     children = (fun v -> Tree.children tree v);
     is_root = (fun v -> v = Tree.root tree);
-    ident = (fun v -> Graph.id (Tree.graph tree) v);
   }
 
 (* ------------------------------------------------------------------ *)

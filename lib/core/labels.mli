@@ -29,18 +29,27 @@ val pp_esym : Format.formatter -> esym -> unit
 val of_hierarchy : Fragment.hierarchy -> t array
 (** The marker (Lemma 5.4): derive all four strings from the hierarchy. *)
 
-(** The verifier's read access to the claimed structure: labels plus the
-    tree relations certified separately by Example SP. *)
+val check :
+  (string -> unit) -> t -> parent:t option -> children:t array -> is_root:bool -> unit
+(** [check fail l ~parent ~children ~is_root] runs conditions RS0–RS5 and
+    EPS0–EPS5 at a node with label [l], given the labels of its claimed
+    tree parent and children, and calls [fail] with the name of every
+    violated condition, in a fixed order.  Allocation-free. *)
+
+val check_node : t -> parent:t option -> children:t array -> is_root:bool -> string list
+(** The names {!check} reports, in order (empty = accept). *)
+
+(** Read access to the labels over a trusted tree, for tests and tools
+    that check every node at once. *)
 type view = {
   label : int -> t;
   parent : int -> int option;
   children : int -> int list;
   is_root : int -> bool;
-  ident : int -> int;
 }
 
-val check_node : view -> int -> string list
-(** Names of the RS/EPS conditions node [v] violates (empty = accept). *)
+val check_view : view -> int -> string list
+(** {!check_node} at node [v] of the view. *)
 
 val check_all : view -> int -> string list list
 

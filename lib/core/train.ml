@@ -46,6 +46,8 @@ let init =
     alarm = false;
   }
 
+let init_alarmed = { init with alarm = true }
+
 let bits (s : state) =
   let car_bits = function
     | None -> 1
@@ -57,7 +59,10 @@ let bits (s : state) =
   + Ssmst_sim.Memory.of_nat s.seen + 3
   + Ssmst_sim.Memory.of_int s.last_lvl
 
-type peer = { lbl : Partition.node_part_label; st : state }
+(* How a node reads this train off a neighbour: the neighbour's part
+   label and its train state.  The verifier reads both of its trains off
+   one neighbour register. *)
+type 'a side = { part : 'a -> Partition.node_part_label; train : 'a -> state }
 
 let lo (l : Partition.node_part_label) = min (2 * l.dfs_rank) l.k
 let hi (l : Partition.node_part_label) = min (2 * (l.dfs_rank + l.subtree)) l.k
@@ -66,73 +71,97 @@ let own_piece (l : Partition.node_part_label) i =
   let base = 2 * l.dfs_rank in
   if i >= base && i - base < Array.length l.own then Some l.own.(i - base) else None
 
-(* One activation.  [flag_rule piece ~parent_flag] computes the membership
-   flag when loading the piece into [bc]; [member piece ~flag] decides
-   whether the broadcast piece belongs to this node's own fragment at the
-   piece's level; [required] is the level bitmask the cycle-set check must
-   cover; [ordered] enables the strictly-increasing-levels check (Top
-   trains); [hold] delays the broadcast while a neighbour's request is being
-   served (Section 7.2, asynchronous mode). *)
-let step ~(lbl : Partition.node_part_label) ~(parent : peer option) ~(children : peer list)
-    ~flag_rule ~member ~required ~ordered ~hold (s : state) =
+let same_part side (lbl : Partition.node_part_label) x =
+  (side.part x).Partition.part_root_id = lbl.part_root_id
+
+(* whether every part-child's broadcast buffer holds [target] *)
+let child_acked side lbl children (target : car) =
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length children do
+    let ch = children.(!i) in
+    (if same_part side lbl ch then
+       match (side.train ch).bc with
+       | Some c -> ok := c.idx = target.idx && c.tag = target.tag
+       | None -> ok := false);
+    incr i
+  done;
+  !ok
+
+(* the convergecast car a part-child offers for index [e]: the first
+   part-child (in port order) whose index range covers [e] *)
+let child_car side lbl children e =
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < Array.length children do
+    let ch = children.(!i) in
+    let cl = side.part ch in
+    if cl.Partition.part_root_id = lbl.Partition.part_root_id && e >= lo cl && e < hi cl then
+      found := !i;
+    incr i
+  done;
+  if !found < 0 then None
+  else
+    match (side.train children.(!found)).up with
+    | Some c when c.idx = e -> if c.flag then Some { c with flag = false } else Some c
+    | _ -> None
+
+(* One activation.  [parent] and [children] are the node's claimed tree
+   neighbours, read through [side]; only those in the node's own part
+   (same part root identity) ride this train.  [flag_rule piece
+   ~parent_flag] computes the membership flag when loading the piece into
+   [bc]; [member piece ~flag] decides whether the broadcast piece belongs
+   to this node's own fragment at the piece's level; [required] is the
+   level bitmask the cycle-set check must cover; [ordered] enables the
+   strictly-increasing-levels check (Top trains); [hold] delays the
+   broadcast while a neighbour's request is being served (Section 7.2,
+   asynchronous mode). *)
+let step ~side ~(lbl : Partition.node_part_label) ~parent ~children ~flag_rule ~member ~required
+    ~ordered ~hold (s : state) =
   let k = lbl.k in
   if k = 0 then
     (* nothing to carry: alarm iff some level is required anyway *)
-    { init with alarm = s.alarm || required <> 0 }
+    if s.alarm || required <> 0 then init_alarmed else init
   else begin
     let is_root = lbl.dfs_rank = 0 in
     let lo_v = lo lbl and hi_v = hi lbl in
-    let in_range i = i >= lo_v && i < hi_v in
     let cursor = ((s.cursor mod k) + k) mod k in
-    (* ---- convergecast: compute the demanded index ---- *)
+    let parent =
+      match parent with
+      | Some p when same_part side lbl p -> Some (side.train p)
+      | Some _ | None -> None
+    in
+    (* ---- convergecast: compute the demanded index (-1: none) ---- *)
     let demand =
-      if is_root then Some cursor
+      if is_root then cursor
       else
         match parent with
-        | None -> None
+        | None -> -1
         | Some p -> (
-            match p.st.up with
-            | Some c when in_range c.idx -> if in_range (c.idx + 1) then Some (c.idx + 1) else None
+            match p.up with
+            | Some c when c.idx >= lo_v && c.idx < hi_v ->
+                if c.idx + 1 >= lo_v && c.idx + 1 < hi_v then c.idx + 1 else -1
             | Some _ | None ->
-                let w = p.st.want_idx in
-                if w >= 0 && in_range w then Some w else None)
+                let w = p.want_idx in
+                if w >= 0 && w >= lo_v && w < hi_v then w else -1)
     in
     let up =
-      match demand with
-      | None -> None
-      | Some e -> (
-          match s.up with
-          | Some c when c.idx = e -> Some c
-          | _ -> (
-              match own_piece lbl e with
-              | Some pc -> Some { idx = e; piece = pc; flag = false; tag = false }
-              | None -> (
-                  match
-                    List.find_opt (fun ch -> e >= lo ch.lbl && e < hi ch.lbl) children
-                  with
-                  | Some ch -> (
-                      match ch.st.up with
-                      | Some c when c.idx = e -> Some { c with flag = false }
-                      | _ -> None)
-                  | None -> None)))
+      if demand < 0 then None
+      else
+        match s.up with
+        | Some c when c.idx = demand -> s.up
+        | _ -> (
+            match own_piece lbl demand with
+            | Some pc -> Some { idx = demand; piece = pc; flag = false; tag = false }
+            | None -> child_car side lbl children demand)
     in
-    let want_idx = match demand with Some e -> e | None -> -1 in
+    let want_idx = demand in
     (* ---- broadcast ---- *)
     (* the parity tag distinguishes successive deliveries of the same index
        (k = 1 parts and post-fault recovery) *)
-    let child_acked (target : car) =
-      List.for_all
-        (fun ch ->
-          match ch.st.bc with
-          | Some c -> c.idx = target.idx && c.tag = target.tag
-          | None -> false)
-        children
-    in
     let incoming =
       if is_root then
         (* consume the staged car when every child copied the current one *)
         match s.bc with
-        | Some c when not (child_acked c) -> None
+        | Some c when not (child_acked side lbl children c) -> None
         | _ -> (
             if hold then None
             else
@@ -145,18 +174,22 @@ let step ~(lbl : Partition.node_part_label) ~(parent : peer option) ~(children :
         match parent with
         | None -> None
         | Some p -> (
-            match p.st.bc with
+            match p.bc with
             | Some pc
               when (match s.bc with
                    | Some c -> c.idx <> pc.idx || c.tag <> pc.tag
                    | None -> true)
-                   && (match s.bc with Some c -> child_acked c | None -> true)
+                   && (match s.bc with Some c -> child_acked side lbl children c | None -> true)
                    && not hold ->
                 Some { pc with flag = flag_rule pc.piece ~parent_flag:pc.flag }
             | _ -> None)
     in
     match incoming with
-    | None -> { s with up; want_idx; cursor; alarm = s.alarm }
+    | None ->
+        (* an unchanged register is returned as is: the caller's new
+           register then shares it instead of copying it *)
+        if up == s.up && want_idx = s.want_idx && cursor = s.cursor then s
+        else { s with up; want_idx; cursor }
     | Some car ->
         (* cycle bookkeeping on each newly observed index *)
         let wrapped = car.idx = 0 in

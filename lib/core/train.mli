@@ -32,7 +32,9 @@ val init : state
 
 val bits : state -> int
 
-type peer = { lbl : Partition.node_part_label; st : state }
+(** How a node reads this train off a neighbour: the neighbour's part
+    label and its train state. *)
+type 'a side = { part : 'a -> Partition.node_part_label; train : 'a -> state }
 
 val lo : Partition.node_part_label -> int
 (** First global piece index owned by the node's subtree. *)
@@ -42,9 +44,10 @@ val hi : Partition.node_part_label -> int
 val own_piece : Partition.node_part_label -> int -> Pieces.t option
 
 val step :
+  side:'a side ->
   lbl:Partition.node_part_label ->
-  parent:peer option ->
-  children:peer list ->
+  parent:'a option ->
+  children:'a array ->
   flag_rule:(Pieces.t -> parent_flag:bool -> bool) ->
   member:(Pieces.t -> flag:bool -> bool) ->
   required:int ->
@@ -52,7 +55,10 @@ val step :
   hold:bool ->
   state ->
   state
-(** One activation. *)
+(** One activation.  [parent] and [children] (in port order) are the
+    node's claimed tree neighbours, read through [side]; those outside the
+    node's own part (another part root identity) are ignored, so one
+    array of neighbour registers serves both of a node's trains. *)
 
 val corrupt : Random.State.t -> state -> state
 (** Arbitrary register corruption, for fault injection. *)

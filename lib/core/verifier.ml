@@ -73,123 +73,170 @@ module Make (C : CONFIG) = struct
       alarm = false;
     }
 
-  (* ---------------- helpers over the claimed structure ---------------- *)
+  (* ---------------- one activation's view ----------------
 
-  let claimed_parent g v (l : Marker.node_label) =
-    match l.comp_port with
-    | Some p when p < Graph.degree g v -> Some (Graph.peer_at g v p)
-    | Some _ -> None
-    | None -> None
+     An activation reads each port once, into [nbr], and derives the
+     claimed structure once: the parent's port and the children's ports
+     (in port order) with their registers.  Every check below works on
+     this view; none reads the network again. *)
 
-  let points_at g u (lu : Marker.node_label) v =
-    match claimed_parent g u lu with Some w -> w = v | None -> false
+  type act = {
+    g : Graph.t;
+    v : int;
+    l : Marker.node_label;
+    nbr : state array;  (* [nbr.(p)]: the register behind port [p] *)
+    pport : int;  (* the claimed parent's port; -1 for none *)
+    kids : int array;  (* ports of the neighbours claiming v as parent *)
+    kid_regs : state array;  (* their registers, aligned with [kids] *)
+  }
 
-  (* ---------------- structural 1-round checks ---------------- *)
+  (* whether the neighbour behind port [p] claims [v] as its parent *)
+  let points_back g v p (su : state) =
+    match su.label.comp_port with
+    | Some q ->
+        let u = Graph.peer_at g v p in
+        q >= 0 && q < Graph.degree g u && Graph.peer_at g u q = v
+    | None -> false
 
-  let structural_ok g v (l : Marker.node_label) (labels : int -> Marker.node_label) =
-    let bad = ref [] in
-    let fail name = bad := name :: !bad in
+  let view g v (s : state) read =
     let deg = Graph.degree g v in
-    let my_id = Graph.id g v in
-    let parent = claimed_parent g v l in
-    (match (l.comp_port, parent) with Some _, None -> fail "comp-port" | _ -> ());
-    let children = ref [] in
-    for p = deg - 1 downto 0 do
-      let u = Graph.peer_at g v p in
-      if points_at g u (labels u) v then children := u :: !children
+    let nbr = Array.init deg read in
+    let pport = match s.label.comp_port with Some p when p >= 0 && p < deg -> p | _ -> -1 in
+    let nk = ref 0 in
+    for p = 0 to deg - 1 do
+      if points_back g v p nbr.(p) then incr nk
     done;
-    let children = !children in
+    let kids = Array.make !nk 0 and kid_regs = Array.make !nk s and i = ref 0 in
+    for p = 0 to deg - 1 do
+      if points_back g v p nbr.(p) then begin
+        kids.(!i) <- p;
+        kid_regs.(!i) <- nbr.(p);
+        incr i
+      end
+    done;
+    { g; v; l = s.label; nbr; pport; kids; kid_regs }
+
+  let rec kid_from (kids : int array) p i =
+    i < Array.length kids && (kids.(i) = p || kid_from kids p (i + 1))
+
+  let is_kid (a : act) p = kid_from a.kids p 0
+
+  (* ---------------- structural 1-round checks ----------------
+
+     One pass over the view, reporting each violated check by name to
+     [fail]: [step] passes a sink that stops at the first violation,
+     [diagnose] one that collects every name. *)
+
+  exception Violation
+
+  let stop_at_first _ = raise_notrace Violation
+
+  let part_of which (su : state) = if which = `Top then su.label.top else su.label.bot
+
+  let check_part (a : act) fail ~t ~my_id which (pl : Partition.node_part_label) =
+    let l = a.l in
+    let parent_pl =
+      if a.pport < 0 then None
+      else
+        let pp = part_of which a.nbr.(a.pport) in
+        if pp.part_root_id = pl.part_root_id then Some pp else None
+    in
+    (match parent_pl with
+    | None ->
+        (* part root *)
+        if pl.part_root_id <> my_id then fail "part-root-id";
+        if pl.dfs_rank <> 0 then fail "part-root-dfs";
+        if pl.depth_in_part <> 0 then fail "part-root-depth";
+        if Array.length pl.own <> min 2 pl.k then fail "part-root-own";
+        if which = `Top then begin
+          if pl.subtree < t then fail "top-size";
+          if pl.dbound > (4 * t) + 4 then fail "top-dbound";
+          if pl.k > l.strings.len then fail "top-k"
+        end
+        else begin
+          if pl.subtree >= t then fail "bot-size";
+          if pl.k > 2 * pl.subtree then fail "bot-k"
+        end
+    | Some pp ->
+        if pl.depth_in_part <> pp.depth_in_part + 1 then fail "part-depth";
+        if pl.depth_in_part > pl.dbound then fail "part-depth-bound";
+        if pl.k <> pp.k then fail "part-k";
+        if pl.dbound <> pp.dbound then fail "part-dbound");
+    (* same-part children: subtree sum and DFS ranks in port order *)
+    let sum = ref 1 in
+    for i = 0 to Array.length a.kid_regs - 1 do
+      let cp = part_of which a.kid_regs.(i) in
+      if cp.part_root_id = pl.part_root_id then sum := !sum + cp.subtree
+    done;
+    if pl.subtree <> !sum then fail "part-subtree";
+    let expect = ref (pl.dfs_rank + 1) in
+    for i = 0 to Array.length a.kid_regs - 1 do
+      let cp = part_of which a.kid_regs.(i) in
+      if cp.part_root_id = pl.part_root_id then begin
+        if cp.dfs_rank <> !expect then fail "part-dfs-order";
+        expect := !expect + cp.subtree
+      end
+    done;
+    (* own pieces shape *)
+    let expected_own = max 0 (min 2 (pl.k - (2 * pl.dfs_rank))) in
+    if Array.length pl.own <> expected_own then fail "own-shape";
+    for i = 0 to Array.length pl.own - 1 do
+      if pl.own.(i).Pieces.level >= l.strings.len then fail "own-level"
+    done
+
+  (* Example SP, Example NumK, conditions RS/EPS and the part labels *)
+  let structural (a : act) fail =
+    let l = a.l in
+    let my_id = Graph.id a.g a.v in
+    (match l.comp_port with Some _ when a.pport < 0 -> fail "comp-port" | Some _ | None -> ());
     let is_root = l.sp_depth = 0 in
     (* Example SP *)
     if is_root then begin if l.sp_root <> my_id then fail "sp-root-id" end
-    else begin
-      match parent with
-      | None -> fail "sp-no-parent"
-      | Some p -> if (labels p).sp_depth <> l.sp_depth - 1 then fail "sp-depth"
-    end;
-    Graph.iter_ports g v (fun _ u -> if (labels u).sp_root <> l.sp_root then fail "sp-root-agree");
+    else if a.pport < 0 then fail "sp-no-parent"
+    else if a.nbr.(a.pport).label.sp_depth <> l.sp_depth - 1 then fail "sp-depth";
+    for p = 0 to Array.length a.nbr - 1 do
+      if a.nbr.(p).label.sp_root <> l.sp_root then fail "sp-root-agree"
+    done;
     (* Example NumK *)
-    Graph.iter_ports g v (fun _ u -> if (labels u).nk_n <> l.nk_n then fail "nk-agree");
-    let sub = List.fold_left (fun acc c -> acc + (labels c).nk_sub) 1 children in
-    if l.nk_sub <> sub then fail "nk-sum";
+    for p = 0 to Array.length a.nbr - 1 do
+      if a.nbr.(p).label.nk_n <> l.nk_n then fail "nk-agree"
+    done;
+    let sub = ref 1 in
+    for i = 0 to Array.length a.kid_regs - 1 do
+      sub := !sub + a.kid_regs.(i).label.nk_sub
+    done;
+    if l.nk_sub <> !sub then fail "nk-sum";
     if is_root && l.nk_sub <> l.nk_n then fail "nk-root";
     (* string conditions RS / EPS *)
-    let view : Labels.view =
-      {
-        label = (fun u -> if u = v then l.strings else (labels u).strings);
-        parent = (fun _ -> parent);
-        children = (fun _ -> children);
-        is_root = (fun _ -> is_root);
-        ident = (fun u -> Graph.id g u);
-      }
-    in
-    if Labels.check_node view v <> [] then fail "rs-eps";
+    (match
+       Labels.check stop_at_first l.strings
+         ~parent:(if a.pport < 0 then None else Some a.nbr.(a.pport).label.strings)
+         ~children:(Array.map (fun (c : state) -> c.label.strings) a.kid_regs)
+         ~is_root
+     with
+    | () -> ()
+    | exception Violation -> fail "rs-eps");
     (* strings length vs claimed n *)
     if l.strings.len > Memory.of_nat (max 2 l.nk_n) + 2 then fail "len-bound";
     if l.delim > l.strings.len then fail "delim-bound";
     (* part labels *)
     let t = max 2 (Memory.of_nat (max 2 l.nk_n)) in
-    let check_part which (pl : Partition.node_part_label) =
-      let parent_pl =
-        match parent with
-        | None -> None
-        | Some p ->
-            let pp = if which = `Top then (labels p).top else (labels p).bot in
-            if pp.part_root_id = pl.part_root_id then Some pp else None
-      in
-      (match parent_pl with
-      | None ->
-          (* part root *)
-          if pl.part_root_id <> my_id then fail "part-root-id";
-          if pl.dfs_rank <> 0 then fail "part-root-dfs";
-          if pl.depth_in_part <> 0 then fail "part-root-depth";
-          if Array.length pl.own <> min 2 pl.k then fail "part-root-own";
-          (match which with
-          | `Top ->
-              if pl.subtree < t then fail "top-size";
-              if pl.dbound > (4 * t) + 4 then fail "top-dbound";
-              if pl.k > l.strings.len then fail "top-k"
-          | `Bottom ->
-              if pl.subtree >= t then fail "bot-size";
-              if pl.k > 2 * pl.subtree then fail "bot-k")
-      | Some pp ->
-          if pl.depth_in_part <> pp.depth_in_part + 1 then fail "part-depth";
-          if pl.depth_in_part > pl.dbound then fail "part-depth-bound";
-          if pl.k <> pp.k then fail "part-k";
-          if pl.dbound <> pp.dbound then fail "part-dbound");
-      (* same-part children: subtree sum and DFS ranks in port order *)
-      let same_part_children =
-        List.filter
-          (fun c ->
-            let cp = if which = `Top then (labels c).top else (labels c).bot in
-            cp.part_root_id = pl.part_root_id)
-          children
-      in
-      let sum =
-        List.fold_left
-          (fun acc c ->
-            let cp = if which = `Top then (labels c).top else (labels c).bot in
-            acc + cp.subtree)
-          1 same_part_children
-      in
-      if pl.subtree <> sum then fail "part-subtree";
-      let expect = ref (pl.dfs_rank + 1) in
-      List.iter
-        (fun c ->
-          let cp = if which = `Top then (labels c).top else (labels c).bot in
-          if cp.dfs_rank <> !expect then fail "part-dfs-order";
-          expect := !expect + cp.subtree)
-        same_part_children;
-      (* own pieces shape *)
-      let expected_own = max 0 (min 2 (pl.k - (2 * pl.dfs_rank))) in
-      if Array.length pl.own <> expected_own then fail "own-shape";
-      Array.iter
-        (fun (pc : Pieces.t) -> if pc.level >= l.strings.len then fail "own-level")
-        pl.own
-    in
-    check_part `Top l.top;
-    check_part `Bottom l.bot;
-    (List.rev !bad, parent, children, is_root)
+    check_part a fail ~t ~my_id `Top l.top;
+    check_part a fail ~t ~my_id `Bottom l.bot
+
+  let structural_alarm_of (a : act) =
+    match structural a stop_at_first with () -> false | exception Violation -> true
+
+  (* Whether node [v]'s 1-round structural checks fail: the alarm [step]
+     raises for them. *)
+  let structural_alarm g v (s : state) read = structural_alarm_of (view g v s read)
+
+  (* Names of the structural checks node [v] currently violates (diagnostic
+     aid for tests and the CLI). *)
+  let diagnose g v (s : state) read =
+    let bad = ref [] in
+    structural (view g v s read) (fun name -> bad := name :: !bad);
+    List.rev !bad
 
   (* ---------------- membership rules ---------------- *)
 
@@ -219,256 +266,224 @@ module Make (C : CONFIG) = struct
     done;
     !mask
 
-  (* levels iterated by the comparison module: all of J(v) below ell *)
+  (* The levels the comparison module iterates: J(v) below ell, in
+     increasing order.  [is_level], [level_after] and [first_level] walk
+     them without materializing the list. *)
+  let is_level (l : Marker.node_label) j =
+    j >= 0 && j < l.strings.len - 1 && roots_at l j <> Labels.RStar
+
+  (* the first level above [j]; -1 if there is none *)
+  let level_after (l : Marker.node_label) j =
+    let ell = l.strings.len - 1 and found = ref (-1) and x = ref (max 0 (j + 1)) in
+    while !found < 0 && !x < ell do
+      if roots_at l !x <> Labels.RStar then found := !x;
+      incr x
+    done;
+    !found
+
+  let first_level l = level_after l (-1)
+
+  (* the level after [j], cyclically; -1 when J(v) is empty *)
+  let next_level l j = match level_after l j with -1 -> first_level l | x -> x
+
+  (* J(v) below ell as a list, for the fault model's draws *)
   let cmp_levels (l : Marker.node_label) =
     let ell = l.strings.len - 1 in
     List.filter (fun j -> roots_at l j <> Labels.RStar) (List.init (max 0 ell) Fun.id)
 
-  let next_level (l : Marker.node_label) j =
-    match cmp_levels l with
-    | [] -> -1
-    | ls -> (
-        match List.find_opt (fun x -> x > j) ls with
-        | Some x -> x
-        | None -> List.hd ls)
+  (* the car on display for level j, if any: the member-filtered broadcast
+     buffer of either train (a register's Show) *)
+  let shown_in l (top : Train.state) (bot : Train.state) j =
+    match top.bc with
+    | Some c as car when c.piece.Pieces.level = j && member_top l c.piece ~flag:c.flag -> car
+    | _ -> (
+        match bot.bc with
+        | Some c as car when c.piece.Pieces.level = j && member_bot l c.piece ~flag:c.flag -> car
+        | _ -> None)
 
-  (* the piece currently on display at node u for level j, if any: the
-     member-filtered broadcast buffer of either of u's trains (its Show) *)
-  let show_at (su : state) j =
-    let of_train member (ts : Train.state) =
-      match ts.bc with
-      | Some c when c.piece.Pieces.level = j && member c.piece ~flag:c.flag -> Some c.piece
-      | _ -> None
-    in
-    match of_train (member_top su.label) su.train_top with
-    | Some p -> Some p
-    | None -> of_train (member_bot su.label) su.train_bot
+  let shown (su : state) j = shown_in su.label su.train_top su.train_bot j
 
   (* ---------------- the comparison checks ---------------- *)
 
-  (* C2 for the edge (v,u): the claimed minimum outgoing weight must not
-     exceed the edge's actual ω′ weight. *)
-  let c2_ok g v u (ask : Pieces.t) ~in_tree =
-    let w =
-      Weight.make ~base:(Graph.base_weight g v u) ~in_tree ~id_u:(Graph.id g v)
-        ~id_v:(Graph.id g u)
-    in
-    Weight.(ask.Pieces.weight <= w)
+  (* ω′ of the edge behind port [p] *)
+  let edge_weight (a : act) p ~in_tree =
+    Weight.make ~base:(Graph.weight_at a.g a.v p) ~in_tree ~id_u:(Graph.id a.g a.v)
+      ~id_v:(Graph.id a.g (Graph.peer_at a.g a.v p))
+
+  (* C2 for the edge behind port [p]: the claimed minimum outgoing weight
+     must not exceed the edge's actual ω′ weight. *)
+  let c2_ok a p (ask : Pieces.t) ~in_tree = Weight.(ask.Pieces.weight <= edge_weight a p ~in_tree)
 
   (* whether the (claimed) tree neighbour shares v's level-j fragment *)
   let tree_same_frag (l : Marker.node_label) (lu : Marker.node_label) ~u_is_parent j =
     if u_is_parent then roots_at l j = Labels.R0 else roots_at lu j = Labels.R0
 
-  (* compare the Ask piece against one neighbour; returns [`Ok]/[`Alarm] or
-     [`Wait] when the needed piece is not on display *)
-  let compare_with g v (l : Marker.node_label) (ask : Pieces.t) u (su : state)
-      ~(parent : int option) ~(children : int list) =
+  (* compare the Ask piece against the neighbour behind port [p]; returns
+     [`Ok]/[`Alarm] or [`Wait] when the needed piece is not on display *)
+  let compare_at (a : act) (ask : Pieces.t) p =
     let j = ask.Pieces.level in
-    let lu = su.label in
-    let in_tree =
-      (match parent with Some p -> p = u | None -> false) || List.mem u children
-    in
-    if in_tree then begin
-      let u_is_parent = parent = Some u in
-      if tree_same_frag l lu ~u_is_parent j then
+    let su = a.nbr.(p) in
+    let u_is_parent = p = a.pport in
+    if u_is_parent || is_kid a p then begin
+      if tree_same_frag a.l su.label ~u_is_parent j then
         (* same fragment: pieces must agree whenever u's is on display *)
-        match show_at su j with
-        | Some pu -> if Pieces.equal ask pu then `Ok else `Alarm
+        match shown su j with
+        | Some c -> if Pieces.equal ask c.piece then `Ok else `Alarm
         | None -> `Ok (* u's own cycle-set check forces it to appear *)
       else if
         (* outgoing tree edge: C2 *)
-        c2_ok g v u ask ~in_tree:true
+        c2_ok a p ask ~in_tree:true
       then `Ok
       else `Alarm
     end
-    else if roots_at lu j = Labels.RStar then
+    else if roots_at su.label j = Labels.RStar then
       (* u belongs to no level-j fragment: outgoing for sure *)
-      if c2_ok g v u ask ~in_tree:false then `Ok else `Alarm
+      if c2_ok a p ask ~in_tree:false then `Ok else `Alarm
     else
-      match show_at su j with
-      | Some pu ->
-          if pu.Pieces.root_id = ask.Pieces.root_id then
+      match shown su j with
+      | Some c ->
+          if c.piece.Pieces.root_id = ask.Pieces.root_id then
             (* same fragment across a non-tree edge: pieces must agree *)
-            if Pieces.equal ask pu then `Ok else `Alarm
-          else if c2_ok g v u ask ~in_tree:false then `Ok
+            if Pieces.equal ask c.piece then `Ok else `Alarm
+          else if c2_ok a p ask ~in_tree:false then `Ok
           else `Alarm
       | None -> `Wait
 
   (* C1: if v is the endpoint of its level-j candidate, the edge must leave
-     the fragment and carry exactly the claimed weight. *)
-  let c1_ok g v (l : Marker.node_label) (ask : Pieces.t) ~(parent : int option)
-      ~(children : int list) (labels : int -> Marker.node_label) =
-    let j = ask.Pieces.level in
+     the fragment and carry exactly the claimed weight.  A "down" endpoint
+     resolves to the first child (in port order) with parents bit j. *)
+  let c1_ok (a : act) (ask : Pieces.t) =
+    let l = a.l and j = ask.Pieces.level in
+    let edge_ok p =
+      (not (tree_same_frag l a.nbr.(p).label ~u_is_parent:(p = a.pport) j))
+      && Weight.equal ask.Pieces.weight (edge_weight a p ~in_tree:true)
+    in
     if j >= l.strings.len then true
     else
       match l.strings.endp.(j) with
       | Labels.ENone | Labels.EStar -> true
-      | Labels.Up | Labels.Down -> (
-          let target =
-            match l.strings.endp.(j) with
-            | Labels.Up -> parent
-            | Labels.Down ->
-                List.find_opt
-                  (fun c ->
-                    let lc = labels c in
-                    j < lc.strings.len && lc.strings.parents.(j))
-                  children
-            | Labels.ENone | Labels.EStar -> None
-          in
-          match target with
-          | None -> false
-          | Some u ->
-              let lu = labels u in
-              let u_is_parent = parent = Some u in
-              (not (tree_same_frag l lu ~u_is_parent j))
-              && Weight.equal ask.Pieces.weight
-                   (Weight.make ~base:(Graph.base_weight g v u) ~in_tree:true
-                      ~id_u:(Graph.id g v) ~id_v:(Graph.id g u)))
+      | Labels.Up -> a.pport >= 0 && edge_ok a.pport
+      | Labels.Down ->
+          let target = ref (-1) and i = ref 0 in
+          while !target < 0 && !i < Array.length a.kids do
+            let lc = a.kid_regs.(!i).label in
+            if j < lc.strings.len && lc.strings.parents.(j) then target := a.kids.(!i);
+            incr i
+          done;
+          !target >= 0 && edge_ok !target
 
   (* ---------------- one activation ---------------- *)
 
+  let top_side : state Train.side =
+    { part = (fun su -> su.label.top); train = (fun su -> su.train_top) }
+
+  let bot_side : state Train.side =
+    { part = (fun su -> su.label.bot); train = (fun su -> su.train_bot) }
+
+  (* handshake: hold the train while a neighbour requests the level
+     currently on display *)
+  let held (a : act) which (ts : Train.state) =
+    C.mode = Handshake
+    &&
+    match ts.bc with
+    | Some c ->
+        let l = a.l in
+        let memb =
+          if which = `Top then member_top l c.piece ~flag:c.flag
+          else member_bot l c.piece ~flag:c.flag
+        in
+        memb
+        &&
+        let me = Graph.id a.g a.v and j = c.piece.Pieces.level in
+        Array.exists
+          (fun (su : state) ->
+            match su.cmp.want with Some (srv, lvl) -> srv = me && lvl = j | None -> false)
+          a.nbr
+    | None -> false
+
+  let step_train (a : act) parent which (ts : Train.state) =
+    let l = a.l and top = which = `Top in
+    Train.step
+      ~side:(if top then top_side else bot_side)
+      ~lbl:(if top then l.top else l.bot)
+      ~parent ~children:a.kid_regs ~flag_rule:(flag_rule a.g a.v l)
+      ~member:(if top then member_top l else member_bot l)
+      ~required:(required_levels l which) ~ordered:top ~hold:(held a which ts) ts
+
+  (* the handshake cursor's next server, or the next level after the last *)
+  let advance ~deg ~w l (c : cmp_state) =
+    if c.port + 1 >= deg then
+      { ask_level = next_level l c.ask_level; ask = None; port = 0; want = None; window = w }
+    else { c with port = c.port + 1; want = None; window = w }
+
   let step g v (s : state) read =
+    let a = view g v s read in
     let l = s.label in
-    let labels u = (read u).label in
-    let struct_bad, parent, children, _is_root = structural_ok g v l labels in
-    let struct_ok = struct_bad = [] in
+    let struct_alarm = structural_alarm_of a in
     (* --- trains --- *)
-    let peer_of which u =
-      let su = read u in
-      match which with
-      | `Top -> { Train.lbl = su.label.top; st = su.train_top }
-      | `Bottom -> { Train.lbl = su.label.bot; st = su.train_bot }
-    in
-    let train_ctx which =
-      let my_pl = if which = `Top then l.top else l.bot in
-      let parent_peer =
-        match parent with
-        | Some p ->
-            let pr = peer_of which p in
-            if pr.Train.lbl.part_root_id = my_pl.part_root_id then Some pr else None
-        | None -> None
-      in
-      let child_peers =
-        List.filter_map
-          (fun c ->
-            let pr = peer_of which c in
-            if pr.Train.lbl.part_root_id = my_pl.part_root_id then Some pr else None)
-          children
-      in
-      (my_pl, parent_peer, child_peers)
-    in
-    (* handshake: hold the train while a neighbour requests the level
-       currently on display *)
-    let held which (ts : Train.state) =
-      C.mode = Handshake
-      &&
-      match ts.bc with
-      | Some c ->
-          let memb =
-            if which = `Top then member_top l c.piece ~flag:c.flag
-            else member_bot l c.piece ~flag:c.flag
-          in
-          memb
-          && Graph.exists_ports g v (fun _ u ->
-                 match (read u).cmp.want with
-                 | Some (srv, j) -> srv = Graph.id g v && j = c.piece.Pieces.level
-                 | None -> false)
-      | None -> false
-    in
-    let step_train which (ts : Train.state) =
-      let my_pl, parent_peer, child_peers = train_ctx which in
-      Train.step ~lbl:my_pl ~parent:parent_peer ~children:child_peers
-        ~flag_rule:(flag_rule g v l)
-        ~member:(if which = `Top then member_top l else member_bot l)
-        ~required:(required_levels l which)
-        ~ordered:(which = `Top)
-        ~hold:(held which ts) ts
-    in
-    let train_top = step_train `Top s.train_top in
-    let train_bot = step_train `Bottom s.train_bot in
+    let parent = if a.pport < 0 then None else Some a.nbr.(a.pport) in
+    let train_top = step_train a parent `Top s.train_top in
+    let train_bot = step_train a parent `Bottom s.train_bot in
     (* --- comparison --- *)
-    let alarm = ref (s.alarm || (not struct_ok) || train_top.alarm || train_bot.alarm) in
-    let cmp = ref s.cmp in
+    let alarm = ref (s.alarm || struct_alarm || train_top.alarm || train_bot.alarm) in
     let w = window_bound l in
-    (match cmp_levels l with
-    | [] -> cmp := cmp_init
-    | levels ->
+    let cmp =
+      let first = first_level l in
+      if first < 0 then cmp_init
+      else begin
         (* (re)initialize the level when out of range *)
-        if not (List.mem !cmp.ask_level levels) then
-          cmp := { cmp_init with ask_level = List.hd levels; window = w };
-        let c = !cmp in
+        let c =
+          if is_level l s.cmp.ask_level then s.cmp
+          else { cmp_init with ask_level = first; window = w }
+        in
         (* capture the Ask piece from the own trains *)
         let c =
           match c.ask with
           | Some _ -> c
           | None -> (
-              let own_show =
-                let of_train member (ts : Train.state) =
-                  match ts.bc with
-                  | Some car
-                    when car.piece.Pieces.level = c.ask_level
-                         && member car.piece ~flag:car.flag ->
-                      Some car.piece
-                  | _ -> None
-                in
-                match of_train (member_top l) train_top with
-                | Some p -> Some p
-                | None -> of_train (member_bot l) train_bot
-              in
-              match own_show with Some p -> { c with ask = p |> Option.some } | None -> c)
+              match shown_in l train_top train_bot c.ask_level with
+              | Some car -> { c with ask = Some car.piece }
+              | None -> c)
         in
         (* run checks *)
-        let c =
-          match c.ask with
-          | None ->
-              (* waiting for own train; bounded by the window *)
-              if c.window <= 0 then
-                { c with ask_level = next_level l c.ask_level; ask = None; window = w }
-              else { c with window = c.window - 1 }
-          | Some ask -> (
-              if not (c1_ok g v l ask ~parent ~children labels) then alarm := true;
-              (* Claim 8.3 root check for top pieces *)
-              (if roots_at l ask.Pieces.level = Labels.R1 && ask.Pieces.root_id <> Graph.id g v
-               then alarm := true);
-              match C.mode with
-              | Passive ->
-                  Graph.iter_ports g v (fun _ u ->
-                      match compare_with g v l ask u (read u) ~parent ~children with
-                      | `Alarm -> alarm := true
-                      | `Ok | `Wait -> ());
-                  if c.window <= 0 then
-                    { c with ask_level = next_level l c.ask_level; ask = None; window = w }
-                  else { c with window = c.window - 1 }
-              | Handshake ->
-                  let deg = Graph.degree g v in
-                  let advance c =
-                    if c.port + 1 >= deg then
+        match c.ask with
+        | None ->
+            (* waiting for own train; bounded by the window *)
+            if c.window <= 0 then
+              { c with ask_level = next_level l c.ask_level; ask = None; window = w }
+            else { c with window = c.window - 1 }
+        | Some ask -> (
+            if not (c1_ok a ask) then alarm := true;
+            (* Claim 8.3 root check for top pieces *)
+            if roots_at l ask.Pieces.level = Labels.R1 && ask.Pieces.root_id <> Graph.id g v then
+              alarm := true;
+            match C.mode with
+            | Passive ->
+                for p = 0 to Array.length a.nbr - 1 do
+                  match compare_at a ask p with `Alarm -> alarm := true | `Ok | `Wait -> ()
+                done;
+                if c.window <= 0 then
+                  { c with ask_level = next_level l c.ask_level; ask = None; window = w }
+                else { c with window = c.window - 1 }
+            | Handshake -> (
+                let deg = Array.length a.nbr in
+                let p = min c.port (deg - 1) in
+                match compare_at a ask p with
+                | `Alarm ->
+                    alarm := true;
+                    advance ~deg ~w l c
+                | `Ok -> advance ~deg ~w l c
+                | `Wait ->
+                    if c.window <= 0 then advance ~deg ~w l c
+                    else
                       {
-                        ask_level = next_level l c.ask_level;
-                        ask = None;
-                        port = 0;
-                        want = None;
-                        window = w;
-                      }
-                    else { c with port = c.port + 1; want = None; window = w }
-                  in
-                  let u = Graph.peer_at g v (min c.port (deg - 1)) in
-                  (match compare_with g v l ask u (read u) ~parent ~children with
-                  | `Alarm ->
-                      alarm := true;
-                      advance c
-                  | `Ok -> advance c
-                  | `Wait ->
-                      if c.window <= 0 then advance c
-                      else
-                        {
-                          c with
-                          want = Some (Graph.id g u, ask.Pieces.level);
-                          window = c.window - 1;
-                        }))
-        in
-        cmp := c);
-    { label = l; train_top; train_bot; cmp = !cmp; alarm = !alarm }
+                        c with
+                        want = Some (Graph.id g (Graph.peer_at g v p), ask.Pieces.level);
+                        window = c.window - 1;
+                      }))
+      end
+    in
+    { label = l; train_top; train_bot; cmp; alarm = !alarm }
 
   let alarm s = s.alarm
 
@@ -482,12 +497,6 @@ module Make (C : CONFIG) = struct
     || (a.alarm = b.alarm && a.cmp = b.cmp && a.train_top = b.train_top
        && a.train_bot = b.train_bot
        && (a.label == b.label || a.label = b.label))
-
-  (* Names of the structural checks node [v] currently violates (diagnostic
-     aid for tests and the CLI). *)
-  let diagnose g v (s : state) read =
-    let bad, _, _, _ = structural_ok g v s.label (fun u -> (read u).label) in
-    bad
 
   let bits s =
     Marker.label_bits s.label + Train.bits s.train_top + Train.bits s.train_bot

@@ -48,8 +48,23 @@ let pp ppf w =
 
 let to_string w = Fmt.str "%a" pp w
 
+(* The bit length of a non-negative integer (1 for 0 and below), by
+   halving shifts.  It runs on every register write, so it stays in
+   integer arithmetic; it equals the float formula
+   1 + floor(log2 x) on every value below 2^48 - 1. *)
+let bit_length x =
+  if Stdlib.( <= ) x 0 then 1
+  else begin
+    let n = ref 1 and y = ref x in
+    if !y lsr 32 <> 0 then begin n := !n + 32; y := !y lsr 32 end;
+    if !y lsr 16 <> 0 then begin n := !n + 16; y := !y lsr 16 end;
+    if !y lsr 8 <> 0 then begin n := !n + 8; y := !y lsr 8 end;
+    if !y lsr 4 <> 0 then begin n := !n + 4; y := !y lsr 4 end;
+    if !y lsr 2 <> 0 then begin n := !n + 2; y := !y lsr 2 end;
+    if !y lsr 1 <> 0 then n := !n + 1;
+    !n
+  end
+
 (* Number of bits needed to store a weight: the paper assumes weights
    polynomial in n, i.e. O(log n) bits; we account for the actual value. *)
-let bits w =
-  let b x = if Stdlib.( <= ) x 0 then 1 else succ (int_of_float (log (float_of_int x) /. log 2.)) in
-  b w.base + 1 + b w.id_min + b w.id_max
+let bits w = bit_length w.base + 1 + bit_length w.id_min + bit_length w.id_max

@@ -38,3 +38,7 @@ val to_string : t -> string
 
 val bits : t -> int
 (** Serialized size in bits; O(log n) for weights polynomial in n. *)
+
+val bit_length : int -> int
+(** [bit_length x] is the number of bits of [x > 0] (1 for [x <= 0]), in
+    integer arithmetic: the per-component size behind {!bits}. *)

@@ -97,9 +97,8 @@ module Emulate (M : MESSAGE_PROTOCOL) = struct
     (* 2. receive from every neighbour: consume its outbox toward us if the
        toggle moved *)
     for p = 0 to deg - 1 do
-      let u = Graph.peer_at g v p in
-      let su = read u in
-      let their_port = Graph.port_to g u v in
+      let su = read p in
+      let their_port = Graph.port_to g (Graph.peer_at g v p) v in
       let link = su.links.(their_port) in
       (match link.outbox with
       | Some m when link.toggle <> acks.(p) ->
@@ -110,9 +109,8 @@ module Emulate (M : MESSAGE_PROTOCOL) = struct
     (* 3. advance our outgoing links: retire acknowledged messages, publish
        the next queued one *)
     for p = 0 to deg - 1 do
-      let u = Graph.peer_at g v p in
-      let su = read u in
-      let their_port = Graph.port_to g u v in
+      let su = read p in
+      let their_port = Graph.port_to g (Graph.peer_at g v p) v in
       let their_ack = su.acks.(their_port) in
       let link = links.(p) in
       let link =

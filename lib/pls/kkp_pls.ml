@@ -48,45 +48,43 @@ let mark (m : Marker.t) =
   in
   { marker = m; labels }
 
-(* One-round verifier at node [v] against the labels [label] returns (only
-   [v]'s own and its neighbours' are read); returns the violated checks. *)
-let check_node_with (m : Marker.t) (label : int -> label) v =
+(* One-round verifier at node [v] with label [l], against the neighbour
+   labels [at p] returns by port (each port is read once); returns the
+   violated checks. *)
+let check_node_with (m : Marker.t) ~own:(l : label) (at : int -> label) v =
   let g = m.graph in
-  let l = label v in
+  let deg = Graph.degree g v in
+  let nbr = Array.init deg at in
   let bad = ref [] in
   let fail name = bad := name :: !bad in
   let strings = l.base.Marker.strings in
+  (* the claimed parent's port, and the ports claiming v as parent *)
   let parent =
-    match l.base.Marker.comp_port with
-    | Some p when p < Graph.degree g v -> Some (Graph.peer_at g v p)
-    | Some _ | None -> None
+    match l.base.Marker.comp_port with Some p when p >= 0 && p < deg -> p | Some _ | None -> -1
   in
   let children =
-    Array.to_list (Graph.neighbours g v)
-    |> List.filter (fun u ->
-           match (label u).base.Marker.comp_port with
-           | Some p when p < Graph.degree g u -> Graph.peer_at g u p = v
-           | Some _ | None -> false)
+    List.filter
+      (fun p ->
+        let u = Graph.peer_at g v p in
+        match nbr.(p).base.Marker.comp_port with
+        | Some q -> q >= 0 && q < Graph.degree g u && Graph.peer_at g u q = v
+        | None -> false)
+      (List.init deg Fun.id)
   in
   let is_root = l.base.Marker.sp_depth = 0 in
   (* structural: SP + strings *)
   (if is_root then begin
      if l.base.Marker.sp_root <> Graph.id g v then fail "sp"
    end
-   else
-     match parent with
-     | None -> fail "sp"
-     | Some p -> if (label p).base.Marker.sp_depth <> l.base.Marker.sp_depth - 1 then fail "sp");
-  let view : Labels.view =
-    {
-      label = (fun u -> (label u).base.Marker.strings);
-      parent = (fun _ -> parent);
-      children = (fun _ -> children);
-      is_root = (fun _ -> is_root);
-      ident = (fun u -> Graph.id g u);
-    }
-  in
-  if Labels.check_node view v <> [] then fail "rs-eps";
+   else if parent < 0 then fail "sp"
+   else if nbr.(parent).base.Marker.sp_depth <> l.base.Marker.sp_depth - 1 then fail "sp");
+  if
+    Labels.check_node strings
+      ~parent:(if parent < 0 then None else Some nbr.(parent).base.Marker.strings)
+      ~children:(Array.of_list (List.map (fun p -> nbr.(p).base.Marker.strings) children))
+      ~is_root
+    <> []
+  then fail "rs-eps";
   (* pieces present exactly where the strings say *)
   if Array.length l.pieces <> strings.Labels.len then fail "pieces-len"
   else
@@ -116,24 +114,24 @@ let check_node_with (m : Marker.t) (label : int -> label) v =
         | Labels.Up | Labels.Down -> (
             let target =
               match endp with
-              | Labels.Up -> parent
+              | Labels.Up -> if parent < 0 then None else Some parent
               | Labels.Down ->
                   List.find_opt
                     (fun c ->
-                      let sc = (label c).base.Marker.strings in
+                      let sc = nbr.(c).base.Marker.strings in
                       j < sc.Labels.len && sc.Labels.parents.(j))
                     children
               | Labels.ENone | Labels.EStar -> None
             in
             match target with
             | None -> fail "c1-endpoint"
-            | Some u ->
+            | Some p ->
                 let w =
-                  Weight.make ~base:(Graph.base_weight g v u) ~in_tree:true
-                    ~id_u:(Graph.id g v) ~id_v:(Graph.id g u)
+                  Weight.make ~base:(Graph.weight_at g v p) ~in_tree:true
+                    ~id_u:(Graph.id g v) ~id_v:(Graph.id g (Graph.peer_at g v p))
                 in
                 if not (Weight.equal ask.Pieces.weight w) then fail "c1-weight";
-                let lu = label u in
+                let lu = nbr.(p) in
                 let same =
                   match lu.pieces.(j) with
                   | exception Invalid_argument _ -> false
@@ -143,23 +141,25 @@ let check_node_with (m : Marker.t) (label : int -> label) v =
                 if same then fail "c1-not-outgoing")
         | Labels.ENone | Labels.EStar -> ());
         (* C2 + agreement with every neighbour *)
-        Graph.iter_ports g v (fun _ u ->
-            let lu = label u in
+        Graph.iter_ports g v (fun p u ->
+            let lu = nbr.(p) in
             let pu = if j < Array.length lu.pieces then lu.pieces.(j) else None in
-            let in_tree = parent = Some u || List.mem u children in
+            let in_tree = p = parent || List.mem p children in
             match pu with
             | Some pu when pu.Pieces.root_id = ask.Pieces.root_id ->
                 if not (Pieces.equal pu ask) then fail "agreement"
             | Some _ | None ->
                 let w =
-                  Weight.make ~base:(Graph.base_weight g v u) ~in_tree
+                  Weight.make ~base:(Graph.weight_at g v p) ~in_tree
                     ~id_u:(Graph.id g v) ~id_v:(Graph.id g u)
                 in
                 if not Weight.(ask.Pieces.weight <= w) then fail "c2")
   done;
   List.rev !bad
 
-let check_node (t : t) v = check_node_with t.marker (fun u -> t.labels.(u)) v
+let check_node (t : t) v =
+  let g = t.marker.graph in
+  check_node_with t.marker ~own:t.labels.(v) (fun p -> t.labels.(Graph.peer_at g v p)) v
 
 let accepts t =
   let n = Graph.n t.marker.graph in

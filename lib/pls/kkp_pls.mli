@@ -23,9 +23,10 @@ val mark : Marker.t -> t
 val check_node : t -> int -> string list
 (** The one-round verifier at a node; names of violated checks. *)
 
-val check_node_with : Marker.t -> (int -> label) -> int -> string list
-(** [check_node_with m label v] is {!check_node} against the labels the
-    reader returns; it reads only [v]'s own label and its neighbours'. *)
+val check_node_with : Marker.t -> own:label -> (int -> label) -> int -> string list
+(** [check_node_with m ~own at v] is {!check_node} at node [v] with label
+    [own], against the neighbour labels [at p] returns by port; it reads
+    each of [v]'s ports once. *)
 
 val accepts : t -> bool
 

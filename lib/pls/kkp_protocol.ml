@@ -23,8 +23,10 @@ module Make (C : CONFIG) = struct
   (* the one-round check of Kkp_pls, against the live registers: O(deg v)
      reads per activation *)
   let step _g v (s : state) read =
-    let label u = if u = v then s.label else (read u).label in
-    let neighbourhood_ok = Kkp_pls.check_node_with C.scheme.Kkp_pls.marker label v = [] in
+    let neighbourhood_ok =
+      Kkp_pls.check_node_with C.scheme.Kkp_pls.marker ~own:s.label (fun p -> (read p).label) v
+      = []
+    in
     { s with alarm = s.alarm || not neighbourhood_ok }
 
   let alarm s = s.alarm

@@ -48,18 +48,24 @@ module Make (C : CONFIG) = struct
       result = None;
     }
 
+  (* the ports of the neighbours whose parent pointer names [v] *)
   let children g v read =
-    Array.to_list (Graph.neighbours g v)
-    |> List.filter (fun u -> (read u).parent = v)
+    Graph.fold_ports g v (fun acc p _ -> if (read p).parent = v then p :: acc else acc) []
+    |> List.rev
+
+  (* the port of the parent edge, or -1 at a root or off-graph parent *)
+  let parent_port g v (s : state) =
+    if s.parent >= 0 && Graph.has_edge g v s.parent then Graph.port_to g v s.parent else -1
 
   let step g v (s : state) read =
     let kids = children g v read in
     let is_root = s.parent < 0 in
+    let pp = parent_port g v s in
     match s.phase with
     | Idle ->
         (* join the parent's wave once it is ahead of us *)
-        if (not is_root) && Graph.has_edge g v s.parent then begin
-          let p = read s.parent in
+        if (not is_root) && pp >= 0 then begin
+          let p = read pp in
           if p.phase = Waving && p.seq > s.seq then { s with seq = p.seq; phase = Waving }
           else s
         end
@@ -85,8 +91,8 @@ module Make (C : CONFIG) = struct
         else s
     | Echoed ->
         (* wait for the parent to start the next wave *)
-        if (not is_root) && Graph.has_edge g v s.parent then begin
-          let p = read s.parent in
+        if (not is_root) && pp >= 0 then begin
+          let p = read pp in
           if p.seq > s.seq then { s with seq = p.seq; phase = Waving } else s
         end
         else s

@@ -31,31 +31,34 @@ module Make (App : Protocol.S) = struct
     { bfs = Ss_bfs.P.init g v; epoch = 0; request = false; app = App.init g v }
 
   let step g v (s : state) read =
-    let bfs = Ss_bfs.P.step g v s.bfs (fun u -> (read u).bfs) in
+    let bfs = Ss_bfs.P.step g v s.bfs (fun p -> (read p).bfs) in
     let is_leader = bfs.Ss_bfs.parent < 0 in
     (* requests: mine (app alarm) or bubbling up from BFS children *)
     let child_request =
-      Graph.exists_ports g v (fun _ u ->
-          let su = read u in
+      Graph.exists_ports g v (fun p _ ->
+          let su = read p in
           su.bfs.Ss_bfs.parent = v && su.request)
     in
     let wants_reset = App.alarm s.app || child_request in
     if is_leader then begin
       (* the leader consumes requests by bumping the epoch *)
       let epoch = if wants_reset then s.epoch + 1 else s.epoch in
-      let app = if wants_reset then App.init g v else App.step g v s.app (fun u -> (read u).app) in
+      let app =
+        if wants_reset then App.init g v else App.step g v s.app (fun p -> (read p).app)
+      in
       { bfs; epoch; request = false; app }
     end
     else begin
       let parent_epoch =
-        if bfs.Ss_bfs.parent >= 0 then (read bfs.Ss_bfs.parent).epoch else s.epoch
+        if bfs.Ss_bfs.parent >= 0 then (read (Graph.port_to g v bfs.Ss_bfs.parent)).epoch
+        else s.epoch
       in
       if parent_epoch <> s.epoch then
         (* a new epoch floods down: adopt it and restart the application *)
         { bfs; epoch = parent_epoch; request = false; app = App.init g v }
       else
         { bfs; epoch = s.epoch; request = wants_reset;
-          app = App.step g v s.app (fun u -> (read u).app) }
+          app = App.step g v s.app (fun p -> (read p).app) }
     end
 
   let alarm _ = false (* alarms are consumed as reset requests *)

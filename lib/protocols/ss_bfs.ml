@@ -28,10 +28,11 @@ module P = struct
   let step g v (_self : state) read =
     let n = Graph.n g in
     let my_id = Graph.id g v in
-    (* best (leader, dist) among neighbours with a legal distance *)
+    (* best (leader, dist) among neighbours with a legal distance; one
+       read per port *)
     let best = ref None in
-    Graph.iter_ports g v (fun _ u ->
-        let s = read u in
+    Graph.iter_ports g v (fun p u ->
+        let s = read p in
         if s.dist < n then
           match !best with
           | Some (l, d, _) when l > s.leader || (l = s.leader && d <= s.dist) -> ()

@@ -31,14 +31,14 @@ module Make (P : Protocol.S) = struct
 
   let step g v (s : state) read =
     let ready =
-      Graph.for_all_ports g v (fun _ u -> (read u).pulse >= s.pulse)
+      Graph.for_all_ports g v (fun p _ -> (read p).pulse >= s.pulse)
     in
     if not ready then s
     else begin
       (* neighbours are at pulse or pulse+1; select their pulse-[s.pulse]
          snapshot *)
-      let snapshot u =
-        let su = read u in
+      let snapshot p =
+        let su = read p in
         if su.pulse = s.pulse then su.cur
         else if su.pulse = s.pulse + 1 then su.prev
         else (* > pulse + 1 cannot happen under the advance rule *) su.prev

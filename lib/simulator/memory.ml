@@ -3,12 +3,9 @@
    verifier working memory.  Protocols report their state size through these
    helpers so experiments compare real bit counts rather than word counts. *)
 
-(* Bits to represent a non-negative integer value (at least 1 bit). *)
-let of_nat x =
-  if x <= 0 then 1
-  else
-    let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
-    go 0 x
+(* Bits to represent a non-negative integer value (at least 1 bit), in
+   integer shifts: it runs on every register write. *)
+let of_nat = Ssmst_graph.Weight.bit_length
 
 (* Bits for an integer that may be negative (sign bit). *)
 let of_int x = 1 + of_nat (abs x)

@@ -57,18 +57,19 @@ module Naive (P : Protocol.S) = struct
   let rounds t = t.rounds
   let peak_bits t = t.peak_bits
 
+  (* The register behind port [p] of [v]: a port outside [0, degree v)
+     names no neighbour. *)
+  let port_read g states v p =
+    if p < 0 || p >= Graph.degree g v then invalid_arg "Network.step: reading a non-neighbour";
+    states.(Graph.peer_at g v p)
+
   (* One synchronous round: all nodes step on a snapshot. *)
   let sync_round t =
     let snapshot = t.states in
-    let read v u =
-      if not (Graph.has_edge t.graph v u) then
-        invalid_arg "Network.step: reading a non-neighbour"
-      else snapshot.(u)
-    in
     t.states <-
       Array.mapi
         (fun v s ->
-          let s' = P.step t.graph v s (read v) in
+          let s' = P.step t.graph v s (port_read t.graph snapshot v) in
           if not (P.equal s' s) then touch t s';
           s')
         snapshot;
@@ -80,13 +81,8 @@ module Naive (P : Protocol.S) = struct
     let schedule = Scheduler.round_schedule daemon (Graph.n t.graph) in
     List.iter
       (fun v ->
-        let read u =
-          if not (Graph.has_edge t.graph v u) then
-            invalid_arg "Network.step: reading a non-neighbour"
-          else t.states.(u)
-        in
         let s = t.states.(v) in
-        let s' = P.step t.graph v s (read) in
+        let s' = P.step t.graph v s (port_read t.graph t.states v) in
         if not (P.equal s' s) then begin
           t.states.(v) <- s';
           touch t s'
@@ -226,9 +222,10 @@ end
 
 module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
   (* What only a listener (trace or write hook) needs, allocated on the
-     first captured round: per-worker read marks, each node's cached
-     all-ports cause (steps almost always read every neighbour) and the
-     cause of each staged write that read only some neighbours. *)
+     first captured round: per-worker read marks (one slot per port), each
+     node's cached all-ports cause (steps almost always read every
+     neighbour) and the cause of each staged write that read only some
+     neighbours. *)
   type capture =
     { marks : int array array; full : Trace.cause option array; causes : Trace.cause array }
 
@@ -266,7 +263,9 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
   (* A changed register invalidates its node's and every neighbour's next step. *)
   let dirty_neighbourhood t v =
     mark_dirty t v;
-    Graph.iter_ports t.graph v (fun _ u -> mark_dirty t u)
+    for p = 0 to Graph.degree t.graph v - 1 do
+      mark_dirty t (Graph.peer_at t.graph v p)
+    done
 
   let emit t e = match t.trace with None -> () | Some tr -> Trace.record tr e
 
@@ -312,35 +311,38 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
     else begin
       let n = Graph.n t.graph in
       if Option.is_none t.capture then
-        t.capture <- Some { marks = Array.init t.domains (fun _ -> Array.make n 0);
+        t.capture <-
+          Some { marks = Array.init t.domains (fun _ -> Array.make (Graph.max_degree t.graph) 0);
                             full = Array.make n None; causes = Array.make n Trace.Init };
       t.capture
     end
 
   (* One domain's stepper, built once per worker range or async round:
      [step v ~stamp] activates [v] against the live registers and returns
-     the new register ([rd.changed] iff it differs).  When captured, each
-     distinct neighbour read is stamped in worker [w]'s marks with the
-     activation's unique [stamp] and counted in [rd]. *)
+     the new register ([rd.changed] iff it differs).  A read names a port
+     of [v] and resolves through the CSR row in O(1); a port outside
+     [0, degree v) names no neighbour.  When captured, each distinct port
+     read is stamped in worker [w]'s marks with the activation's unique
+     [stamp] and counted in [rd]. *)
   type reader = {
-    mutable node : int; mutable stamp : int; mutable distinct : int; mutable changed : bool;
-    marks : int array }
+    mutable node : int; mutable deg : int; mutable stamp : int; mutable distinct : int;
+    mutable changed : bool; marks : int array }
 
   let stepper t cap w =
     let marks = match cap with None -> [||] | Some (c : capture) -> c.marks.(w) in
-    let rd = { node = 0; stamp = 0; distinct = 0; changed = false; marks } in
+    let rd = { node = 0; deg = 0; stamp = 0; distinct = 0; changed = false; marks } in
     let tracking = Option.is_some cap in
-    let read u =
-      if not (Graph.has_edge t.graph rd.node u) then
-        invalid_arg "Network.step: reading a non-neighbour";
-      if tracking && marks.(u) <> rd.stamp then begin
-        marks.(u) <- rd.stamp;
+    let read p =
+      if p < 0 || p >= rd.deg then invalid_arg "Network.step: reading a non-neighbour";
+      if tracking && marks.(p) <> rd.stamp then begin
+        marks.(p) <- rd.stamp;
         rd.distinct <- rd.distinct + 1
       end;
-      S.get t.store u
+      S.get t.store (Graph.peer_at t.graph rd.node p)
     in
     let step v ~stamp =
       rd.node <- v;
+      rd.deg <- Graph.degree t.graph v;
       rd.stamp <- stamp;
       rd.distinct <- 0;
       let own = S.get t.store v in
@@ -350,10 +352,10 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
     in
     (rd, step)
 
-  (* A write's causal in-edges: the ports behind the peers its step read,
-     sorted ascending.  Full read sets share a per-node cached cause
-     (filled on the calling domain); [partial_cause] rebuilds a partial
-     one (rare) from the last step's marks, and is [None] for a full one. *)
+  (* A write's causal in-edges: the ports its step read, sorted
+     ascending.  Full read sets share a per-node cached cause (filled on
+     the calling domain); [partial_cause] rebuilds a partial one (rare)
+     from the last step's marks, and is [None] for a full one. *)
   let full_cause t cap v =
     match cap.full.(v) with
     | Some c -> c
@@ -362,13 +364,12 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
         cap.full.(v) <- Some c;
         c
 
-  let partial_cause t rd =
-    let deg = Graph.degree t.graph rd.node in
-    if rd.distinct = deg then None
+  let partial_cause rd =
+    if rd.distinct = rd.deg then None
     else begin
       let ports = ref [] in
-      for p = deg - 1 downto 0 do
-        if rd.marks.(Graph.peer_at t.graph rd.node p) = rd.stamp then ports := p :: !ports
+      for p = rd.deg - 1 downto 0 do
+        if rd.marks.(p) = rd.stamp then ports := p :: !ports
       done;
       Some (Trace.Neighbor_read !ports)
     end
@@ -452,7 +453,7 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
             match cap with
             | None -> 0
             | Some c -> (
-                match partial_cause t rd with None -> 0 | Some pc -> c.causes.(v) <- pc; 4)
+                match partial_cause rd with None -> 0 | Some pc -> c.causes.(v) <- pc; 4)
           in
           Bytes.set t.tags v (Char.chr (1 lor part lor if P.alarm s' then 2 else 0))
         end
@@ -541,7 +542,7 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
               match cap with
               | None -> Trace.Init
               | Some c -> (
-                  match partial_cause t rd with Some pc -> pc | None -> full_cause t c v)
+                  match partial_cause rd with Some pc -> pc | None -> full_cause t c v)
             in
             put t ~round ~cause v s'
         end

@@ -16,9 +16,12 @@ module type S = sig
       protocols must also tolerate arbitrary states (see [corrupt]). *)
 
   val step : Graph.t -> int -> state -> (int -> state) -> state
-  (** [step g v own read] is one atomic activation of node [v]: [read u]
-      returns the current register of the neighbour with node index [u]
-      (only neighbours of [v] may be read).  Returns the new register.
+  (** [step g v own read] is one atomic activation of node [v]: [read p]
+      returns the current register of the neighbour behind [v]'s port [p],
+      for [0 <= p < Graph.degree g v] (the paper's port-numbered model,
+      Section 2; any other [p] raises [Invalid_argument]).  A read costs
+      O(1), so a step that needs a neighbour twice should still read it
+      once and keep the register.  Returns the new register.
       [step] must be deterministic in its arguments: the event-driven engine
       ({!Network.Core}, behind both {!Network.Make} and {!Network.Flat})
       skips activations whose inputs are unchanged since
@@ -109,6 +112,3 @@ end
    changes in large labels; widening both limits makes a changed field
    reliably change its fingerprint. *)
 let hash_field v = Hashtbl.hash_param 256 512 v
-
-(* Convenience alias used throughout. *)
-type 'a reader = int -> 'a

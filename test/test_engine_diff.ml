@@ -17,8 +17,8 @@ module Flood = struct
 
   let step g v (s : state) read =
     Graph.fold_ports g v
-      (fun acc _ u ->
-        let su = read u in
+      (fun acc p _ ->
+        let su = read p in
         if su.best > acc.best then { best = su.best; hops = su.hops + 1 } else acc)
       s
 

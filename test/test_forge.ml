@@ -35,7 +35,7 @@ let test_forged_structurally_clean () =
   let strings = Array.map (fun (l : Marker.node_label) -> l.Marker.strings) forged.Marker.labels in
   let vw = Labels.view_of_tree forged.Marker.tree strings in
   Alcotest.(check bool) "forged strings legal" true
-    (List.for_all (fun v -> Labels.check_node vw v = []) (List.init 26 Fun.id));
+    (List.for_all (fun v -> Labels.check_view vw v = []) (List.init 26 Fun.id));
   (* the partitions satisfy their lemmas *)
   Alcotest.(check bool) "lemma 6.4 on forged" true
     (Partition.lemma_6_4 forged.Marker.assignment ~n:26);
@@ -54,7 +54,9 @@ let test_forged_structural_checks_pass () =
   let module Net = Network.Make (P) in
   let net = Net.create g in
   for v = 0 to 23 do
-    let bad_checks = P.diagnose g v (Net.state net v) (Net.state net) in
+    let bad_checks =
+      P.diagnose g v (Net.state net v) (fun p -> Net.state net (Graph.peer_at g v p))
+    in
     Alcotest.(check (list string)) (Fmt.str "structural checks at %d" v) [] bad_checks
   done;
   (* ... and yet the instance is rejected once the trains run *)

@@ -65,33 +65,55 @@ let qcheck_component_corruption =
         (not still_mst) ==> detected
       end)
 
+(* Re-price one random edge of an honestly marked instance, then run the
+   verifier.  The oracle is "the marked tree is still *a* minimum spanning
+   tree": [Mst.is_mst] under the tree-favouring ω′ (footnote 1 — tree
+   edges win ties), i.e. minimum total weight.  When the re-priced edge
+   ties another, ω′ without the tree indicator picks one particular MST
+   by identities, which the marked tree need not be; the verifier is right
+   to accept it then. *)
+let weight_drift_case (n, seed) =
+  let st = Gen.rng seed in
+  let g = Gen.random_connected st n in
+  let m = Marker.run g in
+  (* re-price one random edge *)
+  let rng = Gen.rng (seed + 1) in
+  let edges = Graph.edges g in
+  let u0, v0, w0 = List.nth edges (Random.State.int rng (List.length edges)) in
+  let delta = Random.State.int rng (2 * w0 + 2) - w0 in
+  let g' =
+    Graph.reweight g (fun u v w -> if (min u v, max u v) = (u0, v0) then max 0 (w + delta) else w)
+  in
+  let tree = m.Marker.tree in
+  let still_mst =
+    Mst.is_mst g' (Graph.weight_fn g' ~in_tree:(fun u v -> Tree.is_tree_edge tree u v)) tree
+  in
+  let module C = struct
+    let marker = m
+    let mode = Verifier.Passive
+  end in
+  let module P = Verifier.Make (C) in
+  let module Net = Network.Make (P) in
+  let net = Net.create g' in
+  let detected = Net.detection_time net Scheduler.Sync ~max_rounds:(budget n) <> None in
+  if still_mst then true (* either verdict is legitimate for true statements *)
+  else detected
+
 let qcheck_weight_drift =
   QCheck.Test.make ~name:"re-priced edges: a stale MST is always detected" ~count:20
     QCheck.(pair (int_range 8 32) (int_range 0 10000))
-    (fun (n, seed) ->
-      let st = Gen.rng seed in
-      let g = Gen.random_connected st n in
-      let m = Marker.run g in
-      (* re-price one random edge *)
-      let rng = Gen.rng (seed + 1) in
-      let edges = Graph.edges g in
-      let u0, v0, w0 = List.nth edges (Random.State.int rng (List.length edges)) in
-      let delta = Random.State.int rng (2 * w0 + 2) - w0 in
-      let g' =
-        Graph.reweight g (fun u v w ->
-            if (min u v, max u v) = (u0, v0) then max 0 (w + delta) else w)
-      in
-      let still_mst = Mst.is_mst g' (Graph.plain_weight_fn g') m.Marker.tree in
-      let module C = struct
-        let marker = m
-        let mode = Verifier.Passive
-      end in
-      let module P = Verifier.Make (C) in
-      let module Net = Network.Make (P) in
-      let net = Net.create g' in
-      let detected = Net.detection_time net Scheduler.Sync ~max_rounds:(budget n) <> None in
-      if still_mst then true (* either verdict is legitimate for true statements *)
-      else detected)
+    weight_drift_case
+
+(* The cases QCHECK_SEED=331121714 and 761229281 drew, plus (20, 2413): in
+   each the re-priced edge ties another edge's weight and the marked tree
+   stays a minimum spanning tree, which the ID-tie-broken oracle used to
+   reject. *)
+let test_weight_drift_ties () =
+  List.iter
+    (fun case ->
+      Alcotest.(check bool) (Fmt.str "case (%d, %d)" (fst case) (snd case)) true
+        (weight_drift_case case))
+    [ (8, 2340); (15, 5859); (20, 2413) ]
 
 let qcheck_soundness_adversarial_daemon =
   QCheck.Test.make ~name:"soundness holds under the adversarial daemon" ~count:10
@@ -161,4 +183,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_weight_drift;
     QCheck_alcotest.to_alcotest qcheck_soundness_adversarial_daemon;
     QCheck_alcotest.to_alcotest qcheck_forged_trees_rejected;
+    Alcotest.test_case "re-priced edges: tied weights keep an MST" `Quick test_weight_drift_ties;
   ]

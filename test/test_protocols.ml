@@ -87,6 +87,30 @@ let test_ss_bfs_sync () =
   Alcotest.(check int) "rooted at max id" 23
     (Graph.id g (Tree.root t))
 
+(* one activation reads each port exactly once, from a fresh start, while
+   converging and after faults *)
+let test_ss_bfs_one_read_per_port () =
+  let g = Gen.random_connected (Gen.rng 741) 40 in
+  let net = Ss_bfs.Net.create g in
+  let check what =
+    for v = 0 to Graph.n g - 1 do
+      let counts = Array.make (Graph.degree g v) 0 in
+      let read p =
+        counts.(p) <- counts.(p) + 1;
+        Ss_bfs.Net.state net (Graph.peer_at g v p)
+      in
+      ignore (Ss_bfs.P.step g v (Ss_bfs.Net.state net v) read);
+      Array.iteri
+        (fun p c -> if c <> 1 then Alcotest.failf "%s: node %d read port %d %d times" what v p c)
+        counts
+    done
+  in
+  check "initial";
+  Ss_bfs.Net.run net Ssmst_sim.Scheduler.Sync ~rounds:5;
+  check "converging";
+  ignore (Ss_bfs.Net.inject_faults net (Gen.rng 742) ~count:6);
+  check "after faults"
+
 let test_ss_bfs_recovers_from_faults () =
   let st = Gen.rng 21 in
   let g = Gen.random_connected st 20 in
@@ -129,6 +153,7 @@ let suite =
     Alcotest.test_case "datalink self-stabilizes" `Quick test_datalink_arbitrary_start;
     Alcotest.test_case "ss-bfs stabilizes (sync)" `Quick test_ss_bfs_sync;
     Alcotest.test_case "ss-bfs recovers from faults" `Quick test_ss_bfs_recovers_from_faults;
+    Alcotest.test_case "ss-bfs reads each port once" `Quick test_ss_bfs_one_read_per_port;
     Alcotest.test_case "ss-bfs stabilizes (async)" `Quick test_ss_bfs_async;
     QCheck_alcotest.to_alcotest qcheck_ss_bfs;
   ]

@@ -27,8 +27,8 @@ module Flood = struct
 
   let step g v (s : state) read =
     Graph.fold_ports g v
-      (fun acc _ u ->
-        let su = read u in
+      (fun acc p _ ->
+        let su = read p in
         if su.best > acc.best then { best = su.best; hops = su.hops + 1 } else acc)
       s
 
@@ -52,7 +52,7 @@ module Watch = struct
   let init _ _ = { value = 0; alarmed = false }
 
   let step g v (s : state) read =
-    let disagree = Graph.exists_ports g v (fun _ u -> (read u).value <> s.value) in
+    let disagree = Graph.exists_ports g v (fun p _ -> (read p).value <> s.value) in
     if disagree && not s.alarmed then { s with alarmed = true } else s
 
   let alarm s = s.alarmed

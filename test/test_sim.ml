@@ -9,7 +9,7 @@ module Flood = struct
   let init g v = { best = Graph.id g v; alarmed = false }
 
   let step g v (s : state) read =
-    let best = Graph.fold_ports g v (fun acc _ u -> max acc (read u).best) s.best in
+    let best = Graph.fold_ports g v (fun acc p _ -> max acc (read p).best) s.best in
     { s with best }
 
   let alarm s = s.alarmed
@@ -54,7 +54,7 @@ let test_adversarial_convergence () =
   Alcotest.(check bool) "converged under adversarial daemon" true reached
 
 let test_neighbour_read_guard () =
-  (* reading a non-neighbour must be rejected by the harness *)
+  (* reading a port the node does not have must be rejected by the harness *)
   let module Bad = struct
     include Flood
 

@@ -14,8 +14,8 @@ module Sync_bfs = struct
   let step g v (s : state) read =
     let best =
       Graph.fold_ports g v
-        (fun acc _ u ->
-          let d = (read u).dist in
+        (fun acc p _ ->
+          let d = (read p).dist in
           if d < max_int then min acc (d + 1) else acc)
         s.dist
     in

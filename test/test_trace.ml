@@ -139,7 +139,7 @@ module Watch = struct
   let init _ _ = { value = 0; alarmed = false }
 
   let step g v (s : state) read =
-    let disagree = Graph.exists_ports g v (fun _ u -> (read u).value <> s.value) in
+    let disagree = Graph.exists_ports g v (fun p _ -> (read p).value <> s.value) in
     { s with alarmed = s.alarmed || disagree }
 
   let alarm s = s.alarmed
@@ -204,7 +204,7 @@ module Flood = struct
   let init g v = { best = Graph.id g v }
 
   let step g v (s : state) read =
-    Graph.fold_ports g v (fun acc _ u -> { best = max acc.best (read u).best }) s
+    Graph.fold_ports g v (fun acc p _ -> { best = max acc.best (read p).best }) s
 
   let alarm _ = false
   let equal (a : state) (b : state) = a = b

@@ -41,15 +41,9 @@ let sync_round (m : Marker.t) sim ~member_flags =
       (fun (v, st) ->
         let lbl = sim.labels v in
         let parent =
-          match Tree.parent sim.tree v with
-          | Some p when in_part p -> Some { Train.lbl = sim.labels p; st = read p }
-          | Some _ | None -> None
+          match Tree.parent sim.tree v with Some p when in_part p -> Some p | Some _ | None -> None
         in
-        let children =
-          Tree.children sim.tree v
-          |> List.filter_map (fun c ->
-                 if in_part c then Some { Train.lbl = sim.labels c; st = read c } else None)
-        in
+        let children = Array.of_list (List.filter in_part (Tree.children sim.tree v)) in
         let strings = m.labels.(v).Marker.strings in
         let flag_rule (pc : Pieces.t) ~parent_flag =
           if pc.Pieces.level >= strings.Labels.len then false
@@ -61,8 +55,8 @@ let sync_round (m : Marker.t) sim ~member_flags =
         in
         let member (pc : Pieces.t) ~flag = if member_flags then flag else pc.Pieces.level >= 0 in
         ( v,
-          Train.step ~lbl ~parent ~children ~flag_rule ~member ~required:0 ~ordered:false
-            ~hold:false st ))
+          Train.step ~side:{ Train.part = sim.labels; train = read } ~lbl ~parent ~children
+            ~flag_rule ~member ~required:0 ~ordered:false ~hold:false st ))
       sim.states
   in
   sim.states <- new_states

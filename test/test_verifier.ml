@@ -151,6 +151,76 @@ let qcheck_accept =
       let m = Marker.run (Gen.random_connected st n) in
       not (run_net Verifier.Passive m Scheduler.Sync ~rounds:500))
 
+(* One activation reads each port exactly once — in both modes, from the
+   marker's labels, with the trains running, and after faults. *)
+let test_one_read_per_port () =
+  let m = marker_for 731 48 in
+  let g = m.Marker.graph in
+  List.iter
+    (fun (mode, daemon) ->
+      let module C = struct
+        let marker = m
+        let mode = mode
+      end in
+      let module P = Verifier.Make (C) in
+      let module Net = Network.Make (P) in
+      let net = Net.create g in
+      let check what =
+        for v = 0 to Graph.n g - 1 do
+          let counts = Array.make (Graph.degree g v) 0 in
+          let read p =
+            counts.(p) <- counts.(p) + 1;
+            Net.state net (Graph.peer_at g v p)
+          in
+          ignore (P.step g v (Net.state net v) read);
+          Array.iteri
+            (fun p c ->
+              if c <> 1 then Alcotest.failf "%s: node %d read port %d %d times" what v p c)
+            counts
+        done
+      in
+      check "initial";
+      Net.run net daemon ~rounds:60;
+      check "running";
+      ignore (Net.inject_faults net (Gen.rng 732) ~count:4);
+      check "after faults")
+    [
+      (Verifier.Passive, Scheduler.Sync);
+      (Verifier.Handshake, Scheduler.Async_random (Gen.rng 733));
+    ]
+
+(* [step]'s structural alarm (the fast sink, stopping at the first failed
+   check) and [diagnose]'s names (the collecting sink) come from one pass:
+   on corrupted registers one fires iff the other is non-empty, and a
+   structural alarm always reaches the stepped register. *)
+let qcheck_structural_alarm_iff_diagnosed =
+  QCheck.Test.make ~name:"structural alarm iff diagnose names a check" ~count:12
+    QCheck.(triple (oneofl [ 16; 64 ]) (int_range 0 10000) bool)
+    (fun (n, seed, field) ->
+      let m = marker_for seed n in
+      let g = m.Marker.graph in
+      let module C = struct
+        let marker = m
+        let mode = Verifier.Passive
+      end in
+      let module P = Verifier.Make (C) in
+      let module Net = Network.Make (P) in
+      let net = Net.create g in
+      Net.run net Scheduler.Sync ~rounds:20;
+      let st = Gen.rng (seed + 1) in
+      for _ = 1 to 1 + (n / 8) do
+        let v = Random.State.int st n in
+        let corrupt = if field then P.corrupt_field else P.corrupt in
+        Net.set_state net v (corrupt st g v (Net.state net v))
+      done;
+      List.for_all
+        (fun v ->
+          let s = Net.state net v and read p = Net.state net (Graph.peer_at g v p) in
+          let structural = P.structural_alarm g v s read in
+          structural = (P.diagnose g v s read <> [])
+          && ((not structural) || (P.step g v s read).Verifier.alarm))
+        (List.init n Fun.id))
+
 let suite =
   [
     Alcotest.test_case "accepts correct instances (sync)" `Quick test_accept_sync;
@@ -162,4 +232,6 @@ let suite =
     Alcotest.test_case "detection distance is local" `Quick test_detection_distance;
     Alcotest.test_case "memory is O(log n)" `Quick test_memory;
     QCheck_alcotest.to_alcotest qcheck_accept;
+    Alcotest.test_case "one read per port per activation" `Quick test_one_read_per_port;
+    QCheck_alcotest.to_alcotest qcheck_structural_alarm_iff_diagnosed;
   ]

@@ -30,6 +30,24 @@ let test_bits () =
   Alcotest.(check bool) "bits positive" true (Weight.bits small > 0);
   Alcotest.(check bool) "bits grows with magnitude" true (Weight.bits big > Weight.bits small)
 
+(* [bits] once used 1 + floor(log2 x) in floating point; the integer bit
+   length must agree with it on every value a register can hold, so that
+   bits and peak_bits stay what they were *)
+let test_bit_length_matches_float () =
+  let float_len x = if x <= 0 then 1 else succ (int_of_float (log (float_of_int x) /. log 2.)) in
+  let agree x =
+    if Weight.bit_length x <> float_len x then
+      Alcotest.failf "bit_length %d = %d, float formula %d" x (Weight.bit_length x) (float_len x)
+  in
+  for x = 0 to 1 lsl 20 do
+    agree x
+  done;
+  for k = 1 to 40 do
+    List.iter agree [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]
+  done;
+  let w = Weight.make ~base:((1 lsl 33) + 5) ~in_tree:false ~id_u:1023 ~id_v:1024 in
+  Alcotest.(check int) "bits sums the components" (34 + 1 + 10 + 11) (Weight.bits w)
+
 let qcheck_total_order =
   QCheck.Test.make ~name:"weight compare is a total order (antisymmetry + transitivity)"
     ~count:500
@@ -52,5 +70,6 @@ let suite =
     Alcotest.test_case "identity tie-break" `Quick test_id_tiebreak;
     Alcotest.test_case "infinity" `Quick test_infinity;
     Alcotest.test_case "bit accounting" `Quick test_bits;
+    Alcotest.test_case "integer bit length = float formula" `Quick test_bit_length_matches_float;
     QCheck_alcotest.to_alcotest qcheck_total_order;
   ]
