@@ -625,10 +625,11 @@ let fig_campaign () =
 
 (* The observability tentpole's cost contract: running with the full
    observatory attached (online invariant monitors on the engine's round
-   hook plus a sampling span profiler) must stay within 15% of the bare
-   engine.  The monitors' change-counter caching carries the quiescent
-   workload; the verifier workload is the worst case (every node writes
-   every round, so the monitors re-evaluate every round). *)
+   hook plus the phase profiler, installed with a metered frame) must
+   stay within 15% of the bare engine.  The monitors' change-counter
+   caching carries the quiescent workload; the verifier workload is the
+   worst case (every node writes every round, so the monitors re-evaluate
+   every round). *)
 let obs_budget = 0.15
 
 let fig_obs () =
@@ -656,8 +657,8 @@ let fig_obs () =
     if ov > obs_budget then failures := Fmt.str "%s (%+.1f%%)" name (100. *. ov) :: !failures
   in
   (* run [drive net] on a fresh network, with the full observatory
-     attached when [probes]: the monitors on the round hook, the sampling
-     span profiler around the drive *)
+     attached when [probes]: the monitors on the round hook, and a phase
+     profiler installed with a metered frame around the drive *)
   let module Observed (P : Protocol.S) = struct
     module Net = Network.Make (P)
 
@@ -681,11 +682,9 @@ let fig_obs () =
         in
         let mon = Ssmst_obs.Monitor.create ~metrics:(Net.metrics net) view in
         Net.set_round_hook net (fun () -> Ssmst_obs.Monitor.check mon ~round:(Net.rounds net));
-        let sp =
-          Ssmst_obs.Span.create ~sample:(Ssmst_obs.Span.sampler_of_metrics (Net.metrics net)) ()
-        in
-        Ssmst_obs.Span.with_ sp Ssmst_obs.Span.Settle (fun () -> drive net);
-        ignore (Ssmst_obs.Span.finish sp)
+        Ssmst_obs.Telemetry.install (Ssmst_obs.Telemetry.create ());
+        Fun.protect ~finally:Ssmst_obs.Telemetry.uninstall (fun () ->
+            Ssmst_obs.Telemetry.metered "settle" (Net.metrics net) (fun () -> drive net))
       end
   end in
   (* churning workload: the BFS election re-converges after each periodic

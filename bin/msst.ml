@@ -6,7 +6,8 @@
      stabilize  run the transformer scenario (construct/verify/repair loop)
      trace      fault-injection run emitting a JSONL event trace
      campaign   sweep fault models x sizes x fault counts; measure detection
-     profile    run a scenario under the wall-clock/allocation profiler
+     report     run a scenario with the observatory; render the combined report
+     profile    the same run, rendered as the per-phase cost table
      labels     print the Roots/EndP/Parents/Or-EndP strings of an instance
      compare    compare construction algorithms on one instance *)
 
@@ -283,24 +284,23 @@ let campaign families sizes fault_counts models seeds seed max_rounds jobs csv_o
       Fmt.pr "per-trial JSONL written to %s@." path);
   0
 
-(* ---------------- report ---------------- *)
+(* ---------------- report / profile ---------------- *)
 
-(* Run any scenario with the full observatory attached and render the
-   combined report (metrics + histograms + span tree + monitor verdicts)
-   as markdown, optionally mirroring the JSON form to a second file. *)
-let report scenario family n seed faults async_ epochs trials max_rounds md_out json_out fmt =
-  if not (List.mem scenario Observatory.scenario_names) then begin
-    Fmt.epr "msst report: unknown scenario %s (known: %a)@." scenario
-      Fmt.(list ~sep:comma string)
-      Observatory.scenario_names;
-    exit 2
-  end;
-  if not (List.mem family Verifier_campaign.family_names) then begin
-    Fmt.epr "msst report: unknown family %s (known: %a)@." family
-      Fmt.(list ~sep:comma string)
-      Verifier_campaign.family_names;
-    exit 2
-  end;
+(* The one driver behind [report] and [profile]: check the names, then run
+   the scenario with the observatory attached and [tel] installed as the
+   phase profiler.  The two commands differ only in the profiler they pass
+   and in what they render. *)
+let run_scenario cmd tel scenario family n seed faults async_ epochs trials max_rounds domains =
+  let known what names x =
+    if not (List.mem x names) then begin
+      Fmt.epr "msst %s: unknown %s %s (known: %a)@." cmd what x
+        Fmt.(list ~sep:comma string)
+        names;
+      exit 2
+    end
+  in
+  known "scenario" Observatory.scenario_names scenario;
+  known "family" Verifier_campaign.family_names family;
   let p =
     {
       Observatory.default_params with
@@ -312,9 +312,25 @@ let report scenario family n seed faults async_ epochs trials max_rounds md_out 
       epochs;
       trials;
       max_rounds;
+      domains;
     }
   in
-  let r = Observatory.run ~scenario p in
+  Observatory.run ~scenario tel p
+
+let write_file path s =
+  let oc = open_out path in
+  output_string oc s;
+  close_out oc
+
+(* The combined report (metrics + histograms + the phase tree's logical
+   columns + monitor verdicts) as markdown, optionally mirroring the JSON
+   form to a second file.  No wall-clock number reaches these bytes, so
+   the profiler is the deterministic fake one. *)
+let report scenario family n seed faults async_ epochs trials max_rounds md_out json_out fmt =
+  let r =
+    run_scenario "report" (Ssmst_obs.Telemetry.fake ()) scenario family n seed faults async_
+      epochs trials max_rounds 1
+  in
   let rendered =
     match fmt with
     | Md -> Ssmst_obs.Report.to_markdown r
@@ -324,17 +340,12 @@ let report scenario family n seed faults async_ epochs trials max_rounds md_out 
   (match md_out with
   | None -> print_string rendered
   | Some path ->
-      let oc = open_out path in
-      output_string oc rendered;
-      close_out oc;
+      write_file path rendered;
       Fmt.epr "report written to %s@." path);
   (match json_out with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      output_string oc (Ssmst_obs.Report.to_json r);
-      output_char oc '\n';
-      close_out oc;
+      write_file path (Ssmst_obs.Report.to_json r ^ "\n");
       Fmt.epr "JSON report written to %s@." path);
   if Ssmst_obs.Report.all_monitors_ok r then 0
   else begin
@@ -342,55 +353,23 @@ let report scenario family n seed faults async_ epochs trials max_rounds md_out 
     1
   end
 
-(* ---------------- profile ---------------- *)
-
-(* The wall-clock twin of [report]: run the same scenario with a
-   Telemetry profiler installed on the global probe hook, then render the
-   per-phase table (md/csv) or the full report JSON with the telemetry
-   block folded in.  Telemetry is out-of-band, so the scenario's
-   registers, metrics and monitor verdicts are exactly [report]'s. *)
+(* The same run under a live profiler, rendered as the per-phase table
+   (md/csv: both costs per phase) or the full report JSON with the
+   telemetry block folded in.  Telemetry is out-of-band, so the
+   scenario's registers, metrics and monitor verdicts are exactly
+   [report]'s. *)
 let profile scenario family n seed faults async_ epochs trials max_rounds domains fmt chrome
     fake =
-  if not (List.mem scenario Observatory.scenario_names) then begin
-    Fmt.epr "msst profile: unknown scenario %s (known: %a)@." scenario
-      Fmt.(list ~sep:comma string)
-      Observatory.scenario_names;
-    exit 2
-  end;
-  if not (List.mem family Verifier_campaign.family_names) then begin
-    Fmt.epr "msst profile: unknown family %s (known: %a)@." family
-      Fmt.(list ~sep:comma string)
-      Verifier_campaign.family_names;
-    exit 2
-  end;
   let d = resolve_domains domains in
   let tel = if fake then Ssmst_obs.Telemetry.fake () else Ssmst_obs.Telemetry.create () in
-  let p =
-    {
-      Observatory.default_params with
-      Observatory.family;
-      n;
-      seed;
-      faults;
-      async = async_;
-      epochs;
-      trials;
-      max_rounds;
-      domains = d;
-    }
-  in
-  Ssmst_obs.Telemetry.install tel;
   let r =
-    Fun.protect ~finally:Ssmst_obs.Telemetry.uninstall (fun () -> Observatory.run ~scenario p)
+    run_scenario "profile" tel scenario family n seed faults async_ epochs trials max_rounds d
   in
   Ssmst_obs.Report.set_telemetry r (Ssmst_obs.Telemetry.to_json tel);
   (match chrome with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      output_string oc (Ssmst_obs.Telemetry.to_chrome_trace tel);
-      output_char oc '\n';
-      close_out oc;
+      write_file path (Ssmst_obs.Telemetry.to_chrome_trace tel ^ "\n");
       Fmt.epr "chrome trace written to %s (load in chrome://tracing or Perfetto)@." path);
   (match fmt with
   | Md ->
@@ -936,9 +915,10 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Run a scenario with the runtime observatory attached — phase-span profiler, \
+         "Run a scenario with the runtime observatory attached — phase profiler, \
           log-bucketed histograms, online invariant monitors — and render one combined \
-          report as markdown (and optionally JSON).  Exits non-zero if any invariant \
+          report as markdown (and optionally JSON), with the phase tree's logical costs \
+          (rounds, activations, writes, peak bits).  Exits non-zero if any invariant \
           monitor reports a violation.")
     Term.(
       const report $ scenario_arg $ report_family_arg $ n_arg $ seed_arg $ faults_arg $ async_arg
@@ -965,11 +945,11 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Run a scenario (verify, stabilize, campaign, construct) with the wall-clock + \
-          allocation profiler attached and print the per-phase table — time, %, minor/major \
-          words, calls — plus optionally a Chrome-trace JSON.  Telemetry is strictly \
-          out-of-band: registers, metrics and monitors are byte-identical to an unprofiled \
-          run at every -d.")
+         "Run a scenario (verify, stabilize, campaign, construct) exactly as $(b,report) \
+          does and print the per-phase table — calls, wall time, %, minor/major words and \
+          collections, and the paper's rounds, activations, writes and peak bits — plus \
+          optionally a Chrome-trace JSON.  Telemetry is strictly out-of-band: registers, \
+          metrics and monitors are byte-identical to an unprofiled run at every -d.")
     Term.(
       const profile $ scenario_arg $ report_family_arg $ n_arg $ seed_arg $ faults_arg
       $ async_arg $ epochs_arg $ trials_arg $ max_rounds_arg $ domains_arg $ format_arg Md

@@ -86,16 +86,19 @@ let of_hierarchy ?(construction_rounds = 0) ?threshold (h : Fragment.hierarchy) 
   let label_bits = Array.fold_left (fun acc l -> max acc (label_bits l)) 0 labels in
   { graph = g; tree; hierarchy = h; assignment = a; labels; construction_rounds; label_bits }
 
-let run ?span ?threshold (g : Graph.t) =
-  let r = Sync_mst.run ?span g in
+let run ?threshold (g : Graph.t) =
+  let r = Sync_mst.run g in
+  (* profiled, label assembly is one ["marker-assembly"] frame charged the
+     Multi_Wave partition construction + train initialization rounds and
+     the final label high-water *)
+  let prb = Ssmst_parallel.Probe.get () in
+  (match prb with Some s -> s.enter "marker-assembly" | None -> ());
   let pr = partition_rounds r.hierarchy in
   let m = of_hierarchy ~construction_rounds:(r.rounds + pr) ?threshold r.hierarchy in
-  (* charge the Multi_Wave partition construction + train initialization and
-     the final label high-water to the observatory *)
-  (match span with
-  | Some sp ->
-      Ssmst_obs.Span.with_ sp (Ssmst_obs.Span.Named "marker-assembly") (fun () ->
-          Ssmst_obs.Span.charge sp ~rounds:pr ~peak_bits:m.label_bits ())
+  (match prb with
+  | Some s ->
+      s.charge ~rounds:pr ~activations:0 ~writes:0 ~peak_bits:m.label_bits;
+      s.leave "marker-assembly"
   | None -> ());
   m
 

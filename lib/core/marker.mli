@@ -40,10 +40,11 @@ val partition_rounds : Fragment.hierarchy -> int
 val of_hierarchy : ?construction_rounds:int -> ?threshold:int -> Fragment.hierarchy -> t
 (** Assemble the labels for a given (already validated) hierarchy. *)
 
-val run : ?span:Ssmst_obs.Span.t -> ?threshold:int -> Graph.t -> t
+val run : ?threshold:int -> Graph.t -> t
 (** The honest marker: SYNC_MST + all labels.  [threshold] overrides the
-    Θ(log n) top/bottom cut-off (the ablation experiment).  [span] receives
-    SYNC_MST's phase spans plus a ["marker-assembly"] span charged the
+    Θ(log n) top/bottom cut-off (the ablation experiment).  With a
+    profiler installed, SYNC_MST's phase frames are followed by a
+    ["marker-assembly"] frame around the label assembly, charged the
     partition-construction rounds. *)
 
 val forge : Graph.t -> Tree.t -> t

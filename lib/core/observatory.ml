@@ -2,10 +2,12 @@ open Ssmst_graph
 open Ssmst_sim
 open Ssmst_obs
 
-(* Scenario drivers for [msst report]: run one of the repo's standard
-   scenarios — construct, verify, stabilize, campaign — with the full
-   observatory attached (span profiler, log-bucketed histograms, online
-   invariant monitors) and return one {!Report.t} combining everything.
+(* Scenario drivers for [msst report] and [msst profile]: run one of the
+   repo's standard scenarios — construct, verify, stabilize, campaign —
+   with the full observatory attached (the phase profiler, log-bucketed
+   histograms, online invariant monitors) and return one {!Report.t}
+   combining everything.  The caller passes the {!Telemetry.t} to install
+   over the scenario's measured part (see the interface).
 
    This is the only module that knows both the protocol stack and the
    observatory; {!Ssmst_obs} itself stays below the protocols so the engine
@@ -53,22 +55,29 @@ let base_scenario name p =
     ("daemon", if p.async then "async-random" else "sync");
   ]
 
-let report name p extra =
-  Report.create
-    ~title:(Fmt.str "msst report — %s (%s, n = %d)" name p.family p.n)
-    ~scenario:(base_scenario name p @ extra)
-    ()
+let report tel name p extra =
+  let r =
+    Report.create
+      ~title:(Fmt.str "msst report — %s (%s, n = %d)" name p.family p.n)
+      ~scenario:(base_scenario name p @ extra)
+      ()
+  in
+  Report.set_spans r (Telemetry.root tel);
+  r
+
+(* [f ()] with [tel] installed as the probe sink. *)
+let profiled tel f =
+  Telemetry.install tel;
+  Fun.protect ~finally:Telemetry.uninstall f
 
 (* ---------------- construct ---------------- *)
 
-(* The marker pipeline under the span profiler; the monitors run once over
+(* The marker pipeline under the profiler; the monitors run once over
    the static output (alarms are vacuous — nothing executes afterwards). *)
-let construct p =
+let construct tel p =
   let g = graph_of p in
-  let span = Span.create () in
   let m =
-    Ssmst_parallel.Probe.with_ "construct.marker" (fun () ->
-        Span.with_ span Span.Construct (fun () -> Marker.run ~span g))
+    profiled tel (fun () -> Ssmst_parallel.Probe.with_ "construct.marker" (fun () -> Marker.run g))
   in
   let label_hist = Hist.create () in
   Array.iter (fun l -> Hist.record label_hist (Marker.label_bits l)) m.Marker.labels;
@@ -93,10 +102,12 @@ let construct p =
   in
   let mon = Monitor.create ~compact_c:p.compact_c ~distance_c:p.distance_c view in
   Monitor.check mon ~round:m.Marker.construction_rounds;
-  let r = report "construct" p [ ("threshold", string_of_int m.Marker.assignment.Partition.threshold) ] in
+  let r =
+    report tel "construct" p
+      [ ("threshold", string_of_int m.Marker.assignment.Partition.threshold) ]
+  in
   Report.add_hist r "per-node label bits" label_hist;
   Report.add_hist r "node depth in the MST" depth_hist;
-  Report.set_spans r (Span.finish span);
   Report.set_monitors r (Monitor.results mon);
   Report.add_note r
     (Fmt.str "MST weight %d (matches Kruskal: %b); %d fragments, hierarchy height %d"
@@ -111,9 +122,10 @@ let construct p =
 
 (* ---------------- verify ---------------- *)
 
-(* Settle the verifier under the engine sampler, inject a burst, run to
-   detection; the monitors ride the engine's round hook the whole way. *)
-let verify p =
+(* Settle the verifier, inject a burst, run to detection, each in a frame
+   charged the engine's metrics; the monitors ride the engine's round
+   hook the whole way. *)
+let verify tel p =
   let g = graph_of p in
   let m = Marker.run g in
   let mode = if p.async then Verifier.Handshake else Verifier.Passive in
@@ -124,9 +136,7 @@ let verify p =
   end in
   let module P = Verifier.Make (C) in
   let module Net = Network.Make (P) in
-  let tr = Trace.create () in
   let net = Net.create ~domains:p.domains g in
-  let span = Span.create ~trace:tr ~sample:(Span.sampler_of_metrics (Net.metrics net)) () in
   let view =
     {
       Monitor.graph = g;
@@ -142,14 +152,15 @@ let verify p =
     }
   in
   let mon =
-    Monitor.create ~trace:tr ~metrics:(Net.metrics net) ~compact_c:p.compact_c
-      ~distance_c:p.distance_c view
+    Monitor.create ~metrics:(Net.metrics net) ~compact_c:p.compact_c ~distance_c:p.distance_c view
   in
   Net.set_round_hook net (fun () -> Monitor.check mon ~round:(Net.rounds net));
   let settle_budget = 8 * Verifier.window_bound m.Marker.labels.(0) in
-  Span.with_ span Span.Settle (fun () -> Net.run net daemon ~rounds:settle_budget);
+  let metered name f = Telemetry.metered name (Net.metrics net) f in
+  profiled tel @@ fun () ->
+  metered "settle" (fun () -> Net.run net daemon ~rounds:settle_budget);
   let r =
-    report "verify" p
+    report tel "verify" p
       [ ("mode", if p.async then "handshake" else "passive");
         ("faults", string_of_int p.faults) ]
   in
@@ -163,13 +174,10 @@ let verify p =
   done;
   if p.faults > 0 then begin
     let fs =
-      Span.with_ span Span.Inject (fun () ->
-          Net.inject_faults net (Gen.rng (p.seed + 2)) ~count:p.faults)
+      metered "inject" (fun () -> Net.inject_faults net (Gen.rng (p.seed + 2)) ~count:p.faults)
     in
     Monitor.note_injection mon ~round:(Net.rounds net) ~faults:fs;
-    match Span.with_ span Span.Detect (fun () ->
-              Net.detection_time net daemon ~max_rounds:p.max_rounds)
-    with
+    match metered "detect" (fun () -> Net.detection_time net daemon ~max_rounds:p.max_rounds) with
     | Some dt ->
         Hist.record alarm_lat dt;
         Report.add_note r
@@ -188,37 +196,34 @@ let verify p =
   Report.add_hist r "per-node register bits" bits_h;
   Report.add_hist r "per-node convergence round (last write)" conv;
   Report.add_hist r "alarm latency after injection (rounds)" alarm_lat;
-  Report.set_spans r (Span.finish span);
   Report.set_monitors r (Monitor.results mon);
   r
 
 (* ---------------- stabilize ---------------- *)
 
-let stabilize p =
+(* The transformer loop, one ["epoch i"] frame per fault epoch. *)
+let stabilize tel p =
   let g = graph_of p in
-  let tr = Trace.create () in
-  let span = Span.create ~trace:tr () in
-  let obs =
-    Transformer.observatory ~span ~monitor_trace:tr ~compact_c:p.compact_c
-      ~distance_c:p.distance_c ()
-  in
+  let obs = Transformer.observatory ~compact_c:p.compact_c ~distance_c:p.distance_c () in
   let mode = if p.async then Verifier.Handshake else Verifier.Passive in
   let daemon = if p.async then Scheduler.Async_random (Gen.rng (p.seed + 1)) else Scheduler.Sync in
+  profiled tel @@ fun () ->
   let t = Transformer.create ~mode ~daemon ~domains:p.domains ~obs g in
   let r =
-    report "stabilize" p
+    report tel "stabilize" p
       [ ("faults per epoch", string_of_int p.faults); ("epochs", string_of_int p.epochs) ]
   in
   Report.add_note r
     (Fmt.str "stabilized in %d charged rounds" (Transformer.stabilization_rounds t));
   let rng = Gen.rng (p.seed + 2) in
-  for _ = 1 to p.epochs do
-    Transformer.advance t ~rounds:200;
-    if p.faults > 0 then
-      Span.with_ span Span.Inject (fun () ->
-          let fs = Transformer.inject_faults t rng ~count:p.faults in
-          Span.charge span ~writes:(List.length fs) ());
-    Transformer.advance t ~rounds:p.max_rounds
+  for i = 0 to p.epochs - 1 do
+    Ssmst_parallel.Probe.with_ (Fmt.str "epoch %d" i) (fun () ->
+        Transformer.advance t ~rounds:200;
+        if p.faults > 0 then
+          Ssmst_parallel.Probe.with_ "inject" (fun () ->
+              let fs = Transformer.inject_faults t rng ~count:p.faults in
+              Ssmst_parallel.Probe.charge ~writes:(List.length fs) ());
+        Transformer.advance t ~rounds:p.max_rounds)
   done;
   (* the last detection installed a fresh verification network: settle it so
      the probe snapshots a live epoch (per-node convergence, register bits) *)
@@ -241,7 +246,6 @@ let stabilize p =
   Report.add_hist r "per-node register bits" bits_h;
   Report.add_hist r "per-node convergence round (last write)" conv;
   Report.add_hist r "alarm latency after injection (rounds)" alarm_lat;
-  Report.set_spans r (Span.finish span);
   Report.set_monitors r (Transformer.monitor_results t);
   Report.add_note r
     (Fmt.str "%d reconstructions, %d total charged rounds, peak memory %d bits; output is \
@@ -253,47 +257,44 @@ let stabilize p =
 (* ---------------- campaign ---------------- *)
 
 (* A compact sweep on one instance: every named fault model x [trials]
-   injection seeds, one [Campaign_trial] span each; outcomes land in the
-   detection-time/-distance histograms. *)
-let campaign p =
+   injection seeds, one [campaign.trial] frame each (same-name siblings:
+   one row); outcomes land in the detection-time/-distance histograms. *)
+let campaign tel p =
   let inst =
     Verifier_campaign.prepare ~domains:p.domains ~family:p.family ~n:p.n ~seed:p.seed ()
   in
-  let span = Span.create () in
   let dt_h = Hist.create () and dd_h = Hist.create () and rounds_h = Hist.create () in
   let detected = ref 0 and total = ref 0 in
   let idx = ref 0 in
+  profiled tel @@ fun () ->
   List.iter
     (fun model_name ->
       for k = 0 to p.trials - 1 do
         incr idx;
         let i = !idx in
-        Span.with_ span (Span.Campaign_trial i) (fun () ->
-            let model =
-              Campaign.resolve_model model_name ~n:p.n ~root:(Verifier_campaign.root inst)
-                ~count:p.faults
-            in
-            let o =
-              Verifier_campaign.run_trial ~domains:p.domains inst ~model
-                ~inject_seed:(p.seed + (7919 * i) + k)
-                ~max_rounds:p.max_rounds
-            in
-            Span.charge span ~rounds:o.Campaign.rounds_run
-              ~writes:o.Campaign.injections ();
-            incr total;
-            Hist.record rounds_h o.Campaign.rounds_run;
-            match o.Campaign.detection_rounds with
-            | Some dt ->
-                incr detected;
-                Hist.record dt_h dt;
-                (match o.Campaign.detection_distance with
-                | Some dd -> Hist.record dd_h dd
-                | None -> ())
+        let model =
+          Campaign.resolve_model model_name ~n:p.n ~root:(Verifier_campaign.root inst)
+            ~count:p.faults
+        in
+        let o =
+          Verifier_campaign.run_trial ~domains:p.domains inst ~model
+            ~inject_seed:(p.seed + (7919 * i) + k)
+            ~max_rounds:p.max_rounds
+        in
+        incr total;
+        Hist.record rounds_h o.Campaign.rounds_run;
+        match o.Campaign.detection_rounds with
+        | Some dt ->
+            incr detected;
+            Hist.record dt_h dt;
+            (match o.Campaign.detection_distance with
+            | Some dd -> Hist.record dd_h dd
             | None -> ())
+        | None -> ()
       done)
     Campaign.model_names;
   let r =
-    report "campaign" p
+    report tel "campaign" p
       [
         ("models", String.concat "," Campaign.model_names);
         ("trials per model", string_of_int p.trials);
@@ -303,17 +304,16 @@ let campaign p =
   Report.add_hist r "detection time (rounds)" dt_h;
   Report.add_hist r "detection distance (hops)" dd_h;
   Report.add_hist r "rounds run per trial" rounds_h;
-  Report.set_spans r (Span.finish span);
   Report.add_note r (Fmt.str "%d/%d trials detected" !detected !total);
   Report.add_note r
     (Fmt.str "paper bound shape check: f * ceil(log2 n) = %d (dd_p99 observed: %d)"
        (p.faults * Memory.of_nat p.n) (Hist.p99 dd_h));
   r
 
-let run ~scenario p =
+let run ~scenario tel p =
   match scenario with
-  | "construct" -> construct p
-  | "verify" -> verify p
-  | "stabilize" -> stabilize p
-  | "campaign" -> campaign p
+  | "construct" -> construct tel p
+  | "verify" -> verify tel p
+  | "stabilize" -> stabilize tel p
+  | "campaign" -> campaign tel p
   | s -> invalid_arg (Fmt.str "Observatory.run: unknown scenario %S" s)

@@ -1,10 +1,13 @@
 open Ssmst_obs
 
-(** Scenario drivers for [msst report]: run one of the standard scenarios
-    — construct, verify, stabilize, campaign — with the full observatory
-    attached (span profiler, log-bucketed histograms, online invariant
-    monitors) and return one {!Report.t} combining engine metrics,
-    histograms, the span tree and the monitor verdicts. *)
+(** Scenario drivers for [msst report] and [msst profile]: run one of the
+    standard scenarios — construct, verify, stabilize, campaign — with the
+    full observatory attached (the phase profiler, log-bucketed
+    histograms, online invariant monitors) and return one {!Report.t}
+    combining engine metrics, histograms, the profiler's phase tree and
+    the monitor verdicts.  Each scenario installs the given {!Telemetry.t}
+    over its measured part; verify's marker and campaign's settled
+    instance are built before, unprofiled. *)
 
 type params = {
   family : string;
@@ -27,10 +30,13 @@ val default_params : params
 val scenario_names : string list
 (** ["construct"; "verify"; "stabilize"; "campaign"] *)
 
-val construct : params -> Report.t
-val verify : params -> Report.t
-val stabilize : params -> Report.t
-val campaign : params -> Report.t
+val construct : Telemetry.t -> params -> Report.t
+val verify : Telemetry.t -> params -> Report.t
 
-val run : scenario:string -> params -> Report.t
+val stabilize : Telemetry.t -> params -> Report.t
+(** One ["epoch i"] frame (0-based) per fault epoch. *)
+
+val campaign : Telemetry.t -> params -> Report.t
+
+val run : scenario:string -> Telemetry.t -> params -> Report.t
 (** Dispatch by name.  @raise Invalid_argument on an unknown scenario. *)

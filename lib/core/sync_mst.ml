@@ -41,17 +41,20 @@ let state_bits g s =
   + Ssmst_sim.Memory.of_int (Graph.max_degree g)  (* candidate-child pointer *)
   + 4 (* stage flags: counting / searching / wave / echoed *)
 
-let run ?span (g : Graph.t) =
-  (* observatory attribution: one [Fragment_level] span per phase with
-     [Wave_sweep] sub-spans for Count_Size and Find_Min_Out_Edge, charged
-     the rounds the timetable allocates and the nodes the waves visit *)
-  let span_open tag = match span with Some sp -> Ssmst_obs.Span.open_ sp tag | None -> () in
-  let span_close () = match span with Some sp -> Ssmst_obs.Span.close sp | None -> () in
-  let span_charge ?rounds ?activations ?peak_bits () =
-    match span with
-    | Some sp -> Ssmst_obs.Span.charge sp ?rounds ?activations ?peak_bits ()
-    | None -> ()
-  in
+(* Profiler attribution: one ["fragment-level i"] frame per phase with
+   ["wave-sweep"] sub-frames for Count_Size and Find_Min_Out_Edge, charged
+   the rounds the timetable allocates and the nodes the waves visit.
+   [prb] is read once per run; untraced, each call is one branch. *)
+module Probe = Ssmst_parallel.Probe
+
+let enter_level (prb : Probe.sink option) i =
+  match prb with Some s -> s.enter (Printf.sprintf "fragment-level %d" i) | None -> ()
+
+let charge (prb : Probe.sink option) ~rounds ~activations ~peak_bits =
+  match prb with Some s -> s.charge ~rounds ~activations ~writes:0 ~peak_bits | None -> ()
+
+let run (g : Graph.t) =
+  let prb = Probe.get () in
   let n = Graph.n g in
   let w = Graph.plain_weight_fn g in
   let states = Array.init n (fun v -> { parent = -1; root_id = Graph.id g v; level = 0 }) in
@@ -84,9 +87,9 @@ let run ?span (g : Graph.t) =
     for v = n - 1 downto 0 do
       if states.(v).parent < 0 then roots := v :: !roots
     done;
-    span_open (Ssmst_obs.Span.Fragment_level i);
+    enter_level prb i;
     (* --- Count_Size at round 11*2^i --- *)
-    span_open Ssmst_obs.Span.Wave_sweep;
+    Probe.enter prb "wave-sweep";
     let wave_work = ref 0 in
     let active = ref [] in
     List.iter
@@ -110,11 +113,11 @@ let run ?span (g : Graph.t) =
           records := (i, r, cnt.visited, None) :: !records
         end)
       !roots;
-    span_charge ~rounds:(4 * (1 lsl i)) ~activations:!wave_work ();
-    span_close ();
+    charge prb ~rounds:(4 * (1 lsl i)) ~activations:!wave_work ~peak_bits:0;
+    Probe.leave prb "wave-sweep";
     if not !done_ then begin
       (* --- Find_Min_Out_Edge at round (11+4)*2^i --- *)
-      span_open Ssmst_obs.Span.Wave_sweep;
+      Probe.enter prb "wave-sweep";
       let search_work = ref 0 in
       let plans = ref [] in
       List.iter
@@ -142,8 +145,8 @@ let run ?span (g : Graph.t) =
               records := (i, r, members, Some (wv, x)) :: !records;
               plans := (r, wv, x) :: !plans)
         !active;
-      span_charge ~rounds:(4 * (1 lsl i)) ~activations:!search_work ();
-      span_close ();
+      charge prb ~rounds:(4 * (1 lsl i)) ~activations:!search_work ~peak_bits:0;
+      Probe.leave prb "wave-sweep";
       (* --- merging at round (11+8)*2^i: re-root at w, then hook --- *)
       let is_planned_pivot x wv =
         (* does x's fragment plan the same edge from the other side? *)
@@ -170,18 +173,18 @@ let run ?span (g : Graph.t) =
         !plans;
       List.iter (fun (wv, x) -> states.(wv).parent <- x) !hooks;
       note_memory ();
-      span_charge ~rounds:(3 * (1 lsl i)) ~peak_bits:!peak_bits ();
+      charge prb ~rounds:(3 * (1 lsl i)) ~activations:0 ~peak_bits:!peak_bits;
       final_round := 11 * (1 lsl (i + 1));
       incr phase;
       if !phase > 2 * Ssmst_sim.Memory.of_nat n + 4 then
         raise (Graph.Malformed "SYNC_MST: did not converge")
     end;
-    span_close () (* the phase's Fragment_level span *)
+    Probe.leave prb "fragment-level" (* the phase's frame *)
   done;
   note_memory ();
   (* the timetable starts phase 0 at round 11; the per-phase charges sum to
      [final_round - 11], so settle the warm-up here *)
-  span_charge ~rounds:11 ~peak_bits:!peak_bits ();
+  charge prb ~rounds:11 ~activations:0 ~peak_bits:!peak_bits;
   let parent = Array.map (fun s -> s.parent) states in
   let tree = Tree.of_parents g parent in
   let records =

@@ -18,8 +18,9 @@ type result = {
   peak_bits : int;  (** max per-node state size (Observation 4.3) *)
 }
 
-val run : ?span:Ssmst_obs.Span.t -> Graph.t -> result
-(** [span] receives one [Fragment_level] span per phase with [Wave_sweep]
-    sub-spans for Count_Size and Find_Min_Out_Edge, charged per the
-    timetable; the per-phase round charges sum to [result.rounds].
+val run : Graph.t -> result
+(** With a profiler installed ({!Ssmst_parallel.Probe}), opens one
+    ["fragment-level i"] frame per phase with ["wave-sweep"] sub-frames
+    for Count_Size and Find_Min_Out_Edge, charged per the timetable; the
+    round charges sum to [result.rounds].
     @raise Graph.Malformed on disconnected inputs. *)

@@ -22,14 +22,16 @@ open Ssmst_sim
    O(Δ log³ n) asynchronous ones — at distance O(f log n) from the faults,
    and repaired by one reconstruction.
 
-   The observatory rides along when a {!observatory} config is supplied:
-   each construct-verify-repair cycle becomes an [Epoch] span (with
-   SYNC_MST's fragment-level spans nested under its [Construct] phase and
-   a [Detect] span covering each injection-to-alarm window), and the live
-   verification network carries the online invariant monitors through the
-   engine's round hook.  Monitor verdicts latch across epochs: a violation
-   in any epoch survives the reconstruction that discards the network it
-   was observed on. *)
+   With a profiler installed ({!Ssmst_parallel.Probe}), every construction
+   is a [transformer.construct] frame (SYNC_MST's fragment-level frames
+   nest under it) charged the election's O(n) rounds, each reconstruction
+   a [transformer.epoch] frame, and each [advance] a [transformer.advance]
+   frame charged its verification rounds, with a [detect] frame per
+   injection-to-alarm window.  When an {!observatory} config asks for
+   them, the live verification network carries the online invariant
+   monitors through the engine's round hook.  Monitor verdicts latch
+   across epochs: a violation in any epoch survives the reconstruction
+   that discards the network it was observed on. *)
 
 type event =
   | Constructed of int  (* rounds charged for election + SYNC_MST + marker *)
@@ -46,21 +48,13 @@ type probe = {
   net_rounds : unit -> int;
 }
 
-type observatory = {
-  span : Ssmst_obs.Span.t option;
-  monitor_trace : Trace.t option;  (* violations land here *)
-  monitors : bool;
-  compact_c : int;
-  distance_c : int;
-}
+type observatory = { monitors : bool; compact_c : int; distance_c : int }
 
-let observatory ?span ?monitor_trace ?(monitors = true)
-    ?(compact_c = Ssmst_obs.Monitor.default_compact_c)
+let observatory ?(monitors = true) ?(compact_c = Ssmst_obs.Monitor.default_compact_c)
     ?(distance_c = Ssmst_obs.Monitor.default_distance_c) () =
-  { span; monitor_trace; monitors; compact_c; distance_c }
+  { monitors; compact_c; distance_c }
 
-let no_observatory =
-  { span = None; monitor_trace = None; monitors = false; compact_c = 0; distance_c = 0 }
+let no_observatory = { monitors = false; compact_c = 0; distance_c = 0 }
 
 type t = {
   graph : Graph.t;
@@ -88,27 +82,14 @@ let construction_cost (g : Graph.t) (m : Marker.t) =
 
 (* ---------------- observatory plumbing ---------------- *)
 
-let span_charge (t : t) ?rounds ?peak_bits () =
-  match t.obs.span with
-  | Some sp -> Ssmst_obs.Span.charge sp ?rounds ?peak_bits ()
-  | None -> ()
-
-(* One construction, under a [Construct] span when profiled: SYNC_MST and
-   the marker charge their own timetable rounds; the election's O(n) and
-   the label high-water are settled here. *)
-let construct_marker_with span (g : Graph.t) =
-  (* the wall-clock twin of the [Construct] span: charged whether or not
-     the logical observatory is attached *)
+(* One construction, one [transformer.construct] frame: SYNC_MST and the
+   marker charge their own timetable rounds; the election's O(n) and the
+   label high-water are charged here. *)
+let construct_marker (g : Graph.t) =
   Ssmst_parallel.Probe.with_ "transformer.construct" @@ fun () ->
-  match span with
-  | None -> Marker.run g
-  | Some sp ->
-      Ssmst_obs.Span.with_ sp Ssmst_obs.Span.Construct (fun () ->
-          let m = Marker.run ~span:sp g in
-          Ssmst_obs.Span.charge sp ~rounds:(4 * Graph.n g) ~peak_bits:m.Marker.label_bits ();
-          m)
-
-let construct_marker (t : t) = construct_marker_with t.obs.span t.graph
+  let m = Marker.run g in
+  Ssmst_parallel.Probe.charge ~rounds:(4 * Graph.n g) ~peak_bits:m.Marker.label_bits ();
+  m
 
 (* Latch [fresh] monitor verdicts over the accumulated ones: the first
    violation per monitor wins, across epochs. *)
@@ -169,7 +150,7 @@ let install (t : t) =
       }
     in
     let mon =
-      Ssmst_obs.Monitor.create ?trace:t.obs.monitor_trace ~metrics:(Net.metrics net)
+      Ssmst_obs.Monitor.create ~metrics:(Net.metrics net)
         ~compact_c:t.obs.compact_c ~distance_c:t.obs.distance_c view
     in
     t.monitor <- Some mon;
@@ -194,10 +175,7 @@ let install (t : t) =
    act is a reconstruction. *)
 let create ?(mode = Verifier.Passive) ?(daemon = Scheduler.Sync) ?(domains = 1)
     ?(obs = no_observatory) g =
-  (match obs.span with
-  | Some sp -> Ssmst_obs.Span.open_ sp (Ssmst_obs.Span.Epoch 0)
-  | None -> ());
-  let marker = construct_marker_with obs.span g in
+  let marker = construct_marker g in
   let t =
     {
       graph = g;
@@ -226,19 +204,12 @@ let create ?(mode = Verifier.Passive) ?(daemon = Scheduler.Sync) ?(domains = 1)
   t
 
 let reconstruct (t : t) =
-  (* one [transformer.epoch] telemetry frame per construct-verify-repair
-     cycle, the wall-clock twin of the [Epoch] span below *)
+  (* one [transformer.epoch] frame per reset and reconstruction *)
   Ssmst_parallel.Probe.with_ "transformer.epoch" @@ fun () ->
   (match t.monitor with
   | Some mon -> Ssmst_obs.Monitor.note_reset mon ~round:t.total_rounds
   | None -> ());
-  (* one construct-verify-repair cycle per [Epoch] span *)
-  (match t.obs.span with
-  | Some sp ->
-      Ssmst_obs.Span.close sp;
-      Ssmst_obs.Span.open_ sp (Ssmst_obs.Span.Epoch t.reconstructions)
-  | None -> ());
-  t.marker <- construct_marker t;
+  t.marker <- construct_marker t.graph;
   let cost = construction_cost t.graph t.marker in
   t.total_rounds <- t.total_rounds + cost;
   t.reconstructions <- t.reconstructions + 1;
@@ -251,15 +222,16 @@ let advance (t : t) ~rounds =
   match t.run_verify rounds with
   | `Quiet ->
       t.total_rounds <- t.total_rounds + rounds;
-      span_charge t ~rounds ();
+      Ssmst_parallel.Probe.charge ~rounds ();
       t.history <- Quiescent rounds :: t.history
   | `Alarm (dt, dist) ->
-      (match t.obs.span with
-      | Some sp ->
-          Ssmst_obs.Span.with_ sp Ssmst_obs.Span.Detect (fun () ->
-              Ssmst_obs.Span.charge sp ~rounds:dt ())
+      (match Ssmst_parallel.Probe.get () with
+      | Some s ->
+          s.enter "detect";
+          s.charge ~rounds:dt ~activations:0 ~writes:0 ~peak_bits:0;
+          s.leave "detect"
       | None -> ());
-      span_charge t ~rounds:(2 * Graph.n t.graph) ();  (* the reset wave *)
+      Ssmst_parallel.Probe.charge ~rounds:(2 * Graph.n t.graph) ();  (* the reset wave *)
       t.total_rounds <- t.total_rounds + dt + (2 * Graph.n t.graph);
       t.history <- Detected { rounds = dt; distance = dist } :: t.history;
       reconstruct t
@@ -277,9 +249,12 @@ let tree (t : t) = t.marker.tree
 (* Total stabilization time from an arbitrary configuration: the first
    reconstruction (Theorem 10.2: O(n)). *)
 let stabilization_rounds (t : t) =
-  List.fold_left
-    (fun acc e -> match e with Constructed c -> acc + c | Detected _ | Quiescent _ -> acc)
-    0
-    (List.filteri (fun i _ -> i = List.length t.history - 1) t.history)
+  (* the oldest history entry: [create]'s construction *)
+  let rec oldest = function
+    | [ Constructed c ] -> c
+    | [] | [ (Detected _ | Quiescent _) ] -> 0
+    | _ :: rest -> oldest rest
+  in
+  oldest t.history
 
 let memory_bits (t : t) = max t.peak_bits t.marker.label_bits

@@ -25,28 +25,13 @@ type probe = {
   net_rounds : unit -> int;
 }
 
-(** The observatory ride-along: an optional span profiler (each
-    construct-verify-repair cycle becomes an [Epoch] span, with SYNC_MST's
-    fragment-level spans under its [Construct] phase and a [Detect] span
-    per injection-to-alarm window) and the online invariant monitors
-    attached to the live verification network through the engine's round
-    hook. *)
-type observatory = {
-  span : Ssmst_obs.Span.t option;
-  monitor_trace : Trace.t option;  (** violations land here *)
-  monitors : bool;
-  compact_c : int;
-  distance_c : int;
-}
+(** The observatory ride-along: the online invariant monitors attached to
+    the live verification network through the engine's round hook.  (The
+    profiler is not configured here: the transformer's frames and charges
+    go to whatever {!Ssmst_parallel.Probe} sink is installed.) *)
+type observatory = { monitors : bool; compact_c : int; distance_c : int }
 
-val observatory :
-  ?span:Ssmst_obs.Span.t ->
-  ?monitor_trace:Trace.t ->
-  ?monitors:bool ->
-  ?compact_c:int ->
-  ?distance_c:int ->
-  unit ->
-  observatory
+val observatory : ?monitors:bool -> ?compact_c:int -> ?distance_c:int -> unit -> observatory
 (** Monitors default on, with {!Ssmst_obs.Monitor}'s default constants. *)
 
 val no_observatory : observatory

@@ -50,8 +50,9 @@ let prepare ?(domains = 1) ~family ~n ~seed () =
   { graph = g; marker = m; settled = Array.copy (Net.states net) }
 
 let run_trial ?(domains = 1) t ~model ~inject_seed ~max_rounds =
-  (* one [campaign.trial] telemetry frame per trial, so [msst profile
-     campaign] can apportion wall time between settling and the trials *)
+  (* one [campaign.trial] frame per trial, charged the rounds it ran and
+     the faults it injected, so [msst profile campaign] can apportion time
+     between settling and the trials *)
   Ssmst_parallel.Probe.with_ "campaign.trial" @@ fun () ->
   let module C = struct
     let marker = t.marker
@@ -66,11 +67,19 @@ let run_trial ?(domains = 1) t ~model ~inject_seed ~max_rounds =
      events — [restore] installs the snapshot as pure bookkeeping *)
   Net.restore net t.settled;
   let rng = Gen.rng inject_seed in
-  Campaign.drive ~rng ~model ~max_rounds
-    ~round:(fun () -> Net.round net Scheduler.Sync)
-    ~any_alarm:(fun () -> Net.any_alarm net)
-    ~inject:(fun st m -> Net.inject net st m)
-    ~distance:(fun ~faults -> Net.detection_distance net ~faults)
+  let o =
+    Campaign.drive ~rng ~model ~max_rounds
+      ~round:(fun () -> Net.round net Scheduler.Sync)
+      ~any_alarm:(fun () -> Net.any_alarm net)
+      ~inject:(fun st m -> Net.inject net st m)
+      ~distance:(fun ~faults -> Net.detection_distance net ~faults)
+  in
+  (match Ssmst_parallel.Probe.get () with
+  | Some s ->
+      s.charge ~rounds:o.Campaign.rounds_run ~activations:0 ~writes:o.Campaign.injections
+        ~peak_bits:0
+  | None -> ());
+  o
 
 (* One instance's full (fault count x model) trial block, in grid order.
    The shard is self-contained — family, requested size and instance seed

@@ -1,9 +1,10 @@
 open Ssmst_sim
 
 (* The rendering layer of the observatory: one value combining everything a
-   run produced — engine metrics, log-bucketed histograms, the span tree,
-   monitor verdicts, free-form notes — rendered once as markdown (for
-   humans and CI artifacts) and once as JSON (for downstream tooling).
+   run produced — engine metrics, log-bucketed histograms, the logical
+   columns of the profiler's phase tree, monitor verdicts, free-form notes
+   — rendered once as markdown (for humans and CI artifacts) and once as
+   JSON (for downstream tooling).
 
    Purely presentational: this module never runs anything, so it can live
    below the protocol layers; the scenario drivers that *fill* a report
@@ -14,7 +15,7 @@ type t = {
   scenario : (string * string) list;  (* key/value header lines, in order *)
   mutable metrics : (string * Metrics.t) list;  (* one row per network, newest last *)
   mutable hists : (string * Hist.t) list;
-  mutable spans : Span.node option;
+  mutable spans : Telemetry.phase option;
   mutable monitors : (string * Monitor.verdict) list;
   mutable notes : string list;  (* newest last *)
   mutable telemetry : string option;  (* Telemetry.to_json block, pre-rendered *)
@@ -68,11 +69,31 @@ let hist_table ppf hists =
         (Hist.max_value h) (Hist.mean h))
     hists
 
+(* The phase tree's logical columns.  Frames that were charged nothing
+   (the engines' per-round sub-phases, worker tracks) are left out, so the
+   rendering is the same at every [-d] and carries no wall-clock number.
+   Charges are inclusive, so such a frame's whole subtree is uncharged. *)
+let charged (p : Telemetry.phase) =
+  p.rounds <> 0 || p.activations <> 0 || p.writes <> 0 || p.peak_bits <> 0
+
+let span_rows root =
+  List.filter (fun (depth, p) -> depth = 0 || charged p) (Telemetry.depth_first root)
+
+let pp_span ppf (p : Telemetry.phase) =
+  Fmt.pf ppf "%s%s [rounds %d, activations %d, writes %d, peak %d bits]" p.name
+    (if p.calls > 1 then Fmt.str " (%d calls)" p.calls else "")
+    p.rounds p.activations p.writes p.peak_bits
+
+let rec span_to_json (p : Telemetry.phase) =
+  Fmt.str
+    {|{"name":"%s","calls":%d,"rounds":%d,"activations":%d,"writes":%d,"peak_bits":%d,"children":[%s]}|}
+    (Trace.json_escape p.name) p.calls p.rounds p.activations p.writes p.peak_bits
+    (String.concat "," (List.map span_to_json (List.filter charged (Telemetry.children p))))
+
 let span_tree ppf root =
   List.iter
-    (fun (depth, n) ->
-      Fmt.pf ppf "%s- %a@." (String.make (2 * depth) ' ') Span.pp_node n)
-    (Span.depth_first root)
+    (fun (depth, p) -> Fmt.pf ppf "%s- %a@." (String.make (2 * depth) ' ') pp_span p)
+    (span_rows root)
 
 let monitor_table ppf monitors =
   Fmt.pf ppf "| monitor | verdict |@.";
@@ -118,7 +139,8 @@ let to_markdown t =
       | Some root ->
           Fmt.pf ppf "## Span tree@.@.";
           Fmt.pf ppf
-            "Counts are inclusive: a span covers its children.  Indentation is nesting.@.@.";
+            "Counts are inclusive: a frame covers its children.  Indentation is nesting; \
+             same-name siblings share a row.@.@.";
           Fmt.pf ppf "```@.";
           span_tree ppf root;
           Fmt.pf ppf "```@.@.");
@@ -170,8 +192,8 @@ let to_csv t =
   | None -> ()
   | Some root ->
       List.iter
-        (fun (depth, n) -> row "span" (string_of_int depth) (Fmt.str "%a" Span.pp_node n))
-        (Span.depth_first root));
+        (fun (depth, p) -> row "span" (string_of_int depth) (Fmt.str "%a" pp_span p))
+        (span_rows root));
   List.iteri (fun i s -> row "note" (string_of_int i) s) t.notes;
   Buffer.contents buf
 
@@ -200,6 +222,6 @@ let to_json t =
   Fmt.str
     {|{"title":%s,"scenario":{%s},"monitors":{%s},"monitors_ok":%b,"metrics":[%s],"histograms":[%s],"spans":%s,"notes":[%s],"telemetry":%s}|}
     (str t.title) scenario monitors (all_monitors_ok t) metrics hists
-    (match t.spans with None -> "null" | Some root -> Span.node_to_json root)
+    (match t.spans with None -> "null" | Some root -> span_to_json root)
     notes
     (match t.telemetry with None -> "null" | Some j -> j)

@@ -1,8 +1,8 @@
 open Ssmst_sim
 
 (** The rendering layer of the observatory: one value combining everything
-    a run produced — engine metrics, log-bucketed histograms, the span
-    tree, monitor verdicts, free-form notes — rendered once as markdown
+    a run produced — engine metrics, log-bucketed histograms, the logical
+    columns of the profiler's phase tree, monitor verdicts, free-form notes — rendered once as markdown
     (for humans and CI artifacts) and once as JSON (for tooling).
 
     Purely presentational: nothing here runs a scenario; the drivers that
@@ -17,7 +17,11 @@ val add_metrics : t -> string -> Metrics.t -> unit
 (** One row per network, labelled; rows render in insertion order. *)
 
 val add_hist : t -> string -> Hist.t -> unit
-val set_spans : t -> Span.node -> unit
+val set_spans : t -> Telemetry.phase -> unit
+(** The phase tree ({!Telemetry.root}), rendered under "Span tree" with
+    its logical columns only: rounds, activations, writes, peak bits.
+    Frames charged nothing are left out. *)
+
 val set_monitors : t -> (string * Monitor.verdict) list -> unit
 val add_note : t -> string -> unit
 

@@ -8,23 +8,19 @@ type sink = {
   enter : string -> unit;
   leave : string -> unit;
   span : tid:int -> string -> float -> float -> unit;
+  charge : rounds:int -> activations:int -> writes:int -> peak_bits:int -> unit;
 }
-
-let null =
-  {
-    now = (fun () -> 0.);
-    enter = (fun _ -> ());
-    leave = (fun _ -> ());
-    span = (fun ~tid:_ _ _ _ -> ());
-  }
 
 let current : sink option ref = ref None
 let install s = current := Some s
 let uninstall () = current := None
 let get () = !current
 
-let enter name = match !current with None -> () | Some s -> s.enter name
-let leave name = match !current with None -> () | Some s -> s.leave name
+let enter p name = match p with None -> () | Some s -> s.enter name
+let leave p name = match p with None -> () | Some s -> s.leave name
+
+let charge ?(rounds = 0) ?(activations = 0) ?(writes = 0) ?(peak_bits = 0) () =
+  match !current with None -> () | Some s -> s.charge ~rounds ~activations ~writes ~peak_bits
 
 let with_ name f =
   match !current with

@@ -1,5 +1,5 @@
 (** The global telemetry hook: a single installable sink of named
-    wall-clock probes that the hot paths ({!Domain_pool.run}, the engines'
+    phase probes that the hot paths ({!Domain_pool.run}, the engines'
     sync rounds, transformer epochs, campaign trials) call into when — and
     only when — a profiler is attached.
 
@@ -10,11 +10,11 @@
     probe call is one [ref] read and a branch — the disabled cost the
     [bench PROF] gate pins at ~0%.
 
-    Threading contract: {!sink.enter}/{!sink.leave}/{!sink.span} are
-    called only from the calling (main) domain; worker domains may call
-    {!sink.now} concurrently and must hand the resulting timestamps back
-    to the caller, which emits them as retroactive {!sink.span}s after
-    the join barrier.  Telemetry is strictly out-of-band: no probe may
+    Threading contract: {!sink.enter}/{!sink.leave}/{!sink.span}/
+    {!sink.charge} are called only from the calling (main) domain;
+    worker domains may call {!sink.now} concurrently and must hand the
+    resulting timestamps back to the caller, which emits them as
+    retroactive {!sink.span}s after the join barrier.  Telemetry is strictly out-of-band: no probe may
     influence registers, metrics, traces or scheduling. *)
 
 type sink = {
@@ -29,10 +29,11 @@ type sink = {
       (** [span ~tid name t0 t1]: a retroactive interval on logical track
           [tid] (a worker-domain index), stamped by that worker via
           {!now} and emitted by the caller after the barrier. *)
+  charge : rounds:int -> activations:int -> writes:int -> peak_bits:int -> unit;
+      (** Add the paper's logical cost — ideal-time rounds, activations,
+          register writes, and a register-bit high-water mark (maxed, not
+          summed) — to every open phase (main domain only). *)
 }
-
-val null : sink
-(** Swallows everything; [now] returns [0.]. *)
 
 val install : sink -> unit
 val uninstall : unit -> unit
@@ -41,11 +42,15 @@ val get : unit -> sink option
 (** [None] iff nothing is installed — the zero-cost fast path; grab it
     once per round, not per probe. *)
 
-val enter : string -> unit
-val leave : string -> unit
-(** Convenience wrappers over {!get} for cold call sites (epoch / trial
-    granularity); hot loops should match on {!get} themselves. *)
+val enter : sink option -> string -> unit
+val leave : sink option -> string -> unit
+(** For hot loops that read {!get} once (per round, per run): one branch
+    when it was [None]. *)
+
+val charge : ?rounds:int -> ?activations:int -> ?writes:int -> ?peak_bits:int -> unit -> unit
+(** Convenience over {!sink.charge} (omitted costs are 0); a no-op when
+    nothing is installed. *)
 
 val with_ : string -> (unit -> 'a) -> 'a
-(** [with_ name f] runs [f] inside [enter name]/[leave name]
-    (exception-safe); no-op framing when nothing is installed. *)
+(** [with_ name f] runs [f] inside an enter/leave pair of the installed
+    sink (exception-safe); plain [f ()] when nothing is installed. *)

@@ -22,8 +22,6 @@ open Ssmst_parallel
    PROF), each synchronous round reports its frontier / compute / apply
    wall-clock sub-phases, strictly out-of-band.  The sink is fetched once
    per round, and rounds with an empty frontier skip the probes. *)
-let penter p name = match p with None -> () | Some s -> s.Probe.enter name
-let pleave p name = match p with None -> () | Some s -> s.Probe.leave name
 
 (* ------------------------------------------------------------------ *)
 (* The naive reference engine                                          *)
@@ -240,7 +238,7 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
     last_write : int array;  (* per-node last-write round: convergence histograms *)
     metrics : Metrics.t;
     mutable trace : Trace.t option;
-    (* read-only probes: after every round (monitors, span attribution),
+    (* read-only probes: after every round (the monitors),
        and on every register write (the flight recorder) *)
     mutable round_hook : (unit -> unit) option;
     mutable write_hook :
@@ -470,9 +468,9 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
   let sync_round t =
     let round = t.rounds + 1 and n = Graph.n t.graph in
     let prb = if Frontier.is_empty t.frontier then None else Probe.get () in
-    penter prb ph_frontier;
+    Probe.enter prb ph_frontier;
     let members, m = Frontier.drain t.frontier in
-    pleave prb ph_frontier;
+    Probe.leave prb ph_frontier;
     let k = if Domain_pool.available && m >= 2 * t.domains then t.domains else 1 in
     let cap = capture_buffers t in
     if Bytes.length t.tags <> n then begin
@@ -482,20 +480,20 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
     end;
     let wasted = Array.make k 0 and base = t.read_stamp in
     t.read_stamp <- base + m;
-    penter prb ph_compute;
+    Probe.enter prb ph_compute;
     if k = 1 then compute_range t cap ~base members 0 m wasted 0
     else
       Domain_pool.run ~domains:k (fun w ->
           let lo, hi = Domain_pool.slice ~domains:k m w in
           compute_range t cap ~base members lo hi wasted w);
-    pleave prb ph_compute;
+    Probe.leave prb ph_compute;
     let mt = t.metrics in
     mt.Metrics.activations <- mt.Metrics.activations + m;
     mt.Metrics.wasted_steps <- Array.fold_left ( + ) mt.Metrics.wasted_steps wasted;
     mt.Metrics.skipped_activations <- mt.Metrics.skipped_activations + (n - m);
     mt.Metrics.rounds <- mt.Metrics.rounds + 1;
     t.rounds <- round;
-    penter prb ph_apply;
+    Probe.enter prb ph_apply;
     (match t.trace with
     | None -> ()
     | Some tr ->
@@ -514,7 +512,7 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
         dirty_neighbourhood t v
       end
     done;
-    pleave prb ph_apply;
+    Probe.leave prb ph_apply;
     fire_round_hook t
 
   (* One asynchronous round under a fair daemon, drawn exactly as in

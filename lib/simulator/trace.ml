@@ -5,7 +5,7 @@
    arbitrarily long run costs O(capacity) memory.  The engine records an
    event per activation, register write, alarm transition, fault injection
    and convergence check; the observability layer (Ssmst_obs) additionally
-   records span open/close marks and online-monitor verdicts, which makes
+   records online-monitor verdicts, which makes
    the paper's round/bit/distance claims observable per run instead of only
    as aggregates. *)
 
@@ -35,8 +35,6 @@ type event =
       (* [fault] is the injection id the write's [Fault] cause refers to *)
   | Convergence of { round : int; reached : bool }
       (* emitted by [run_until] when it stops *)
-  | Span_mark of { round : int; label : string; enter : bool }
-      (* a phase span opened ([enter]) or closed at [round] *)
   | Invariant_violation of { round : int; node : int option; monitor : string; detail : string }
       (* an online monitor found the snapshot of [round] in violation *)
 
@@ -89,7 +87,6 @@ let event_name = function
   | Alarm_cleared _ -> "alarm_cleared"
   | Fault_injected _ -> "fault_injected"
   | Convergence _ -> "convergence"
-  | Span_mark _ -> "span_mark"
   | Invariant_violation _ -> "invariant_violation"
 
 let event_round = function
@@ -99,7 +96,6 @@ let event_round = function
   | Alarm_cleared { round; _ }
   | Fault_injected { round; _ }
   | Convergence { round; _ }
-  | Span_mark { round; _ }
   | Invariant_violation { round; _ } ->
       round
 
@@ -111,7 +107,7 @@ let event_node = function
   | Fault_injected { node; _ } ->
       Some node
   | Invariant_violation { node; _ } -> node
-  | Convergence _ | Span_mark _ -> None
+  | Convergence _ -> None
 
 (* ---------------- JSON string escaping ---------------- *)
 
@@ -215,8 +211,6 @@ let event_to_json e =
       | None -> Fmt.str {|{%s,"node":%d}|} base node
       | Some id -> Fmt.str {|{%s,"node":%d,"fault":%d}|} base node id)
   | Convergence { reached; _ } -> Fmt.str {|{%s,"reached":%b}|} base reached
-  | Span_mark { label; enter; _ } ->
-      Fmt.str {|{%s,"label":"%s","enter":%b}|} base (json_escape label) enter
   | Invariant_violation { node; monitor; detail; _ } ->
       let node_field = match node with None -> "" | Some v -> Fmt.str {|"node":%d,|} v in
       Fmt.str {|{%s,%s"monitor":"%s","detail":"%s"}|} base node_field (json_escape monitor)
@@ -363,10 +357,6 @@ let event_of_json line =
           Option.map (fun node -> Fault_injected { round; node; fault = int "fault" }) (int "node")
       | Some "convergence", Some round ->
           Option.map (fun reached -> Convergence { round; reached }) (bool "reached")
-      | Some "span_mark", Some round -> (
-          match (str "label", bool "enter") with
-          | Some label, Some enter -> Some (Span_mark { round; label; enter })
-          | _ -> None)
       | Some "invariant_violation", Some round -> (
           match (str "monitor", str "detail") with
           | Some monitor, Some detail ->
@@ -395,8 +385,6 @@ let event_to_csv e =
   let node = match event_node e with Some v -> string_of_int v | None -> "" in
   let bits = match e with Register_write { bits; _ } -> string_of_int bits | _ -> "" in
   let reached = match e with Convergence { reached; _ } -> string_of_bool reached | _ -> "" in
-  let label = match e with Span_mark { label; _ } -> csv_escape label | _ -> "" in
-  let enter = match e with Span_mark { enter; _ } -> string_of_bool enter | _ -> "" in
   let monitor =
     match e with Invariant_violation { monitor; _ } -> csv_escape monitor | _ -> ""
   in
@@ -412,8 +400,10 @@ let event_to_csv e =
     | Register_write { prov = Some { changes; _ }; _ } -> csv_escape (changes_to_string changes)
     | _ -> ""
   in
-  Fmt.str "%s,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s" (event_name e) (event_round e) node bits reached
-    label enter monitor detail cause changes
+  (* [label] and [enter] are retired columns, kept empty so the column
+     positions readers index by stay put *)
+  Fmt.str "%s,%d,%s,%s,%s,,,%s,%s,%s,%s" (event_name e) (event_round e) node bits reached monitor
+    detail cause changes
 
 let write_csv oc t =
   output_string oc (csv_header ^ "\n");
@@ -421,8 +411,6 @@ let write_csv oc t =
 
 let pp_event ppf e =
   match e with
-  | Span_mark { round; label; enter } ->
-      Fmt.pf ppf "[%d] span %s %s" round (if enter then "open" else "close") label
   | Invariant_violation { round; node; monitor; detail } ->
       Fmt.pf ppf "[%d] violation %s%a: %s" round monitor
         Fmt.(option (fun ppf v -> Fmt.pf ppf " at node %d" v))

@@ -4,7 +4,7 @@
     {!Network.Flat}, which share one core) and every activation,
     register write, alarm transition, fault injection and convergence check
     is recorded as a typed event; the observability layer ([Ssmst_obs])
-    additionally records phase-span marks and online-monitor verdicts.  The
+    additionally records online-monitor verdicts.  The
     buffer is bounded: once [capacity] events are held, the oldest are
     dropped (and counted in {!dropped}), so tracing an arbitrarily long run
     costs O(capacity) memory. *)
@@ -32,8 +32,6 @@ type event =
   | Fault_injected of { round : int; node : int; fault : int option }
       (** [fault] is the injection id that write causes refer to *)
   | Convergence of { round : int; reached : bool }
-  | Span_mark of { round : int; label : string; enter : bool }
-      (** a phase span opened ([enter = true]) or closed at [round] *)
   | Invariant_violation of { round : int; node : int option; monitor : string; detail : string }
       (** an online monitor found the settled snapshot of [round] in
           violation; [node] pinpoints the first offending node when one

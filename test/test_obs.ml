@@ -4,8 +4,8 @@ open Ssmst_protocols
 open Ssmst_obs
 open Ssmst_core
 
-(* The runtime observatory: log-bucketed histograms, the phase-span
-   profiler, the online invariant monitors, the report renderers — plus the
+(* The runtime observatory: log-bucketed histograms, the phase profiler's
+   tree, the online invariant monitors, the report renderers — plus the
    compactness audit matrix over every protocol in the repo and the
    engine≡naive differential check with monitors attached. *)
 
@@ -225,85 +225,144 @@ let test_telemetry_probe_wiring () =
   Alcotest.(check bool) "uninstalled probes are inert" true
     (Ssmst_parallel.Probe.get () = None)
 
-(* ---------------- Span ---------------- *)
+(* ---------------- the phase tree ---------------- *)
 
-let test_span_sampling_and_nesting () =
-  let m = Metrics.create () in
-  let sp = Span.create ~sample:(Span.sampler_of_metrics m) () in
-  m.Metrics.rounds <- 5;
-  Span.open_ sp (Span.Fragment_level 0);
-  m.Metrics.rounds <- 12;
-  m.Metrics.activations <- 40;
-  Span.open_ sp Span.Wave_sweep;
-  m.Metrics.rounds <- 20;
-  m.Metrics.peak_bits <- 33;
-  Span.close sp;
-  m.Metrics.rounds <- 23;
-  Span.close sp;
-  let root = Span.finish sp in
-  Alcotest.(check int) "root rounds = full window" 23 root.Span.rounds;
-  (match Span.children root with
-  | [ frag ] ->
-      Alcotest.(check string) "tag label" "fragment-level 0" (Span.tag_label frag.Span.tag);
-      Alcotest.(check int) "fragment rounds (inclusive)" 18 frag.Span.rounds;
-      Alcotest.(check int) "fragment activations" 40 frag.Span.activations;
-      (match Span.children frag with
-      | [ wave ] ->
-          Alcotest.(check int) "wave rounds" 8 wave.Span.rounds;
-          Alcotest.(check int) "wave peak bits sampled at close" 33 wave.Span.peak_bits
-      | l -> Alcotest.fail (Fmt.str "expected one wave child, got %d" (List.length l)))
-  | l -> Alcotest.fail (Fmt.str "expected one fragment child, got %d" (List.length l)));
-  Alcotest.(check int) "depth_first visits all" 3 (List.length (Span.depth_first root))
+let charge t ?(rounds = 0) ?(activations = 0) ?(writes = 0) ?(peak_bits = 0) () =
+  Telemetry.charge t ~rounds ~activations ~writes ~peak_bits
 
-let test_span_charge_is_inclusive () =
-  let sp = Span.create () in
-  Span.open_ sp (Span.Epoch 1);
-  Span.open_ sp Span.Detect;
-  Span.charge sp ~rounds:7 ~activations:2 ~peak_bits:99 ();
-  Span.close sp;
-  Span.close sp;
-  let root = Span.finish sp in
-  let all = Span.depth_first root in
+let child_named (p : Telemetry.phase) name =
+  match List.filter (fun (c : Telemetry.phase) -> c.name = name) (Telemetry.children p) with
+  | [ c ] -> c
+  | l -> Alcotest.fail (Fmt.str "expected one %S child of %s, got %d" name p.name (List.length l))
+
+let test_tree_charge_is_inclusive () =
+  let t = Telemetry.fake () in
+  Telemetry.enter t "epoch 1";
+  Telemetry.enter t "detect";
+  charge t ~rounds:7 ~activations:2 ~peak_bits:99 ();
+  Telemetry.leave t "detect";
+  Telemetry.leave t "epoch 1";
+  let all = Telemetry.depth_first (Telemetry.root t) in
   Alcotest.(check int) "three nodes" 3 (List.length all);
   List.iter
-    (fun (_, (n : Span.node)) ->
-      Alcotest.(check int) (Span.tag_label n.Span.tag ^ " rounds") 7 n.Span.rounds;
-      Alcotest.(check int) (Span.tag_label n.Span.tag ^ " peak") 99 n.Span.peak_bits)
+    (fun (_, (p : Telemetry.phase)) ->
+      Alcotest.(check int) (p.name ^ " rounds") 7 p.rounds;
+      Alcotest.(check int) (p.name ^ " activations") 2 p.activations;
+      Alcotest.(check int) (p.name ^ " peak") 99 p.peak_bits)
     all
 
-let test_span_exception_safety_and_finish () =
-  let sp = Span.create () in
-  (try
-     Span.with_ sp Span.Settle (fun () ->
-         Span.charge sp ~rounds:3 ();
-         failwith "boom")
-   with Failure _ -> ());
-  Span.open_ sp Span.Inject;
-  Span.open_ sp Span.Verify;
-  (* finish closes the two dangling spans and settles the root *)
-  let root = Span.finish sp in
-  Alcotest.(check int) "settle closed by with_, inject+verify by finish" 3
-    (List.length (Span.depth_first root) - 1);
-  Alcotest.(check int) "charge survived the exception" 3 root.Span.rounds;
-  Alcotest.(check bool) "close on empty stack raises" true
-    (try
-       Span.close sp;
-       false
-     with Invalid_argument _ -> true)
-
-let test_span_trace_marks () =
-  let tr = Trace.create () in
-  let sp = Span.create ~trace:tr () in
-  Span.with_ sp (Span.Campaign_trial 2) (fun () -> ());
-  let marks =
-    List.filter_map
-      (function Trace.Span_mark { label; enter; _ } -> Some (label, enter) | _ -> None)
-      (Trace.to_list tr)
+let test_tree_nesting_and_metered () =
+  let t = Telemetry.fake () in
+  Telemetry.enter t "fragment-level 0";
+  charge t ~rounds:10 ~activations:40 ();
+  Telemetry.enter t "wave-sweep";
+  charge t ~rounds:8 ~peak_bits:33 ();
+  Telemetry.leave t "wave-sweep";
+  Telemetry.leave t "fragment-level 0";
+  let root = Telemetry.root t in
+  Alcotest.(check string) "root name" "run" root.name;
+  Alcotest.(check int) "root rounds = everything charged" 18 root.rounds;
+  let frag = child_named root "fragment-level 0" in
+  Alcotest.(check int) "fragment rounds (inclusive)" 18 frag.rounds;
+  Alcotest.(check int) "fragment activations" 40 frag.activations;
+  Alcotest.(check int) "fragment peak (max of children)" 33 frag.peak_bits;
+  let wave = child_named frag "wave-sweep" in
+  Alcotest.(check int) "wave rounds" 8 wave.rounds;
+  Alcotest.(check int) "wave activations" 0 wave.activations;
+  Alcotest.(check (list (pair int string))) "depth-first order"
+    [ (0, "run"); (1, "fragment-level 0"); (2, "wave-sweep") ]
+    (List.map (fun (d, (p : Telemetry.phase)) -> (d, p.name)) (Telemetry.depth_first root));
+  (* a metered frame charges the engine counters' delta, and the peak
+     bits at its close; it is a plain [f ()] with nothing installed *)
+  let m = Metrics.create () in
+  let bump () =
+    m.Metrics.rounds <- m.Metrics.rounds + 5;
+    m.Metrics.activations <- m.Metrics.activations + 3;
+    m.Metrics.register_writes <- m.Metrics.register_writes + 2;
+    m.Metrics.peak_bits <- 21
   in
-  Alcotest.(check (list (pair string bool)))
-    "enter/exit pair recorded"
-    [ ("campaign-trial 2", true); ("campaign-trial 2", false) ]
-    marks
+  bump ();
+  Telemetry.metered "unprofiled" m bump;
+  let t = Telemetry.fake () in
+  Telemetry.install t;
+  Fun.protect ~finally:Telemetry.uninstall (fun () ->
+      Telemetry.metered "settle" m (fun () ->
+          bump ();
+          Ssmst_parallel.Probe.with_ "inner" bump));
+  let settle = child_named (Telemetry.root t) "settle" in
+  Alcotest.(check (list int)) "metered delta: rounds, activations, writes, peak"
+    [ 10; 6; 4; 21 ]
+    [ settle.rounds; settle.activations; settle.writes; settle.peak_bits ];
+  Alcotest.(check int) "metered frame closed once" 1 settle.calls;
+  Alcotest.(check int) "uncharged child frame" 0 (child_named settle "inner").rounds
+
+let test_tree_exception_safety () =
+  let t = Telemetry.fake () in
+  Telemetry.install t;
+  Fun.protect ~finally:Telemetry.uninstall (fun () ->
+      (try
+         Ssmst_parallel.Probe.with_ "settle" (fun () ->
+             Ssmst_parallel.Probe.charge ~rounds:3 ();
+             failwith "boom")
+       with Failure _ -> ());
+      (try Telemetry.metered "detect" (Metrics.create ()) (fun () -> failwith "boom")
+       with Failure _ -> ());
+      (* both frames were closed: this one opens under the root *)
+      Ssmst_parallel.Probe.with_ "after" (fun () -> ()));
+  let root = Telemetry.root t in
+  Alcotest.(check (list string)) "siblings under the root"
+    [ "settle"; "detect"; "after" ]
+    (List.map (fun (p : Telemetry.phase) -> p.name) (Telemetry.children root));
+  Alcotest.(check int) "charge survived the exception" 3 root.rounds;
+  Alcotest.(check int) "settle closed once" 1 (child_named root "settle").calls;
+  Alcotest.(check int) "detect closed once" 1 (child_named root "detect").calls
+
+let test_tree_open_frames_at_render () =
+  let t = Telemetry.fake () in
+  Telemetry.enter t "inject";
+  Telemetry.enter t "verify";
+  charge t ~writes:4 ();
+  (* rendering does not close anything: the open frames show their
+     charges so far and no completed call *)
+  let md = Telemetry.to_markdown t and csv = Telemetry.to_csv t and json = Telemetry.to_json t in
+  Alcotest.(check bool) "markdown lists the open frames" true
+    (contains md "| inject | 0 |" && contains md "| verify | 0 |");
+  Alcotest.(check bool) "csv lists them" true (contains csv "verify,0,");
+  Alcotest.(check bool) "json parses" true
+    (match Json_lite.parse json with _ -> true | exception Json_lite.Bad _ -> false);
+  let r = Report.create ~title:"open" ~scenario:[] () in
+  Report.set_spans r (Telemetry.root t);
+  Alcotest.(check bool) "report renders the open frames" true
+    (contains (Report.to_markdown r) "    - verify [rounds 0, activations 0, writes 4, peak 0 bits]");
+  Alcotest.(check int) "root carries the charge" 4 (Telemetry.root t).writes;
+  Telemetry.leave t "verify";
+  Telemetry.leave t "inject";
+  let inject = child_named (Telemetry.root t) "inject" in
+  Alcotest.(check int) "closed after render" 1 inject.calls;
+  Alcotest.(check int) "charge kept" 4 inject.writes
+
+let test_tree_same_name_siblings_merge () =
+  let t = Telemetry.fake () in
+  for i = 1 to 3 do
+    Telemetry.enter t "campaign.trial";
+    charge t ~rounds:i ~writes:1 ~peak_bits:i ();
+    Telemetry.enter t "campaign.trial";  (* nested: a child, not a sibling *)
+    Telemetry.leave t "campaign.trial";
+    Telemetry.leave t "campaign.trial"
+  done;
+  let root = Telemetry.root t in
+  let trial = child_named root "campaign.trial" in
+  Alcotest.(check int) "one node, calls add up" 3 trial.calls;
+  Alcotest.(check int) "rounds add up" 6 trial.rounds;
+  Alcotest.(check int) "writes add up" 3 trial.writes;
+  Alcotest.(check int) "peak is a max" 3 trial.peak_bits;
+  Alcotest.(check (float 1e-9)) "wall adds up (fake clock: 3 ms a call)" 0.009 trial.wall_s;
+  Alcotest.(check int) "the nested frame is its own node" 3 (child_named trial "campaign.trial").calls;
+  match Telemetry.phases t with
+  | [ p ] ->
+      Alcotest.(check string) "fold by name: one row" "campaign.trial" p.name;
+      Alcotest.(check int) "fold sums calls across depths" 6 p.calls
+  | l -> Alcotest.fail (Fmt.str "expected one phase row, got %d" (List.length l))
 
 (* ---------------- Trace: JSON round-trip (satellite) ---------------- *)
 
@@ -318,8 +377,8 @@ let all_variants =
     Trace.Fault_injected { round = 7; node = 0; fault = None };
     Trace.Convergence { round = 8; reached = false };
     Trace.Convergence { round = 9; reached = true };
-    Trace.Span_mark { round = 10; label = nasty; enter = true };
-    Trace.Span_mark { round = 11; label = ""; enter = false };
+    Trace.Invariant_violation { round = 10; node = Some 1; monitor = nasty; detail = "" };
+    Trace.Invariant_violation { round = 11; node = None; monitor = ""; detail = "" };
     Trace.Invariant_violation { round = 12; node = None; monitor = "compactness"; detail = nasty };
     Trace.Invariant_violation
       { round = 13; node = Some 5; monitor = "forest"; detail = "cycle at node 5" };
@@ -345,9 +404,10 @@ let test_trace_json_roundtrip () =
 
 let test_trace_csv_escaping () =
   let row =
-    Trace.event_to_csv (Trace.Span_mark { round = 1; label = "a,b\"c"; enter = true })
+    Trace.event_to_csv
+      (Trace.Invariant_violation { round = 1; node = None; monitor = "a,b\"c"; detail = "" })
   in
-  Alcotest.(check bool) "comma-bearing label is quoted" true (contains row {|"a,b""c"|})
+  Alcotest.(check bool) "comma-bearing monitor name is quoted" true (contains row {|"a,b""c"|})
 
 (* ---------------- Metrics: full reset (satellite) ---------------- *)
 
@@ -838,7 +898,7 @@ let test_compactness_baselines () =
 
 let test_report_construct () =
   let p = { Observatory.default_params with Observatory.n = 32; seed = 11 } in
-  let r = Observatory.construct p in
+  let r = Observatory.construct (Telemetry.fake ()) p in
   Alcotest.(check bool) "monitors ok" true (Report.all_monitors_ok r);
   let md = Report.to_markdown r in
   List.iter
@@ -850,7 +910,7 @@ let test_report_stabilize () =
   let p =
     { Observatory.default_params with Observatory.n = 48; seed = 3; epochs = 2; faults = 1 }
   in
-  let r = Observatory.stabilize p in
+  let r = Observatory.stabilize (Telemetry.fake ()) p in
   Alcotest.(check bool) "monitors ok" true (Report.all_monitors_ok r);
   let md = Report.to_markdown r in
   List.iter
@@ -861,6 +921,68 @@ let test_report_stabilize () =
   Alcotest.(check bool) "json object shaped" true
     (String.length j > 2 && j.[0] = '{' && j.[String.length j - 1] = '}');
   Alcotest.(check bool) "json says monitors ok" true (contains j {|"monitors_ok":true|})
+
+(* The phase profiler charges the paper's logical cost exactly as the
+   separate span profiler it replaced did.  Pinned from that profiler's
+   trees at -n 32 --seed 11, default parameters: each scenario's root row
+   (rounds, activations, writes, peak bits), and every name's summed
+   rounds, activations and writes.  The former [construct] span is now the
+   [construct.marker] / [transformer.construct] frame, and the per-trial
+   [campaign-trial i] spans are one [campaign.trial] row; [epoch i] rows
+   are framed differently and left out.  The report's bytes are
+   deterministic run to run. *)
+let pinned_costs =
+  [
+    ( "construct",
+      (748, 226, 0, 163),
+      [
+        ("construct.marker", (748, 226, 0)); ("fragment-level 0", (11, 64, 0));
+        ("fragment-level 1", (22, 40, 0)); ("fragment-level 2", (44, 43, 0));
+        ("fragment-level 3", (88, 47, 0)); ("fragment-level 4", (64, 32, 0));
+        ("wave-sweep", (184, 226, 0)); ("marker-assembly", (508, 0, 0));
+      ] );
+    ( "verify",
+      (2241, 71712, 71713, 347),
+      [ ("settle", (2240, 71680, 71680)); ("inject", (0, 0, 1)); ("detect", (1, 32, 32)) ] );
+    ( "stabilize",
+      (4501, 904, 3, 163),
+      [
+        ("transformer.construct", (3504, 904, 0)); ("fragment-level 0", (44, 256, 0));
+        ("fragment-level 1", (88, 160, 0)); ("fragment-level 2", (176, 172, 0));
+        ("fragment-level 3", (352, 188, 0)); ("fragment-level 4", (256, 128, 0));
+        ("wave-sweep", (736, 904, 0)); ("marker-assembly", (2032, 0, 0)); ("inject", (0, 0, 3));
+        ("detect", (5, 0, 0));
+      ] );
+    ("campaign", (60027, 0, 21, 0), [ ("campaign.trial", (60027, 0, 21)) ]);
+  ]
+
+let test_report_logical_costs_pinned () =
+  let p = { Observatory.default_params with Observatory.n = 32; seed = 11 } in
+  List.iter
+    (fun (scenario, (r, a, w, b), sums) ->
+      let tel = Telemetry.fake () in
+      let report = Observatory.run ~scenario tel p in
+      let root = Telemetry.root tel in
+      Alcotest.(check (list int))
+        (scenario ^ ": root row")
+        [ r; a; w; b ]
+        [ root.rounds; root.activations; root.writes; root.peak_bits ];
+      let phases = Telemetry.phases tel in
+      List.iter
+        (fun (name, (r, a, w)) ->
+          match List.find_opt (fun (ph : Telemetry.phase) -> ph.name = name) phases with
+          | None -> Alcotest.fail (Fmt.str "%s: no %S frame" scenario name)
+          | Some ph ->
+              Alcotest.(check (list int))
+                (Fmt.str "%s: %s sums" scenario name)
+                [ r; a; w ]
+                [ ph.rounds; ph.activations; ph.writes ])
+        sums;
+      let again = Observatory.run ~scenario (Telemetry.fake ()) p in
+      Alcotest.(check string)
+        (scenario ^ ": report bytes deterministic")
+        (Report.to_markdown report) (Report.to_markdown again))
+    pinned_costs
 
 let suite =
   [
@@ -878,11 +1000,13 @@ let suite =
     Alcotest.test_case "telemetry: event cap counts drops" `Quick test_telemetry_event_cap;
     Alcotest.test_case "telemetry: probe install/uninstall wiring" `Quick
       test_telemetry_probe_wiring;
-    Alcotest.test_case "span: sampling + nesting" `Quick test_span_sampling_and_nesting;
-    Alcotest.test_case "span: charge is inclusive" `Quick test_span_charge_is_inclusive;
-    Alcotest.test_case "span: exception safety + finish" `Quick
-      test_span_exception_safety_and_finish;
-    Alcotest.test_case "span: trace marks" `Quick test_span_trace_marks;
+    Alcotest.test_case "tree: charge is inclusive" `Quick test_tree_charge_is_inclusive;
+    Alcotest.test_case "tree: nesting + metered frame" `Quick test_tree_nesting_and_metered;
+    Alcotest.test_case "tree: exception safety" `Quick test_tree_exception_safety;
+    Alcotest.test_case "tree: frames still open at render" `Quick
+      test_tree_open_frames_at_render;
+    Alcotest.test_case "tree: same-name siblings merge" `Quick
+      test_tree_same_name_siblings_merge;
     Alcotest.test_case "trace: every variant round-trips through JSON" `Quick
       test_trace_json_roundtrip;
     Alcotest.test_case "trace: csv escaping" `Quick test_trace_csv_escaping;
@@ -906,4 +1030,6 @@ let suite =
     Alcotest.test_case "compactness audit (baselines)" `Quick test_compactness_baselines;
     Alcotest.test_case "report: construct scenario" `Quick test_report_construct;
     Alcotest.test_case "report: stabilize scenario" `Quick test_report_stabilize;
+    Alcotest.test_case "report: logical costs pinned across the profiler merge" `Quick
+      test_report_logical_costs_pinned;
   ]

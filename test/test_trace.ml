@@ -63,7 +63,7 @@ let test_json_csv () =
     [
       a; c; w;
       Trace.Fault_injected { round = 2; node = 7; fault = Some 0 };
-      Trace.Span_mark { round = 4; label = "plain"; enter = true };
+      Trace.Invariant_violation { round = 4; node = None; monitor = "plain"; detail = "" };
       Trace.Invariant_violation
         { round = 9; node = Some 3; monitor = "forest"; detail = "plain detail" };
     ]
