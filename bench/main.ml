@@ -178,7 +178,7 @@ let detection_sample ~mode ~daemon ~seed n =
   let module P = Verifier.Make (C) in
   let module Net = Network.Make (P) in
   let net = Net.create g in
-  Net.run net daemon ~rounds:(8 * Verifier.window_bound m.labels.(0));
+  Net.run net daemon ~rounds:(Verifier_campaign.settle_rounds m);
   if Net.any_alarm net then None
   else
     let rng = Gen.rng (seed + 1) in

@@ -23,14 +23,31 @@ let n_arg =
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-let family_arg =
-  Arg.(
-    value
-    & opt (enum [ ("random", `Random); ("path", `Path); ("ring", `Ring); ("grid", `Grid);
-                  ("complete", `Complete); ("star", `Star); ("hypertree", `Hypertree) ])
-        `Random
-    & info [ "family" ] ~docv:"FAMILY"
-        ~doc:"Graph family: random, path, ring, grid, complete, star, hypertree.")
+let family_list = String.concat ", " Verifier_campaign.family_names
+
+(* An unknown family is a usage error (exit 2) in every subcommand. *)
+let check_families cmd families =
+  match List.filter (fun f -> not (List.mem f Verifier_campaign.family_names)) families with
+  | [] -> ()
+  | unknown ->
+      Fmt.epr "msst %s: unknown family(s) %s (known: %s)@." cmd (String.concat ", " unknown)
+        family_list;
+      exit 2
+
+(* The one family argument, over {!Verifier_campaign.build_graph}'s table. *)
+let family_arg cmd =
+  let doc =
+    Fmt.str
+      "Graph family: %s.  grid rounds n down to a square and hypertree (the Section 9 \
+       lower-bound instances) to 2^(h+1)-1; from n = %d on, random, grid and hypertree \
+       come from the streamed builders."
+      family_list Verifier_campaign.stream_threshold
+  in
+  Term.(
+    const (fun f ->
+        check_families cmd [ f ];
+        f)
+    $ Arg.(value & opt string "random" & info [ "family" ] ~docv:"FAMILY" ~doc))
 
 let faults_arg =
   Arg.(value & opt int 1 & info [ "faults" ] ~docv:"F" ~doc:"Number of faults to inject.")
@@ -64,38 +81,14 @@ let domains_arg =
 let resolve_domains d =
   if d > 0 then d else Ssmst_parallel.Domain_pool.domains_from_env ~default:1 ()
 
-(* n rounded down to the nearest complete-binary-tree size 2^(h+1)-1 *)
-let hypertree_height n =
-  let h = ref 2 in
-  while (1 lsl (!h + 2)) - 1 <= n do incr h done;
-  !h
-
-(* At and above this size the O(1)-memory streamed CSR builders take over
-   for the families that have them (same topology, a different — still
-   seed-deterministic — weight draw).  Below it the Random.State builders
-   keep every historical instance byte-identical. *)
-let stream_threshold = 50_000
-
-let make_graph family n seed =
-  let st = Gen.rng seed in
-  match family with
-  | `Random -> if n >= stream_threshold then Gen.stream_random ~seed n else Gen.random_connected st n
-  | `Path -> Gen.path st n
-  | `Ring -> Gen.ring st n
-  | `Grid ->
-      let side = max 2 (int_of_float (sqrt (float_of_int n))) in
-      if n >= stream_threshold then Gen.stream_grid ~seed side side else Gen.grid st side side
-  | `Complete -> Gen.complete st n
-  | `Star -> Gen.star st n
-  | `Hypertree ->
-      let h = hypertree_height n in
-      if n >= stream_threshold then Gen.stream_hypertree ~seed h
-      else fst (Gen.hypertree_like st h)
+(* the shared flags, as the one scenario record every driver takes *)
+let params_of family n seed faults async =
+  { Observatory.default_params with family; n; seed; faults; async }
 
 (* ---------------- construct ---------------- *)
 
 let construct family n seed =
-  let g = make_graph family n seed in
+  let g = Verifier_campaign.build_graph ~family ~seed n in
   let m = Marker.run g in
   Fmt.pr "graph: %d nodes, %d edges, max degree %d@." (Graph.n g) (Graph.num_edges g)
     (Graph.max_degree g);
@@ -105,7 +98,7 @@ let construct family n seed =
     m.hierarchy.height;
   Fmt.pr "construction: %d charged rounds (%.1f per node)@." m.construction_rounds
     (float_of_int m.construction_rounds /. float_of_int (Graph.n g));
-  Fmt.pr "labels: max %d bits per node (log2 n = %d)@." m.label_bits (Memory.of_nat n);
+  Fmt.pr "labels: max %d bits per node (log2 n = %d)@." m.label_bits (Memory.of_nat (Graph.n g));
   Fmt.pr "partitions: %d parts (Top+Bottom), threshold %d@."
     (Array.length m.assignment.Partition.parts) m.assignment.Partition.threshold;
   0
@@ -113,10 +106,10 @@ let construct family n seed =
 (* ---------------- verify ---------------- *)
 
 let verify family n seed faults async_ domains =
-  let g = make_graph family n seed in
+  let p = params_of family n seed faults async_ in
+  let g = Observatory.graph_of p in
   let m = Marker.run g in
-  let mode = if async_ then Verifier.Handshake else Verifier.Passive in
-  let daemon = if async_ then Scheduler.Async_random (Gen.rng (seed + 1)) else Scheduler.Sync in
+  let mode, daemon = Observatory.mode_and_daemon p in
   let module C = struct
     let marker = m
     let mode = mode
@@ -124,7 +117,7 @@ let verify family n seed faults async_ domains =
   let module P = Verifier.Make (C) in
   let module Net = Network.Make (P) in
   let net = Net.create ~domains:(resolve_domains domains) g in
-  Net.run net daemon ~rounds:(8 * Verifier.window_bound m.labels.(0));
+  Net.run net daemon ~rounds:(Verifier_campaign.settle_rounds m);
   Fmt.pr "settled after %d rounds; alarms: %b (must be false)@." (Net.rounds net)
     (Net.any_alarm net);
   if faults > 0 then begin
@@ -144,9 +137,9 @@ let verify family n seed faults async_ domains =
 (* ---------------- stabilize ---------------- *)
 
 let stabilize family n seed faults async_ domains =
-  let g = make_graph family n seed in
-  let mode = if async_ then Verifier.Handshake else Verifier.Passive in
-  let daemon = if async_ then Scheduler.Async_random (Gen.rng (seed + 1)) else Scheduler.Sync in
+  let p = params_of family n seed faults async_ in
+  let g = Observatory.graph_of p in
+  let mode, daemon = Observatory.mode_and_daemon p in
   let t = Transformer.create ~mode ~daemon ~domains:(resolve_domains domains) g in
   Fmt.pr "stabilized in %d rounds; output weight %d@."
     (Transformer.stabilization_rounds t)
@@ -175,10 +168,10 @@ let trace_run family n seed faults async_ out capacity fmt =
     Fmt.epr "msst trace: --capacity must be positive (got %d)@." capacity;
     exit 2
   end;
-  let g = make_graph family n seed in
+  let p = params_of family n seed faults async_ in
+  let g = Observatory.graph_of p in
   let m = Marker.run g in
-  let mode = if async_ then Verifier.Handshake else Verifier.Passive in
-  let daemon = if async_ then Scheduler.Async_random (Gen.rng (seed + 1)) else Scheduler.Sync in
+  let mode, daemon = Observatory.mode_and_daemon p in
   let module C = struct
     let marker = m
     let mode = mode
@@ -186,7 +179,7 @@ let trace_run family n seed faults async_ out capacity fmt =
   let module P = Verifier.Make (C) in
   let module Net = Network.Make (P) in
   let net = Net.create g in
-  Net.run net daemon ~rounds:(8 * Verifier.window_bound m.labels.(0));
+  Net.run net daemon ~rounds:(Verifier_campaign.settle_rounds m);
   Fmt.epr "settled after %d rounds; alarms: %b (must be false)@." (Net.rounds net)
     (Net.any_alarm net);
   let tr = Trace.create ~capacity () in
@@ -230,15 +223,7 @@ let campaign families sizes fault_counts models seeds seed max_rounds jobs csv_o
       Campaign.model_names;
     exit 2
   end;
-  let unknown = List.filter (fun f -> not (List.mem f Verifier_campaign.family_names)) families in
-  if unknown <> [] then begin
-    Fmt.epr "msst campaign: unknown family(s) %a (known: %a)@."
-      Fmt.(list ~sep:comma string)
-      unknown
-      Fmt.(list ~sep:comma string)
-      Verifier_campaign.family_names;
-    exit 2
-  end;
+  check_families "campaign" families;
   if seeds <= 0 then begin
     Fmt.epr "msst campaign: --seeds must be positive (got %d)@." seeds;
     exit 2
@@ -300,22 +285,8 @@ let run_scenario cmd tel scenario family n seed faults async_ epochs trials max_
     end
   in
   known "scenario" Observatory.scenario_names scenario;
-  known "family" Verifier_campaign.family_names family;
-  let p =
-    {
-      Observatory.default_params with
-      Observatory.family;
-      n;
-      seed;
-      faults;
-      async = async_;
-      epochs;
-      trials;
-      max_rounds;
-      domains;
-    }
-  in
-  Observatory.run ~scenario tel p
+  Observatory.run ~scenario tel
+    { (params_of family n seed faults async_) with epochs; trials; max_rounds; domains }
 
 let write_file path s =
   let oc = open_out path in
@@ -400,17 +371,18 @@ let parse_alarm s =
 
 let flight_params cmd family n seed faults clustered interval capacity max_rounds
     distance_c =
-  if not (List.mem family Verifier_campaign.family_names) then begin
-    Fmt.epr "msst %s: unknown family %s (known: %a)@." cmd family
-      Fmt.(list ~sep:comma string)
-      Verifier_campaign.family_names;
-    exit 2
-  end;
   if interval <= 0 || capacity <= 0 then begin
     Fmt.epr "msst %s: --interval and --capacity must be positive@." cmd;
     exit 2
   end;
-  { Flight.family; n; seed; faults; clustered; interval; capacity; max_rounds; distance_c }
+  {
+    (params_of family n seed faults false) with
+    clustered;
+    interval;
+    capacity;
+    max_rounds;
+    distance_c;
+  }
 
 let with_out out f =
   match out with
@@ -629,13 +601,13 @@ let replay_run family n seed faults clustered interval capacity max_rounds seek 
 (* ---------------- labels ---------------- *)
 
 let labels family n seed =
-  let g = make_graph family n seed in
+  let g = Verifier_campaign.build_graph ~family ~seed n in
   let m = Marker.run g in
   let labels = Labels.of_hierarchy m.hierarchy in
   let len = labels.(0).Labels.len in
   Fmt.pr "%-6s %-*s %-*s %-*s %s@." "node" ((len * 2) + 2) "Roots" ((len * 5) + 2) "EndP"
     ((len * 2) + 2) "Parents" "Or-EndP";
-  for v = 0 to min (n - 1) (Graph.n g - 1) do
+  for v = 0 to Graph.n g - 1 do
     let l = labels.(v) in
     let roots = Fmt.str "%a" Fmt.(array ~sep:(any " ") Labels.pp_rsym) l.Labels.roots in
     let endp =
@@ -661,7 +633,7 @@ let labels family n seed =
 (* ---------------- compare ---------------- *)
 
 let compare_cmd family n seed =
-  let g = make_graph family n seed in
+  let g = Verifier_campaign.build_graph ~family ~seed n in
   let w = Graph.plain_weight_fn g in
   let sm = Sync_mst.run g in
   let ghs = Ssmst_baselines.Ghs.run g in
@@ -686,17 +658,17 @@ let compare_cmd family n seed =
 let construct_cmd =
   Cmd.v
     (Cmd.info "construct" ~doc:"Build the MST and its proof labels.")
-    Term.(const construct $ family_arg $ n_arg $ seed_arg)
+    Term.(const construct $ family_arg "construct" $ n_arg $ seed_arg)
 
 let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc:"Run the self-stabilizing verifier; optionally inject faults.")
-    Term.(const verify $ family_arg $ n_arg $ seed_arg $ faults_arg $ async_arg $ domains_arg)
+    Term.(const verify $ family_arg "verify" $ n_arg $ seed_arg $ faults_arg $ async_arg $ domains_arg)
 
 let stabilize_cmd =
   Cmd.v
     (Cmd.info "stabilize" ~doc:"Run the transformer-based self-stabilizing MST scenario.")
-    Term.(const stabilize $ family_arg $ n_arg $ seed_arg $ faults_arg $ async_arg $ domains_arg)
+    Term.(const stabilize $ family_arg "stabilize" $ n_arg $ seed_arg $ faults_arg $ async_arg $ domains_arg)
 
 let out_arg =
   Arg.(
@@ -725,7 +697,7 @@ let trace_cmd =
        ~doc:
          "Run a fault-injection scenario on the verifier and emit the engine's event trace \
           as JSON lines (one event per line); diagnostics go to stderr.")
-    Term.(const trace_run $ family_arg $ n_arg $ seed_arg $ faults_arg $ async_arg $ out_arg
+    Term.(const trace_run $ family_arg "trace" $ n_arg $ seed_arg $ faults_arg $ async_arg $ out_arg
           $ capacity_arg $ format_arg Json)
 
 (* ---------------- explain / replay wiring ---------------- *)
@@ -734,15 +706,6 @@ let interval_arg =
   Arg.(
     value & opt int 64
     & info [ "interval" ] ~docv:"K" ~doc:"Checkpoint every at most $(docv) rounds.")
-
-let flight_family_arg =
-  Arg.(
-    value
-    & opt string "random"
-    & info [ "family" ] ~docv:"FAMILY"
-        ~doc:
-          "Graph family: random, path, ring, grid, complete, star, hypertree (the \
-           Section 9 lower-bound instances; n rounds down to 2^(h+1)-1).")
 
 let clustered_arg =
   Arg.(
@@ -775,7 +738,7 @@ let explain_cmd =
           checked against the detection-distance bound C*f*ceil(log2 n) (Section 2.4).  \
           Exits 3 when a provenance chain is broken, 1 when a witness violates the bound.")
     Term.(
-      const explain_run $ flight_family_arg $ n_arg $ seed_arg $ faults_arg $ clustered_arg
+      const explain_run $ family_arg "explain" $ n_arg $ seed_arg $ faults_arg $ clustered_arg
       $ interval_arg $ capacity_arg $ max_rounds_arg $ distance_c_arg $ alarm_arg
       $ format_arg Md $ out_arg)
 
@@ -807,7 +770,7 @@ let replay_cmd =
           reference for the first diverging (round, node, field).  Exits 1 when --diff \
           finds a divergence.")
     Term.(
-      const replay_run $ flight_family_arg $ n_arg $ seed_arg $ faults_arg $ clustered_arg
+      const replay_run $ family_arg "replay" $ n_arg $ seed_arg $ faults_arg $ clustered_arg
       $ interval_arg $ capacity_arg $ max_rounds_arg $ seek_arg $ steps_arg $ diff_arg
       $ format_arg Md $ out_arg)
 
@@ -816,7 +779,7 @@ let families_arg =
     value
     & opt (list string) [ "random"; "grid" ]
     & info [ "families" ] ~docv:"FAMILY,..."
-        ~doc:"Graph families to sweep (random, path, ring, grid, complete, star).")
+        ~doc:("Graph families to sweep: " ^ family_list ^ "."))
 
 let sizes_arg =
   Arg.(
@@ -883,12 +846,6 @@ let scenario_arg =
     & pos 0 (some string) None
     & info [] ~docv:"SCENARIO" ~doc:"Scenario to report on: construct, verify, stabilize, campaign.")
 
-let report_family_arg =
-  Arg.(
-    value
-    & opt string "random"
-    & info [ "family" ] ~docv:"FAMILY" ~doc:"Graph family: random, path, ring, grid, complete, star.")
-
 let epochs_arg =
   Arg.(
     value & opt int 3
@@ -921,7 +878,7 @@ let report_cmd =
           (rounds, activations, writes, peak bits).  Exits non-zero if any invariant \
           monitor reports a violation.")
     Term.(
-      const report $ scenario_arg $ report_family_arg $ n_arg $ seed_arg $ faults_arg $ async_arg
+      const report $ scenario_arg $ family_arg "report" $ n_arg $ seed_arg $ faults_arg $ async_arg
       $ epochs_arg $ trials_arg $ max_rounds_arg $ report_md_arg $ report_json_arg
       $ format_arg Md)
 
@@ -951,19 +908,19 @@ let profile_cmd =
           optionally a Chrome-trace JSON.  Telemetry is strictly out-of-band: registers, \
           metrics and monitors are byte-identical to an unprofiled run at every -d.")
     Term.(
-      const profile $ scenario_arg $ report_family_arg $ n_arg $ seed_arg $ faults_arg
+      const profile $ scenario_arg $ family_arg "profile" $ n_arg $ seed_arg $ faults_arg
       $ async_arg $ epochs_arg $ trials_arg $ max_rounds_arg $ domains_arg $ format_arg Md
       $ chrome_arg $ fake_clock_arg)
 
 let labels_cmd =
   Cmd.v
     (Cmd.info "labels" ~doc:"Print the Section 5 label strings of an instance.")
-    Term.(const labels $ family_arg $ n_arg $ seed_arg)
+    Term.(const labels $ family_arg "labels" $ n_arg $ seed_arg)
 
 let compare_cmdliner =
   Cmd.v
     (Cmd.info "compare" ~doc:"Compare MST construction algorithms on one instance.")
-    Term.(const compare_cmd $ family_arg $ n_arg $ seed_arg)
+    Term.(const compare_cmd $ family_arg "compare" $ n_arg $ seed_arg)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

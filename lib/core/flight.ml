@@ -21,30 +21,9 @@ open Ssmst_replay
      diffing) and expose seek/step views plus the first-divergence
      bisector over the pair. *)
 
-type params = {
-  family : string;
-  n : int;
-  seed : int;
-  faults : int;
-  clustered : bool;  (* clustered placement (radius 2) instead of uniform *)
-  interval : int;  (* checkpoint every <= interval rounds *)
-  capacity : int;  (* delta-ring capacity *)
-  max_rounds : int;  (* detection / stabilization budget *)
-  distance_c : int;
-}
-
-let default_params =
-  {
-    family = "random";
-    n = 64;
-    seed = 42;
-    faults = 2;
-    clustered = true;
-    interval = 64;
-    capacity = Trace.default_capacity;
-    max_rounds = 20000;
-    distance_c = Ssmst_obs.Monitor.default_distance_c;
-  }
+(* Both drivers take the one scenario record, {!Observatory.params}; of
+   its fields they read family, n, seed, faults, clustered, interval,
+   capacity, max_rounds and distance_c. *)
 
 (* ---------------- explain: fault -> alarm witnesses ---------------- *)
 
@@ -54,13 +33,13 @@ type witness = {
   fault : Fault.id option;  (* [None]: the chain is broken *)
   hops : (int * int * string list) list;  (* (round, node, changed fields), fault first *)
   node_changes : int;  (* graph hops the corruption travelled *)
-  bound : int;  (* distance_c * f * ceil(log2 n) *)
+  bound : int;  (* distance_c * f * ceil(log2 n), n as built *)
   within_bound : bool;
   error : string option;
 }
 
 type verify_run = {
-  n : int;
+  n : int;  (* as built: [Graph.n], not the request *)
   settled_round : int;
   victims : int list;
   detection : int option;  (* rounds from injection to the first alarm *)
@@ -72,7 +51,7 @@ type verify_run = {
   end_equal : bool;  (* replayed final state == live final state *)
 }
 
-let fault_model p =
+let fault_model (p : Observatory.params) =
   let placement =
     if p.clustered then Fault.Clustered { center = None; radius = 2 } else Fault.Uniform
   in
@@ -81,8 +60,8 @@ let fault_model p =
 (* [alarm = Some (node, round)] restricts the witness list to the one
    requested alarm (the node's first alarming write at or before [round]
    when given); the default explains every alarming node *)
-let record_verify ?alarm p =
-  let g = Verifier_campaign.graph_of_family p.family (Gen.rng p.seed) p.n in
+let record_verify ?alarm (p : Observatory.params) =
+  let g = Observatory.graph_of p in
   let m = Marker.run g in
   let module C = struct
     let marker = m
@@ -92,8 +71,7 @@ let record_verify ?alarm p =
   let module Net = Network.Make (P) in
   let module R = Recorder.Make (P) in
   let net = Net.create g in
-  let settle_budget = 8 * Verifier.window_bound m.Marker.labels.(0) in
-  Net.run net Scheduler.Sync ~rounds:settle_budget;
+  Net.run net Scheduler.Sync ~rounds:(Verifier_campaign.settle_rounds m);
   let settled_round = Net.rounds net in
   let rec_ =
     R.create ~interval:p.interval ~capacity:p.capacity ~round0:settled_round g (Net.states net)
@@ -103,7 +81,7 @@ let record_verify ?alarm p =
   let detection = Net.detection_time net Scheduler.Sync ~max_rounds:p.max_rounds in
   let alarms = List.sort Int.compare (Net.alarming_nodes net) in
   let f = max 1 (List.length victims) in
-  let bound = p.distance_c * f * Memory.of_nat p.n in
+  let bound = p.distance_c * f * Memory.of_nat (Graph.n g) in
   let witness_of ?round node =
     match R.explain rec_ ?round ~node () with
     | Ok (path : Provenance.path) ->
@@ -145,7 +123,7 @@ let record_verify ?alarm p =
     !ok
   in
   {
-    n = p.n;
+    n = Graph.n g;
     settled_round;
     victims;
     detection;
@@ -182,12 +160,12 @@ type replay_run = {
 (* Record an ss-bfs stabilization (all nodes initially claim leadership,
    churn until the max-identity BFS tree wins) plus one mid-run fault
    burst; optionally record the naive engine's twin run for the bisector. *)
-let replay_probe p ~seek ~steps ~diff =
+let replay_probe (p : Observatory.params) ~seek ~steps ~diff =
   let module P = Ssmst_protocols.Ss_bfs.P in
   let module Net = Network.Make (P) in
   let module Nv = Network.Naive (P) in
   let module R = Recorder.Make (P) in
-  let g = Verifier_campaign.graph_of_family p.family (Gen.rng p.seed) p.n in
+  let g = Observatory.graph_of p in
   let net = Net.create g in
   let rec_ = R.create ~interval:p.interval ~capacity:p.capacity ~round0:0 g (Net.states net) in
   Net.set_write_hook net (R.engine_hook rec_ (Net.states net));

@@ -19,6 +19,9 @@ type params = {
   seed : int;
   faults : int;
   async : bool;
+  clustered : bool;  (* explain/replay: clustered placement (radius 2) instead of uniform *)
+  interval : int;  (* explain/replay: checkpoint every <= interval rounds *)
+  capacity : int;  (* explain/replay: delta-ring capacity *)
   epochs : int;  (* stabilize: fault-injection epochs *)
   trials : int;  (* campaign: seeds per fault model *)
   max_rounds : int;  (* detection budget *)
@@ -34,6 +37,9 @@ let default_params =
     seed = 42;
     faults = 1;
     async = false;
+    clustered = false;
+    interval = 64;
+    capacity = Trace.default_capacity;
     epochs = 3;
     trials = 3;
     max_rounds = 20000;
@@ -44,7 +50,11 @@ let default_params =
 
 let scenario_names = [ "construct"; "verify"; "stabilize"; "campaign" ]
 
-let graph_of p = Verifier_campaign.graph_of_family p.family (Gen.rng p.seed) p.n
+let graph_of p = Verifier_campaign.build_graph ~family:p.family ~seed:p.seed p.n
+
+let mode_and_daemon p =
+  if p.async then (Verifier.Handshake, Scheduler.Async_random (Gen.rng (p.seed + 1)))
+  else (Verifier.Passive, Scheduler.Sync)
 
 let base_scenario name p =
   [
@@ -117,7 +127,7 @@ let construct tel p =
        m.Marker.hierarchy.Fragment.height);
   Report.add_note r
     (Fmt.str "construction: %d charged rounds; max label %d bits (ceil(log2 n) = %d)"
-       m.Marker.construction_rounds m.Marker.label_bits (Memory.of_nat p.n));
+       m.Marker.construction_rounds m.Marker.label_bits (Memory.of_nat (Graph.n g)));
   r
 
 (* ---------------- verify ---------------- *)
@@ -128,8 +138,7 @@ let construct tel p =
 let verify tel p =
   let g = graph_of p in
   let m = Marker.run g in
-  let mode = if p.async then Verifier.Handshake else Verifier.Passive in
-  let daemon = if p.async then Scheduler.Async_random (Gen.rng (p.seed + 1)) else Scheduler.Sync in
+  let mode, daemon = mode_and_daemon p in
   let module C = struct
     let marker = m
     let mode = mode
@@ -155,13 +164,12 @@ let verify tel p =
     Monitor.create ~metrics:(Net.metrics net) ~compact_c:p.compact_c ~distance_c:p.distance_c view
   in
   Net.set_round_hook net (fun () -> Monitor.check mon ~round:(Net.rounds net));
-  let settle_budget = 8 * Verifier.window_bound m.Marker.labels.(0) in
   let metered name f = Telemetry.metered name (Net.metrics net) f in
   profiled tel @@ fun () ->
-  metered "settle" (fun () -> Net.run net daemon ~rounds:settle_budget);
+  metered "settle" (fun () -> Net.run net daemon ~rounds:(Verifier_campaign.settle_rounds m));
   let r =
     report tel "verify" p
-      [ ("mode", if p.async then "handshake" else "passive");
+      [ ("mode", match mode with Verifier.Passive -> "passive" | Handshake -> "handshake");
         ("faults", string_of_int p.faults) ]
   in
   Report.add_note r
@@ -205,8 +213,7 @@ let verify tel p =
 let stabilize tel p =
   let g = graph_of p in
   let obs = Transformer.observatory ~compact_c:p.compact_c ~distance_c:p.distance_c () in
-  let mode = if p.async then Verifier.Handshake else Verifier.Passive in
-  let daemon = if p.async then Scheduler.Async_random (Gen.rng (p.seed + 1)) else Scheduler.Sync in
+  let mode, daemon = mode_and_daemon p in
   profiled tel @@ fun () ->
   let t = Transformer.create ~mode ~daemon ~domains:p.domains ~obs g in
   let r =
@@ -263,6 +270,7 @@ let campaign tel p =
   let inst =
     Verifier_campaign.prepare ~domains:p.domains ~family:p.family ~n:p.n ~seed:p.seed ()
   in
+  let n = Graph.n (Verifier_campaign.graph inst) in
   let dt_h = Hist.create () and dd_h = Hist.create () and rounds_h = Hist.create () in
   let detected = ref 0 and total = ref 0 in
   let idx = ref 0 in
@@ -273,7 +281,7 @@ let campaign tel p =
         incr idx;
         let i = !idx in
         let model =
-          Campaign.resolve_model model_name ~n:p.n ~root:(Verifier_campaign.root inst)
+          Campaign.resolve_model model_name ~n ~root:(Verifier_campaign.root inst)
             ~count:p.faults
         in
         let o =
@@ -307,7 +315,7 @@ let campaign tel p =
   Report.add_note r (Fmt.str "%d/%d trials detected" !detected !total);
   Report.add_note r
     (Fmt.str "paper bound shape check: f * ceil(log2 n) = %d (dd_p99 observed: %d)"
-       (p.faults * Memory.of_nat p.n) (Hist.p99 dd_h));
+       (p.faults * Memory.of_nat n) (Hist.p99 dd_h));
   r
 
 let run ~scenario tel p =

@@ -1,3 +1,5 @@
+open Ssmst_graph
+open Ssmst_sim
 open Ssmst_obs
 
 (** Scenario drivers for [msst report] and [msst profile]: run one of the
@@ -9,12 +11,21 @@ open Ssmst_obs
     over its measured part; verify's marker and campaign's settled
     instance are built before, unprofiled. *)
 
+(** The one scenario record: every [msst] driver — these scenarios, the
+    {!Flight} recorder runs and the plain subcommands — turns its flags
+    into one of these, builds its instance with {!graph_of}, picks its
+    verifier mode and daemon with {!mode_and_daemon}, and settles for
+    {!Verifier_campaign.settle_rounds}.  [n] is the request: drivers read
+    the size they built from [Graph.n]. *)
 type params = {
   family : string;
   n : int;
   seed : int;
   faults : int;
   async : bool;
+  clustered : bool;  (** explain/replay: clustered placement (radius 2) instead of uniform *)
+  interval : int;  (** explain/replay: checkpoint every at most [interval] rounds *)
+  capacity : int;  (** explain/replay: the recorder's delta-ring capacity *)
   epochs : int;  (** stabilize: fault-injection epochs *)
   trials : int;  (** campaign: seeds per fault model *)
   max_rounds : int;  (** detection budget *)
@@ -26,6 +37,13 @@ type params = {
 }
 
 val default_params : params
+
+val graph_of : params -> Graph.t
+(** [Verifier_campaign.build_graph] on the record's family, seed and n. *)
+
+val mode_and_daemon : params -> Verifier.mode * Scheduler.t
+(** [(Passive, Sync)] when [async] is false, else
+    [(Handshake, Async_random (Gen.rng (seed + 1)))] with a fresh RNG. *)
 
 val scenario_names : string list
 (** ["construct"; "verify"; "stabilize"; "campaign"] *)

@@ -9,23 +9,40 @@ open Ssmst_sim
 
 let family_names = [ "random"; "path"; "ring"; "grid"; "complete"; "star"; "hypertree" ]
 
+let grid_side n = max 2 (int_of_float (sqrt (float_of_int n)))
+
+(* the §9 lower-bound family: n is rounded down to the nearest
+   complete-binary-tree size 2^(h+1)-1 (h >= 2) *)
+let hypertree_height n =
+  let h = ref 2 in
+  while (1 lsl (!h + 2)) - 1 <= n do incr h done;
+  !h
+
 let graph_of_family family st n =
   match family with
   | "random" -> Gen.random_connected st n
   | "path" -> Gen.path st n
   | "ring" -> Gen.ring st n
   | "grid" ->
-      let side = max 2 (int_of_float (sqrt (float_of_int n))) in
+      let side = grid_side n in
       Gen.grid st side side
   | "complete" -> Gen.complete st n
   | "star" -> Gen.star st n
-  | "hypertree" ->
-      (* the §9 lower-bound family; n is rounded down to the nearest
-         complete-binary-tree size 2^(h+1)-1 (h >= 2). *)
-      let h = ref 2 in
-      while (1 lsl (!h + 2)) - 1 <= n do incr h done;
-      fst (Gen.hypertree_like st !h)
+  | "hypertree" -> fst (Gen.hypertree_like st (hypertree_height n))
   | _ -> invalid_arg (Fmt.str "Verifier_campaign.graph_of_family: unknown family %S" family)
+
+let stream_threshold = 50_000
+
+let build_graph ~family ~seed n =
+  match family with
+  | "random" when n >= stream_threshold -> Gen.stream_random ~seed n
+  | "grid" when n >= stream_threshold ->
+      let side = grid_side n in
+      Gen.stream_grid ~seed side side
+  | "hypertree" when n >= stream_threshold -> Gen.stream_hypertree ~seed (hypertree_height n)
+  | _ -> graph_of_family family (Gen.rng seed) n
+
+let settle_rounds (m : Marker.t) = 8 * Verifier.window_bound m.Marker.labels.(0)
 
 type instance = {
   graph : Graph.t;
@@ -37,7 +54,7 @@ let graph t = t.graph
 let root t = Tree.root t.marker.Marker.tree
 
 let prepare ?(domains = 1) ~family ~n ~seed () =
-  let g = graph_of_family family (Gen.rng seed) n in
+  let g = build_graph ~family ~seed n in
   let m = Marker.run g in
   let module C = struct
     let marker = m
@@ -46,7 +63,7 @@ let prepare ?(domains = 1) ~family ~n ~seed () =
   let module P = Verifier.Make (C) in
   let module Net = Network.Make (P) in
   let net = Net.create ~domains g in
-  Net.run net Scheduler.Sync ~rounds:(8 * Verifier.window_bound m.Marker.labels.(0));
+  Net.run net Scheduler.Sync ~rounds:(settle_rounds m);
   { graph = g; marker = m; settled = Array.copy (Net.states net) }
 
 let run_trial ?(domains = 1) t ~model ~inject_seed ~max_rounds =

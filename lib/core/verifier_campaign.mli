@@ -17,6 +17,24 @@ val graph_of_family : string -> Random.State.t -> int -> Graph.t
     actual ([Campaign.spec.n]) and the requested size.
     @raise Invalid_argument on an unknown family name. *)
 
+val stream_threshold : int
+(** [50_000]: the size from which {!build_graph} switches to the streamed
+    builders. *)
+
+val build_graph : family:string -> seed:int -> int -> Graph.t
+(** The one family table every driver builds its instance from ([msst],
+    {!prepare}, [Observatory], [Flight]).  Below {!stream_threshold} it is
+    [graph_of_family family (Gen.rng seed) n]; at and above it, random,
+    grid and hypertree come from the O(1)-memory streamed CSR builders
+    ([Gen.stream_random], [Gen.stream_grid], [Gen.stream_hypertree]) —
+    the same topology and size rounding, a different (still
+    seed-deterministic) weight draw.  Callers read the size they got from
+    [Graph.n], never from the request. *)
+
+val settle_rounds : Marker.t -> int
+(** The verifier's settling budget, eight [Verifier.window_bound]s of the
+    marker's labels: every driver runs this many rounds before it injects. *)
+
 type instance
 (** A settled verifier instance: the graph, its marker, and the register
     snapshot after the settling run — trials restart from the snapshot, so

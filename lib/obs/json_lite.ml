@@ -45,6 +45,15 @@ let parse (s : string) : t =
           | 'n' -> Buffer.add_char b '\n'
           | 't' -> Buffer.add_char b '\t'
           | 'r' -> Buffer.add_char b '\r'
+          | 'b' -> Buffer.add_char b '\b'
+          | 'f' -> Buffer.add_char b '\012'
+          | 'u' -> (
+              if !i + 4 > len then raise (Bad "short \\u escape");
+              match int_of_string_opt ("0x" ^ String.sub s !i 4) with
+              | Some code when Uchar.is_valid code ->
+                  i := !i + 4;
+                  Buffer.add_utf_8_uchar b (Uchar.of_int code)
+              | _ -> raise (Bad "bad \\u escape"))
           | c -> raise (Bad (Printf.sprintf "unsupported escape \\%c" c)));
           go ()
       | c ->

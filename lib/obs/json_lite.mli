@@ -1,8 +1,9 @@
 (** A minimal JSON reader/writer for the repo's machine-written artifacts
     (bench [BENCH_*.json], telemetry blocks, report JSON).  The container
     has no JSON library baked in, and everything we parse is emitted by
-    our own writers — so the grammar is full JSON minus escapes beyond
-    quote, backslash, slash, n, t and r, which is all those writers emit.
+    our own writers ([Trace.json_escape] and friends) — so the grammar is
+    full JSON minus UTF-16 surrogate pairs in [\u] escapes; a [\uXXXX]
+    reads back as the code point's UTF-8 bytes.
 
     Formerly the private [Json] module inside [bench/main.ml]; factored
     here so the bench trend report, the perf-trajectory section and the

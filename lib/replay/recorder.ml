@@ -139,18 +139,7 @@ module Make (P : Protocol.S) = struct
 
   (* Field deltas are derived on demand (explain, dump, bisection): the
      recording hot path stores the two state pointers and never encodes. *)
-  let field_changes old s' =
-    let oe = P.encode old and ne = P.encode s' in
-    let k = min (Array.length oe) (Array.length ne) in
-    let changes = ref [] in
-    for i = k - 1 downto 0 do
-      if oe.(i) <> ne.(i) then
-        let field =
-          if i < Array.length P.field_names then P.field_names.(i) else Fmt.str "f%d" i
-        in
-        changes := { Trace.field; old_enc = oe.(i); new_enc = ne.(i) } :: !changes
-    done;
-    !changes
+  let field_changes = Trace.field_changes ~names:P.field_names ~encode:P.encode
 
   (* Registers *before* each retained write, in [iter_writes] order: a
      chronological sweep that replays the deltas over a working copy,

@@ -372,20 +372,9 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
       Some (Trace.Neighbor_read !ports)
     end
 
-  (* The field-level delta between two registers, named per
-     [P.field_names]; only computed when a trace is attached. *)
-  let field_changes old s' =
-    let oe = P.encode old and ne = P.encode s' in
-    let k = min (Array.length oe) (Array.length ne) in
-    let changes = ref [] in
-    for i = k - 1 downto 0 do
-      if oe.(i) <> ne.(i) then
-        let field =
-          if i < Array.length P.field_names then P.field_names.(i) else Fmt.str "f%d" i
-        in
-        changes := { Trace.field; old_enc = oe.(i); new_enc = ne.(i) } :: !changes
-    done;
-    !changes
+  (* The field-level delta between two registers; only computed when a
+     trace is attached. *)
+  let field_changes = Trace.field_changes ~names:P.field_names ~encode:P.encode
 
   (* An immediate write, or the commit of this sync round's staged register. *)
   type write = Put of P.state | Commit

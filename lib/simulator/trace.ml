@@ -109,6 +109,20 @@ let event_node = function
   | Invariant_violation { node; _ } -> node
   | Convergence _ -> None
 
+(* The field-level delta between two registers: [encode] fingerprints
+   each field (Protocol.S.encode), [names] names them
+   (Protocol.S.field_names); fields past [names] are called "f<i>". *)
+let field_changes ~names ~encode old s' =
+  let oe = encode old and ne = encode s' in
+  let k = min (Array.length oe) (Array.length ne) in
+  let changes = ref [] in
+  for i = k - 1 downto 0 do
+    if oe.(i) <> ne.(i) then
+      let field = if i < Array.length names then names.(i) else Fmt.str "f%d" i in
+      changes := { field; old_enc = oe.(i); new_enc = ne.(i) } :: !changes
+  done;
+  !changes
+
 (* ---------------- JSON string escaping ---------------- *)
 
 (* Standard JSON escaping: quotes, backslashes, the common control
@@ -134,61 +148,20 @@ let json_escape s =
 
 (* ---------------- provenance codecs ---------------- *)
 
-(* The flat-object JSON reader below cannot parse nested arrays/objects, so
-   provenance is serialized as two flat strings: a cause descriptor
+(* Provenance is serialized as two flat strings, so a JSONL line stays one
+   flat object and a CSV row keeps its columns: a cause descriptor
    ("init" | "read:<ports>" | "fault:<id>") and a semicolon-joined change
-   list ("dist:3>4;parent:2>5").  Old trace lines that predate provenance
-   simply lack both fields and parse back with [prov = None]. *)
+   list ("dist:3>4;parent:2>5").  Writes without provenance lack both
+   fields. *)
 
 let cause_to_string = function
   | Init -> "init"
   | Fault id -> Fmt.str "fault:%d" id
   | Neighbor_read ports -> "read:" ^ String.concat "," (List.map string_of_int ports)
 
-let cause_of_string s =
-  let prefixed p = String.length s >= String.length p && String.sub s 0 (String.length p) = p in
-  let rest p = String.sub s (String.length p) (String.length s - String.length p) in
-  if s = "init" then Some Init
-  else if prefixed "fault:" then
-    Option.map (fun id -> Fault id) (int_of_string_opt (rest "fault:"))
-  else if prefixed "read:" then begin
-    let r = rest "read:" in
-    if r = "" then Some (Neighbor_read [])
-    else
-      try Some (Neighbor_read (List.map int_of_string (String.split_on_char ',' r)))
-      with Failure _ -> None
-  end
-  else None
-
 let change_to_string c = Fmt.str "%s:%d>%d" c.field c.old_enc c.new_enc
 
-(* parse from the right: field names never contain ':' or '>', but being
-   defensive costs nothing *)
-let change_of_string s =
-  match String.rindex_opt s '>' with
-  | None -> None
-  | Some gt -> (
-      match String.rindex_from_opt s (gt - 1) ':' with
-      | None -> None
-      | Some colon -> (
-          let field = String.sub s 0 colon in
-          let old_s = String.sub s (colon + 1) (gt - colon - 1) in
-          let new_s = String.sub s (gt + 1) (String.length s - gt - 1) in
-          match (int_of_string_opt old_s, int_of_string_opt new_s) with
-          | Some old_enc, Some new_enc -> Some { field; old_enc; new_enc }
-          | _ -> None))
-
 let changes_to_string cs = String.concat ";" (List.map change_to_string cs)
-
-let changes_of_string s =
-  if s = "" then Some []
-  else
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | part :: rest -> (
-          match change_of_string part with None -> None | Some c -> go (c :: acc) rest)
-    in
-    go [] (String.split_on_char ';' s)
 
 (* ---------------- sinks ---------------- *)
 
@@ -217,152 +190,6 @@ let event_to_json e =
         (json_escape detail)
   | Activation { node; _ } | Alarm_raised { node; _ } | Alarm_cleared { node; _ } ->
       Fmt.str {|{%s,"node":%d}|} base node
-
-(* ---------------- a flat-object JSON reader ---------------- *)
-
-(* Just enough JSON to round-trip the objects [event_to_json] emits: one
-   flat object of string / int / bool fields.  Unknown shapes return
-   [None]; used by tests and external-tool sanity checks, not by any hot
-   path. *)
-
-type json_field = Jstr of string | Jint of int | Jbool of bool
-
-exception Bad_json
-
-let parse_flat_object (s : string) =
-  let len = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos >= len then raise Bad_json else s.[!pos] in
-  let advance () = incr pos in
-  let expect c = if peek () <> c then raise Bad_json else advance () in
-  let skip_ws () =
-    while !pos < len && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char b '"'; advance ()
-          | '\\' -> Buffer.add_char b '\\'; advance ()
-          | '/' -> Buffer.add_char b '/'; advance ()
-          | 'n' -> Buffer.add_char b '\n'; advance ()
-          | 'r' -> Buffer.add_char b '\r'; advance ()
-          | 't' -> Buffer.add_char b '\t'; advance ()
-          | 'b' -> Buffer.add_char b '\b'; advance ()
-          | 'f' -> Buffer.add_char b '\012'; advance ()
-          | 'u' ->
-              advance ();
-              if !pos + 4 > len then raise Bad_json;
-              let code =
-                try int_of_string ("0x" ^ String.sub s !pos 4) with Failure _ -> raise Bad_json
-              in
-              (* the escaper only emits \u00XX for control bytes *)
-              if code > 0xff then raise Bad_json;
-              Buffer.add_char b (Char.chr code);
-              pos := !pos + 4
-          | _ -> raise Bad_json);
-          go ()
-      | c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_value () =
-    match peek () with
-    | '"' -> Jstr (parse_string ())
-    | 't' ->
-        if !pos + 4 <= len && String.sub s !pos 4 = "true" then (pos := !pos + 4; Jbool true)
-        else raise Bad_json
-    | 'f' ->
-        if !pos + 5 <= len && String.sub s !pos 5 = "false" then (pos := !pos + 5; Jbool false)
-        else raise Bad_json
-    | '-' | '0' .. '9' ->
-        let start = !pos in
-        if peek () = '-' then advance ();
-        while !pos < len && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
-          advance ()
-        done;
-        if !pos = start then raise Bad_json;
-        Jint (int_of_string (String.sub s start (!pos - start)))
-    | _ -> raise Bad_json
-  in
-  try
-    skip_ws ();
-    expect '{';
-    skip_ws ();
-    let fields = ref [] in
-    if peek () = '}' then advance ()
-    else begin
-      let rec members () =
-        skip_ws ();
-        let k = parse_string () in
-        skip_ws ();
-        expect ':';
-        skip_ws ();
-        let v = parse_value () in
-        fields := (k, v) :: !fields;
-        skip_ws ();
-        match peek () with
-        | ',' -> advance (); members ()
-        | '}' -> advance ()
-        | _ -> raise Bad_json
-      in
-      members ()
-    end;
-    skip_ws ();
-    if !pos <> len then raise Bad_json;
-    Some (List.rev !fields)
-  with Bad_json -> None
-
-(* Inverse of [event_to_json] for well-formed event objects. *)
-let event_of_json line =
-  match parse_flat_object line with
-  | None -> None
-  | Some fields -> (
-      let str k = match List.assoc_opt k fields with Some (Jstr s) -> Some s | _ -> None in
-      let int k = match List.assoc_opt k fields with Some (Jint i) -> Some i | _ -> None in
-      let bool k = match List.assoc_opt k fields with Some (Jbool b) -> Some b | _ -> None in
-      match (str "event", int "round") with
-      | Some "activation", Some round ->
-          Option.map (fun node -> Activation { round; node }) (int "node")
-      | Some "register_write", Some round -> (
-          match (int "node", int "bits") with
-          | Some node, Some bits -> (
-              (* a line without a cause field is a pre-provenance trace:
-                 parse it with [prov = None]; a present-but-garbled cause
-                 or change list makes the whole line ill-formed *)
-              match str "cause" with
-              | None -> Some (Register_write { round; node; bits; prov = None })
-              | Some c -> (
-                  let changes =
-                    match str "changes" with None -> Some [] | Some s -> changes_of_string s
-                  in
-                  match (cause_of_string c, changes) with
-                  | Some cause, Some changes ->
-                      Some (Register_write { round; node; bits; prov = Some { cause; changes } })
-                  | _ -> None))
-          | _ -> None)
-      | Some "alarm_raised", Some round ->
-          Option.map (fun node -> Alarm_raised { round; node }) (int "node")
-      | Some "alarm_cleared", Some round ->
-          Option.map (fun node -> Alarm_cleared { round; node }) (int "node")
-      | Some "fault_injected", Some round ->
-          Option.map (fun node -> Fault_injected { round; node; fault = int "fault" }) (int "node")
-      | Some "convergence", Some round ->
-          Option.map (fun reached -> Convergence { round; reached }) (bool "reached")
-      | Some "invariant_violation", Some round -> (
-          match (str "monitor", str "detail") with
-          | Some monitor, Some detail ->
-              Some (Invariant_violation { round; node = int "node"; monitor; detail })
-          | _ -> None)
-      | _ -> None)
 
 let write_jsonl oc t = iter (fun e -> output_string oc (event_to_json e ^ "\n")) t
 

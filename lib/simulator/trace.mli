@@ -26,7 +26,7 @@ type event =
   | Activation of { round : int; node : int }
   | Register_write of { round : int; node : int; bits : int; prov : prov option }
       (** [prov] is present when the engine captured provenance (trace or
-          write hook attached); pre-provenance traces parse with [None] *)
+          write hook attached) *)
   | Alarm_raised of { round : int; node : int }
   | Alarm_cleared of { round : int; node : int }
   | Fault_injected of { round : int; node : int; fault : int option }
@@ -36,6 +36,13 @@ type event =
       (** an online monitor found the settled snapshot of [round] in
           violation; [node] pinpoints the first offending node when one
           exists *)
+
+val field_changes :
+  names:string array -> encode:('s -> int array) -> 's -> 's -> change list
+(** [field_changes ~names ~encode old s'] lists, in field order, every
+    field whose [encode] fingerprint differs between the two registers,
+    named by [names] ([Protocol.S.field_names]; ["f<i>"] past its end).
+    The engine's provenance capture and the flight recorder both use it. *)
 
 type t
 
@@ -73,23 +80,12 @@ val json_escape : string -> string
 val cause_to_string : cause -> string
 (** A flat descriptor: ["init"], ["read:0,2"] (ports), ["fault:7"]. *)
 
-val cause_of_string : string -> cause option
-(** Inverse of {!cause_to_string}. *)
-
 val changes_to_string : change list -> string
 (** Semicolon-joined field deltas: ["dist:3>4;parent:2>5"]. *)
-
-val changes_of_string : string -> change list option
-(** Inverse of {!changes_to_string} (the empty string is the empty list). *)
 
 val event_to_json : event -> string
 (** One JSON object, no trailing newline: a JSONL line.  Label, monitor and
     detail strings are escaped with {!json_escape}. *)
-
-val event_of_json : string -> event option
-(** Inverse of {!event_to_json}: parse one JSONL line back into the event it
-    encodes, or [None] if the line is not a well-formed event object.  Every
-    event round-trips: [event_of_json (event_to_json e) = Some e]. *)
 
 val write_jsonl : out_channel -> t -> unit
 

@@ -307,6 +307,28 @@ let family_actual_n () =
   Alcotest.(check int) "hypertree 31 exact" 31 (n_of "hypertree" 31);
   Alcotest.(check int) "random is exact" 18 (n_of "random" 18)
 
+(* the one family table's size switch: random, grid and hypertree come
+   from the streamed CSR builders at the threshold and from the
+   Random.State builders one node below it *)
+let build_graph_streams () =
+  let seed = 9 and at = Verifier_campaign.stream_threshold in
+  let edges g = Graph.edges g in
+  let built family n = edges (Verifier_campaign.build_graph ~family ~seed n) in
+  let side = int_of_float (sqrt (float_of_int at)) in
+  Alcotest.(check bool) "random streams" true (built "random" at = edges (Gen.stream_random ~seed at));
+  Alcotest.(check bool) "grid streams" true
+    (built "grid" at = edges (Gen.stream_grid ~seed side side));
+  Alcotest.(check bool) "hypertree streams" true
+    (built "hypertree" at = edges (Gen.stream_hypertree ~seed 14));
+  List.iter
+    (fun family ->
+      Alcotest.(check bool)
+        (family ^ " below the threshold")
+        true
+        (built family (at - 1)
+        = edges (Verifier_campaign.graph_of_family family (Gen.rng seed) (at - 1))))
+    [ "random"; "grid"; "hypertree" ]
+
 let campaign_records_actual_n () =
   let trials =
     Verifier_campaign.sweep ~families:[ "grid"; "hypertree" ] ~sizes:[ 32 ] ~fault_counts:[ 1 ]
@@ -478,6 +500,7 @@ let suite =
     Alcotest.test_case "uniform detection distance within O(f log n)" `Quick
       campaign_distance_bound;
     Alcotest.test_case "grid/hypertree build their rounded sizes" `Quick family_actual_n;
+    Alcotest.test_case "build_graph streams from the threshold on" `Quick build_graph_streams;
     Alcotest.test_case "campaign rows record actual n and requested n" `Quick
       campaign_records_actual_n;
     Alcotest.test_case "restore is metrics/trace-neutral" `Quick restore_neutral;

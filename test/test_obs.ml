@@ -129,7 +129,20 @@ let test_json_lite_malformed () =
       {|[1e]|};
       {|"unterminated|};
       {|{"a" 1}|};
+      {|"\u12"|} (* short \u escape *);
+      {|"\ud800"|} (* lone surrogate *);
     ]
+
+(* every escape [Trace.json_escape] writes reads back: \b, \f and \u00XX
+   included, so a control byte in a report name survives the round trip *)
+let test_json_lite_ascii () =
+  for c = 0x00 to 0x7f do
+    let s = Fmt.str "a%cb" (Char.chr c) in
+    Alcotest.(check bool)
+      (Fmt.str "byte 0x%02x" c)
+      true
+      (Json_lite.parse (Json_lite.to_string (Json_lite.Str s)) = Json_lite.Str s)
+  done
 
 (* ---------------- Telemetry ---------------- *)
 
@@ -393,14 +406,8 @@ let test_trace_json_roundtrip () =
         (fun ch ->
           Alcotest.(check bool) (Fmt.str "no control byte in %s" j) true (Char.code ch >= 0x20))
         j;
-      match Trace.event_of_json j with
-      | None -> Alcotest.fail (Fmt.str "unparseable: %s" j)
-      | Some e' ->
-          Alcotest.(check bool) (Fmt.str "round-trip: %s" j) true (e = e'))
-    all_variants;
-  Alcotest.(check bool) "garbage rejected" true (Trace.event_of_json "{nope" = None);
-  Alcotest.(check bool) "unknown event rejected" true
-    (Trace.event_of_json {|{"event":"warp","round":1}|} = None)
+      Test_trace.check_json_fields e)
+    all_variants
 
 let test_trace_csv_escaping () =
   let row =
@@ -993,6 +1000,7 @@ let suite =
     Alcotest.test_case "hist: merge commutes with quantiles" `Quick test_hist_merge_quantiles;
     Alcotest.test_case "json_lite: round trip" `Quick test_json_lite_roundtrip;
     Alcotest.test_case "json_lite: malformed inputs raise Bad" `Quick test_json_lite_malformed;
+    Alcotest.test_case "json_lite: every ASCII byte round-trips" `Quick test_json_lite_ascii;
     Alcotest.test_case "telemetry: fake clock is byte-deterministic" `Quick
       test_telemetry_fake_deterministic;
     Alcotest.test_case "telemetry: phase + span accumulation" `Quick

@@ -364,7 +364,9 @@ let test_explain_broken_chain () =
 (* ---------------- the Flight drivers (CLI backends) ---------------- *)
 
 let test_flight_verify () =
-  let p = { Flight.default_params with n = 24; seed = 11; faults = 2 } in
+  let p =
+    { Observatory.default_params with n = 24; seed = 11; faults = 2; clustered = true }
+  in
   let r = Flight.record_verify p in
   Alcotest.(check bool) "faults detected" true (r.Flight.detection <> None);
   Alcotest.(check bool) "nothing dropped" true (r.Flight.dropped = 0);
@@ -374,13 +376,38 @@ let test_flight_verify () =
     (Flight.all_witnessed r)
 
 let test_flight_replay () =
-  let p = { Flight.default_params with n = 24; seed = 13; faults = 2; interval = 8 } in
+  let p =
+    {
+      Observatory.default_params with
+      n = 24;
+      seed = 13;
+      faults = 2;
+      clustered = true;
+      interval = 8;
+    }
+  in
   let r = Flight.replay_probe p ~seek:0 ~steps:6 ~diff:true in
   Alcotest.(check bool) "engines agree at the end" true r.Flight.end_equal;
   Alcotest.(check bool) "no divergence between engines" true (r.Flight.divergence = None);
   Alcotest.(check bool) "views were produced" true (List.length r.Flight.views > 1);
   Alcotest.(check bool) "views are exact" true
     (List.for_all (fun (v : Flight.view) -> v.Flight.exact) r.Flight.views)
+
+(* hypertree rounds a request of 100 down to 63 nodes: the campaign
+   scenario resolves its fault models, and the recorder computes its
+   detection-distance bound, against the 63 nodes actually built *)
+let test_built_n () =
+  let p = { Observatory.default_params with family = "hypertree"; n = 100; faults = 3 } in
+  let report = Observatory.run ~scenario:"campaign" (Ssmst_obs.Telemetry.fake ()) p in
+  Alcotest.(check bool) "campaign monitors ok" true (Ssmst_obs.Report.all_monitors_ok report);
+  let r = Flight.record_verify p in
+  Alcotest.(check int) "built n" 63 r.Flight.n;
+  let f = max 1 (List.length r.Flight.victims) in
+  Alcotest.(check bool) "alarms raised" true (r.Flight.witnesses <> []);
+  List.iter
+    (fun (w : Flight.witness) ->
+      Alcotest.(check int) "bound from 63 nodes" (p.distance_c * f * Memory.of_nat 63) w.Flight.bound)
+    r.Flight.witnesses
 
 (* ---------------- Hist edge cases ---------------- *)
 
@@ -425,5 +452,6 @@ let suite =
     Alcotest.test_case "flight verify: witnesses within the bound" `Quick
       test_flight_verify;
     Alcotest.test_case "flight replay: seek/step/diff" `Quick test_flight_replay;
+    Alcotest.test_case "flight + observatory: hypertree runs on the built n" `Quick test_built_n;
     Alcotest.test_case "hist edge cases" `Quick test_hist_edges;
   ]

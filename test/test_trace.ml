@@ -68,66 +68,89 @@ let test_json_csv () =
         { round = 9; node = Some 3; monitor = "forest"; detail = "plain detail" };
     ]
 
-(* both trace shapes round-trip through JSON: provenance-carrying events
-   from this engine, and pre-provenance lines from old traces *)
-let test_prov_roundtrip () =
-  let roundtrips e =
-    Alcotest.(check bool)
-      (Fmt.str "round-trips: %s" (Trace.event_to_json e))
-      true
-      (Trace.event_of_json (Trace.event_to_json e) = Some e)
+(* What [event_to_json] must write for [e], field by field, as
+   [Json_lite] reads the line back. *)
+let json_fields e =
+  let open Ssmst_obs.Json_lite in
+  let int i = Num (float_of_int i) in
+  let opt key = function None -> [] | Some v -> [ (key, int v) ] in
+  let rest =
+    match e with
+    | Trace.Activation { node; _ } | Alarm_raised { node; _ } | Alarm_cleared { node; _ } ->
+        [ ("node", int node) ]
+    | Register_write { node; bits; prov; _ } -> (
+        [ ("node", int node); ("bits", int bits) ]
+        @
+        match prov with
+        | None -> []
+        | Some { cause; changes } ->
+            [
+              ("cause", Str (Trace.cause_to_string cause));
+              ("changes", Str (Trace.changes_to_string changes));
+            ])
+    | Fault_injected { node; fault; _ } -> ("node", int node) :: opt "fault" fault
+    | Convergence { reached; _ } -> [ ("reached", Bool reached) ]
+    | Invariant_violation { node; monitor; detail; _ } ->
+        opt "node" node @ [ ("monitor", Str monitor); ("detail", Str detail) ]
   in
-  List.iter roundtrips
+  Obj ([ ("event", Str (Trace.event_name e)); ("round", int (Trace.event_round e)) ] @ rest)
+
+let check_json_fields e =
+  let j = Trace.event_to_json e in
+  Alcotest.(check bool) (Fmt.str "fields of %s" j) true (Ssmst_obs.Json_lite.parse j = json_fields e)
+
+(* both write shapes, with and without provenance, read back field by
+   field; the provenance strings are pinned for every cause *)
+let test_prov_roundtrip () =
+  List.iter
+    (fun (e, cause, changes) ->
+      check_json_fields e;
+      match e with
+      | Trace.Register_write { prov = Some p; _ } ->
+          Alcotest.(check string) "cause" cause (Trace.cause_to_string p.Trace.cause);
+          Alcotest.(check string) "changes" changes (Trace.changes_to_string p.Trace.changes)
+      | _ -> ())
     [
-      Trace.Register_write { round = 3; node = 1; bits = 17; prov = None };
-      Trace.Register_write
-        {
-          round = 3;
-          node = 1;
-          bits = 17;
-          prov = Some { Trace.cause = Trace.Init; changes = [] };
-        };
-      Trace.Register_write
-        {
-          round = 5;
-          node = 2;
-          bits = 9;
-          prov =
-            Some
-              {
-                Trace.cause = Trace.Neighbor_read [ 0; 1; 3 ];
-                changes =
-                  [
-                    { Trace.field = "dist"; old_enc = -1; new_enc = 4 };
-                    { Trace.field = "parent"; old_enc = 2; new_enc = -7 };
-                  ];
-              };
-        };
-      Trace.Register_write
-        {
-          round = 6;
-          node = 0;
-          bits = 4;
-          prov = Some { Trace.cause = Trace.Fault 3; changes = [] };
-        };
-      Trace.Fault_injected { round = 2; node = 7; fault = None };
-      Trace.Fault_injected { round = 2; node = 7; fault = Some 11 };
-    ];
-  (* an old-format line (no cause/changes fields) still parses *)
-  Alcotest.(check bool)
-    "pre-provenance line parses with prov = None" true
-    (Trace.event_of_json {|{"event":"register_write","round":3,"node":1,"bits":17}|}
-    = Some (Trace.Register_write { round = 3; node = 1; bits = 17; prov = None }));
-  Alcotest.(check bool)
-    "pre-provenance fault line parses with fault = None" true
-    (Trace.event_of_json {|{"event":"fault_injected","round":4,"node":2}|}
-    = Some (Trace.Fault_injected { round = 4; node = 2; fault = None }));
-  (* a garbled cause makes the whole line ill-formed, not silently untagged *)
-  Alcotest.(check bool)
-    "garbled cause rejected" true
-    (Trace.event_of_json
-       {|{"event":"register_write","round":3,"node":1,"bits":17,"cause":"nonsense"}|}
-    = None)
+      (Trace.Register_write { round = 3; node = 1; bits = 17; prov = None }, "", "");
+      ( Trace.Register_write
+          {
+            round = 3;
+            node = 1;
+            bits = 17;
+            prov = Some { Trace.cause = Trace.Init; changes = [] };
+          },
+        "init",
+        "" );
+      ( Trace.Register_write
+          {
+            round = 5;
+            node = 2;
+            bits = 9;
+            prov =
+              Some
+                {
+                  Trace.cause = Trace.Neighbor_read [ 0; 1; 3 ];
+                  changes =
+                    [
+                      { Trace.field = "dist"; old_enc = -1; new_enc = 4 };
+                      { Trace.field = "parent"; old_enc = 2; new_enc = -7 };
+                    ];
+                };
+          },
+        "read:0,1,3",
+        "dist:-1>4;parent:2>-7" );
+      ( Trace.Register_write
+          {
+            round = 6;
+            node = 0;
+            bits = 4;
+            prov = Some { Trace.cause = Trace.Fault 3; changes = [] };
+          },
+        "fault:3",
+        "" );
+      (Trace.Fault_injected { round = 2; node = 7; fault = None }, "", "");
+      (Trace.Fault_injected { round = 2; node = 7; fault = Some 11 }, "", "");
+    ]
 
 (* ---------------- a fault-detecting toy protocol ---------------- *)
 
