@@ -171,23 +171,21 @@ let detection_sample ~mode ~daemon ~seed n =
   let st = Gen.rng seed in
   let g = Gen.random_connected st n in
   let m = Marker.run g in
-  let module C = struct
+  let module N = Verifier_campaign.Net (struct
     let marker = m
     let mode = mode
-  end in
-  let module P = Verifier.Make (C) in
-  let module Net = Network.Make (P) in
-  let net = Net.create g in
-  Net.run net daemon ~rounds:(Verifier_campaign.settle_rounds m);
-  if Net.any_alarm net then None
+  end) in
+  let net = N.create g in
+  N.settle net daemon;
+  if N.any_alarm net then None
   else
     let rng = Gen.rng (seed + 1) in
     match semantic_fault_at rng m with
     | None -> None
     | Some (v, which, k, _) -> (
-        Net.set_state net v (corrupt_live_piece rng (Net.state net v) which k);
-        match Net.detection_time net daemon ~max_rounds:200000 with
-        | Some dt -> Some (dt, Net.detection_distance net ~faults:[ v ])
+        N.set_state net v (corrupt_live_piece rng (N.state net v) which k);
+        match N.detection_time net daemon ~max_rounds:200000 with
+        | Some dt -> Some (dt, N.detection_distance net ~faults:[ v ])
         | None -> None)
 
 let fig_detection_time () =
@@ -224,13 +222,11 @@ let ask_cycle_time ~mode ~daemon ~seed n =
   let st = Gen.rng seed in
   let g = Gen.random_connected st n in
   let m = Marker.run g in
-  let module C = struct
+  let module N = Verifier_campaign.Net (struct
     let marker = m
     let mode = mode
-  end in
-  let module P = Verifier.Make (C) in
-  let module Net = Network.Make (P) in
-  let net = Net.create g in
+  end) in
+  let net = N.create g in
   (* highest-degree node that iterates at least two comparison levels (a
      single-level node never changes ask_level, so no cycle is observable) *)
   let levels_of u =
@@ -246,19 +242,19 @@ let ask_cycle_time ~mode ~daemon ~seed n =
   if !v < 0 then None
   else begin
   let v = !v in
-  Net.run net daemon ~rounds:(4 * Verifier.window_bound m.labels.(0));
-  let first_level = (Net.state net v).Verifier.cmp.Verifier.ask_level in
+  N.run net daemon ~rounds:(4 * Verifier.window_bound m.labels.(0));
+  let first_level = (N.state net v).Verifier.cmp.Verifier.ask_level in
   if first_level < 0 then None
   else begin
     (* wait to leave the level, then time the return to it *)
     let budget = ref 300_000 and phase = ref `Leave and start = ref 0 and answer = ref None in
     while !answer = None && !budget > 0 do
-      Net.round net daemon;
+      N.round net daemon;
       decr budget;
-      let lvl = (Net.state net v).Verifier.cmp.Verifier.ask_level in
+      let lvl = (N.state net v).Verifier.cmp.Verifier.ask_level in
       match !phase with
-      | `Leave -> if lvl <> first_level then (phase := `Return; start := Net.rounds net)
-      | `Return -> if lvl = first_level then answer := Some (Net.rounds net - !start)
+      | `Leave -> if lvl <> first_level then (phase := `Return; start := N.rounds net)
+      | `Return -> if lvl = first_level then answer := Some (N.rounds net - !start)
     done;
     !answer
   end
@@ -306,18 +302,16 @@ let fig_detection_distance () =
       let st = Gen.rng (4800 + f) in
       let g = Gen.random_connected st n in
       let m = Marker.run g in
-      let module C = struct
+      let module N = Verifier_campaign.Net (struct
         let marker = m
         let mode = Verifier.Passive
-      end in
-      let module P = Verifier.Make (C) in
-      let module Net = Network.Make (P) in
-      let net = Net.create g in
-      Net.run net Scheduler.Sync ~rounds:600;
-      let faults = Net.inject_faults net (Gen.rng (4900 + f)) ~count:f in
-      (match Net.detection_time net Scheduler.Sync ~max_rounds:100000 with
+      end) in
+      let net = N.create g in
+      N.run net Scheduler.Sync ~rounds:600;
+      let faults = N.inject_faults net (Gen.rng (4900 + f)) ~count:f in
+      (match N.detection_time net Scheduler.Sync ~max_rounds:100000 with
       | Some _ ->
-          let d = Net.detection_distance net ~faults in
+          let d = N.detection_distance net ~faults in
           Fmt.pr "%-6d %-6d %14s %14d@." n f
             (match d with Some x -> string_of_int x | None -> "?")
             (f * logn n)
@@ -544,13 +538,11 @@ let engine_w2 () =
   let st = Gen.rng 6210 in
   let g = Gen.random_connected st n in
   let m = Marker.run g in
-  let module C = struct
+  let module Engine = Verifier_campaign.Net (struct
     let marker = m
     let mode = Verifier.Passive
-  end in
-  let module P = Verifier.Make (C) in
-  let module Naive = Network.Naive (P) in
-  let module Engine = Network.Make (P) in
+  end) in
+  let module Naive = Network.Naive (Engine.P) in
   let settle = 2 * Verifier.window_bound m.labels.(0) in
   let run_naive () =
     let net = Naive.create g in
@@ -661,27 +653,13 @@ let fig_obs () =
      profiler installed with a metered frame around the drive *)
   let module Observed (P : Protocol.S) = struct
     module Net = Network.Make (P)
+    module Mon = Ssmst_obs.Monitor.Attach (P)
 
     let run ~parent g drive probes () =
       let net = Net.create g in
       if not probes then drive net
       else begin
-        let view =
-          {
-            Ssmst_obs.Monitor.graph = g;
-            parent;
-            bits = (fun v -> P.bits (Net.state net v));
-            alarm = (fun v -> P.alarm (Net.state net v));
-            peak_bits = (fun () -> Net.peak_bits net);
-            any_alarm = (fun () -> Net.any_alarm net);
-            change_counter =
-              (fun () ->
-                let m = Net.metrics net in
-                m.Metrics.register_writes + m.Metrics.faults_injected);
-          }
-        in
-        let mon = Ssmst_obs.Monitor.create ~metrics:(Net.metrics net) view in
-        Net.set_round_hook net (fun () -> Ssmst_obs.Monitor.check mon ~round:(Net.rounds net));
+        ignore (Mon.attach ~parent net);
         Ssmst_obs.Telemetry.install (Ssmst_obs.Telemetry.create ());
         Fun.protect ~finally:Ssmst_obs.Telemetry.uninstall (fun () ->
             Ssmst_obs.Telemetry.metered "settle" (Net.metrics net) (fun () -> drive net))
@@ -704,13 +682,11 @@ let fig_obs () =
      round, so every monitored round pays a full re-evaluation *)
   let g2 = Gen.random_connected (Gen.rng 8200) 128 in
   let m2 = Marker.run g2 in
-  let module V =
-    Observed
-      (Verifier.Make (struct
-        let marker = m2
-        let mode = Verifier.Passive
-      end))
-  in
+  let module VN = Verifier_campaign.Net (struct
+    let marker = m2
+    let mode = Verifier.Passive
+  end) in
+  let module V = Observed (VN.P) in
   let verifier_run =
     V.run ~parent:(Tree.parent m2.Marker.tree) g2 (fun net -> V.Net.run net Scheduler.Sync ~rounds:600)
   in
@@ -913,13 +889,11 @@ let w2 =
   lazy
     (let g = Gen.random_connected (Gen.rng 8400) 256 in
      let m = Marker.run g in
-     let module V =
-       Ridden
-         (Verifier.Make (struct
-           let marker = m
-           let mode = Verifier.Passive
-         end))
-     in
+     let module VN = Verifier_campaign.Net (struct
+       let marker = m
+       let mode = Verifier.Passive
+     end) in
+     let module V = Ridden (VN.P) in
      let settle = 2 * Verifier.window_bound m.labels.(0) in
      fun ride ->
        riding ride (fun () ->
@@ -1415,12 +1389,11 @@ let fig_vstep () =
   in
   let instance (n, rounds) =
     let g = Gen.random_connected (Gen.rng (8700 + n)) n in
-    let module V = Verifier.Make (struct
+    let module M = Verifier_campaign.Net (struct
       let marker = Marker.run g
       let mode = Verifier.Passive
     end) in
-    let module M = Network.Make (V) in
-    let module F = Network.Flat (V) in
+    let module F = Network.Flat (M.P) in
     let make = M.create g and flat = F.create g in
     let one engine (rate, words) =
       Fmt.pr "%-8s %-6d %8d %12.1f %18.0f@." engine n (3 * rounds) rate words;
@@ -1641,14 +1614,11 @@ let bechamel_suite () =
         (Staged.stage (fun () -> ignore (Ssmst_pls.Kkp_pls.mark m64)));
       Test.make ~name:"F-DT:verifier-100-rounds-n64"
         (Staged.stage (fun () ->
-             let module C = struct
+             let module N = Verifier_campaign.Net (struct
                let marker = m64
                let mode = Verifier.Passive
-             end in
-             let module P = Verifier.Make (C) in
-             let module Net = Network.Make (P) in
-             let net = Net.create g64 in
-             Net.run net Scheduler.Sync ~rounds:100));
+             end) in
+             N.run (N.create g64) Scheduler.Sync ~rounds:100));
       Test.make ~name:"F-LB:hypertree-instance"
         (Staged.stage (fun () ->
              ignore (Lower_bound.measure ~seed:6001 ~h:4 ~tau:0 ~positive:false)));

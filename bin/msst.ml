@@ -85,6 +85,10 @@ let resolve_domains d =
 let params_of family n seed faults async =
   { Observatory.default_params with family; n; seed; faults; async }
 
+(* a list on one line: [Fmt.comma] is [",@ "], whose break hint, outside
+   any box, splits even short lists across lines *)
+let commas pp = Fmt.(list ~sep:(any ", ") pp)
+
 (* ---------------- construct ---------------- *)
 
 let construct family n seed =
@@ -110,26 +114,23 @@ let verify family n seed faults async_ domains =
   let g = Observatory.graph_of p in
   let m = Marker.run g in
   let mode, daemon = Observatory.mode_and_daemon p in
-  let module C = struct
+  let module N = Verifier_campaign.Net (struct
     let marker = m
     let mode = mode
-  end in
-  let module P = Verifier.Make (C) in
-  let module Net = Network.Make (P) in
-  let net = Net.create ~domains:(resolve_domains domains) g in
-  Net.run net daemon ~rounds:(Verifier_campaign.settle_rounds m);
-  Fmt.pr "settled after %d rounds; alarms: %b (must be false)@." (Net.rounds net)
-    (Net.any_alarm net);
+  end) in
+  let net = N.create ~domains:(resolve_domains domains) g in
+  N.settle net daemon;
+  Fmt.pr "settled after %d rounds; alarms: %b (must be false)@." (N.rounds net)
+    (N.any_alarm net);
   if faults > 0 then begin
-    let fs = Net.inject_faults net (Gen.rng (seed + 2)) ~count:faults in
-    Fmt.pr "injected %d fault(s) at %a@." (List.length fs) Fmt.(list ~sep:comma int) fs;
-    match Net.detection_time net daemon ~max_rounds:200000 with
+    let fs = N.inject_faults net (Gen.rng (seed + 2)) ~count:faults in
+    Fmt.pr "injected %d fault(s) at %a@." (List.length fs) (commas Fmt.int) fs;
+    match N.detection_time net daemon ~max_rounds:200000 with
     | Some dt ->
         Fmt.pr "detected after %d rounds; alarming nodes: %a; detection distance: %a@." dt
-          Fmt.(list ~sep:comma int)
-          (Net.alarming_nodes net)
+          (commas Fmt.int) (N.alarming_nodes net)
           Fmt.(option ~none:(any "?") int)
-          (Net.detection_distance net ~faults:fs)
+          (N.detection_distance net ~faults:fs)
     | None -> Fmt.pr "no detection (the corruption was semantically null)@."
   end;
   0
@@ -148,7 +149,7 @@ let stabilize family n seed faults async_ domains =
   for epoch = 1 to 3 do
     Transformer.advance t ~rounds:200;
     let fs = Transformer.inject_faults t rng ~count:faults in
-    Fmt.pr "epoch %d: faults at %a@." epoch Fmt.(list ~sep:comma int) fs;
+    Fmt.pr "epoch %d: faults at %a@." epoch (commas Fmt.int) fs;
     Transformer.advance t ~rounds:20000;
     Fmt.pr "  output is the MST: %b@."
       (Mst.is_mst g (Graph.plain_weight_fn g) (Transformer.tree t))
@@ -172,21 +173,19 @@ let trace_run family n seed faults async_ out capacity fmt =
   let g = Observatory.graph_of p in
   let m = Marker.run g in
   let mode, daemon = Observatory.mode_and_daemon p in
-  let module C = struct
+  let module N = Verifier_campaign.Net (struct
     let marker = m
     let mode = mode
-  end in
-  let module P = Verifier.Make (C) in
-  let module Net = Network.Make (P) in
-  let net = Net.create g in
-  Net.run net daemon ~rounds:(Verifier_campaign.settle_rounds m);
-  Fmt.epr "settled after %d rounds; alarms: %b (must be false)@." (Net.rounds net)
-    (Net.any_alarm net);
+  end) in
+  let net = N.create g in
+  N.settle net daemon;
+  Fmt.epr "settled after %d rounds; alarms: %b (must be false)@." (N.rounds net)
+    (N.any_alarm net);
   let tr = Trace.create ~capacity () in
-  Net.attach_trace net tr;
-  let fs = Net.inject_faults net (Gen.rng (seed + 2)) ~count:faults in
-  Fmt.epr "injected %d fault(s) at %a@." (List.length fs) Fmt.(list ~sep:comma int) fs;
-  (match Net.detection_time net daemon ~max_rounds:200000 with
+  N.attach_trace net tr;
+  let fs = N.inject_faults net (Gen.rng (seed + 2)) ~count:faults in
+  Fmt.epr "injected %d fault(s) at %a@." (List.length fs) (commas Fmt.int) fs;
+  (match N.detection_time net daemon ~max_rounds:200000 with
   | Some dt -> Fmt.epr "detected after %d rounds@." dt
   | None -> Fmt.epr "no detection (the corruption was semantically null)@.");
   let oc, close = match out with None -> (stdout, false) | Some f -> (open_out f, true) in
@@ -204,7 +203,7 @@ let trace_run family n seed faults async_ out capacity fmt =
   if close then close_out oc else flush oc;
   Fmt.epr "trace: %d events emitted (%d recorded, %d dropped by the ring buffer)@."
     (Trace.length tr) (Trace.total tr) (Trace.dropped tr);
-  Fmt.epr "metrics: %a@." Metrics.pp (Net.metrics net);
+  Fmt.epr "metrics: %a@." Metrics.pp (N.metrics net);
   0
 
 (* ---------------- campaign ---------------- *)
@@ -217,9 +216,9 @@ let campaign families sizes fault_counts models seeds seed max_rounds jobs csv_o
   let unknown = List.filter (fun m -> not (List.mem m Campaign.model_names)) models in
   if unknown <> [] then begin
     Fmt.epr "msst campaign: unknown model(s) %a (known: %a)@."
-      Fmt.(list ~sep:comma string)
+      (commas Fmt.string)
       unknown
-      Fmt.(list ~sep:comma string)
+      (commas Fmt.string)
       Campaign.model_names;
     exit 2
   end;
@@ -279,12 +278,17 @@ let run_scenario cmd tel scenario family n seed faults async_ epochs trials max_
   let known what names x =
     if not (List.mem x names) then begin
       Fmt.epr "msst %s: unknown %s %s (known: %a)@." cmd what x
-        Fmt.(list ~sep:comma string)
+        (commas Fmt.string)
         names;
       exit 2
     end
   in
   known "scenario" Observatory.scenario_names scenario;
+  if scenario = "campaign" && async_ then begin
+    Fmt.epr "msst %s: campaign trials run Passive/Sync; --async does not apply to campaign@."
+      cmd;
+    exit 2
+  end;
   Observatory.run ~scenario tel
     { (params_of family n seed faults async_) with epochs; trials; max_rounds; domains }
 

@@ -25,12 +25,10 @@ let () =
   assert (Mst.is_mst g (Graph.plain_weight_fn g) m.tree);
 
   (* 3. run the verifier: it must stay silent on a correct instance *)
-  let module C = struct
+  let module Net = Verifier_campaign.Net (struct
     let marker = m
     let mode = Verifier.Passive
-  end in
-  let module P = Verifier.Make (C) in
-  let module Net = Network.Make (P) in
+  end) in
   let net = Net.create g in
   Net.run net Scheduler.Sync ~rounds:400;
   Fmt.pr "verifier: %d synchronous rounds, alarms: %b (expected: false)@." (Net.rounds net)

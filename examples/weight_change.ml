@@ -36,12 +36,10 @@ let () =
                  match Tree.parent m.tree v with None -> -1 | Some p -> p)))));
 
   (* the old labels run against the new weights: verification must reject *)
-  let module C = struct
+  let module Net = Verifier_campaign.Net (struct
     let marker = m
     let mode = Verifier.Passive
-  end in
-  let module P = Verifier.Make (C) in
-  let module Net = Network.Make (P) in
+  end) in
   let net = Net.create g' in
   (match Net.detection_time net Scheduler.Sync ~max_rounds:5000 with
   | Some rounds ->

@@ -63,23 +63,21 @@ let fault_model (p : Observatory.params) =
 let record_verify ?alarm (p : Observatory.params) =
   let g = Observatory.graph_of p in
   let m = Marker.run g in
-  let module C = struct
+  let module N = Verifier_campaign.Net (struct
     let marker = m
     let mode = Verifier.Passive
-  end in
-  let module P = Verifier.Make (C) in
-  let module Net = Network.Make (P) in
-  let module R = Recorder.Make (P) in
-  let net = Net.create g in
-  Net.run net Scheduler.Sync ~rounds:(Verifier_campaign.settle_rounds m);
-  let settled_round = Net.rounds net in
+  end) in
+  let module R = Recorder.Make (N.P) in
+  let net = N.create g in
+  N.settle net Scheduler.Sync;
+  let settled_round = N.rounds net in
   let rec_ =
-    R.create ~interval:p.interval ~capacity:p.capacity ~round0:settled_round g (Net.states net)
+    R.create ~interval:p.interval ~capacity:p.capacity ~round0:settled_round g (N.states net)
   in
-  Net.set_write_hook net (R.engine_hook rec_ (Net.states net));
-  let victims = Net.inject net (Gen.rng (p.seed + 2)) (fault_model p) in
-  let detection = Net.detection_time net Scheduler.Sync ~max_rounds:p.max_rounds in
-  let alarms = List.sort Int.compare (Net.alarming_nodes net) in
+  N.set_write_hook net (R.engine_hook rec_ (N.states net));
+  let victims = N.inject net (Gen.rng (p.seed + 2)) (fault_model p) in
+  let detection = N.detection_time net Scheduler.Sync ~max_rounds:p.max_rounds in
+  let alarms = List.sort Int.compare (N.alarming_nodes net) in
   let f = max 1 (List.length victims) in
   let bound = p.distance_c * f * Memory.of_nat (Graph.n g) in
   let witness_of ?round node =
@@ -117,9 +115,9 @@ let record_verify ?alarm (p : Observatory.params) =
   in
   let final = R.state_at rec_ (R.last_round rec_) in
   let end_equal =
-    let live = Net.states net in
+    let live = N.states net in
     let ok = ref true in
-    Array.iteri (fun v s -> if not (P.equal s live.(v)) then ok := false) final.R.states;
+    Array.iteri (fun v s -> if not (N.P.equal s live.(v)) then ok := false) final.R.states;
     !ok
   in
   {

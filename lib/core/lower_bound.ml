@@ -45,14 +45,11 @@ let break_instance (g : Graph.t) (t : Tree.t) =
 (* Run the compact verifier on the given (possibly broken) instance and
    measure time-to-alarm under the synchronous daemon. *)
 let detection_time_of (m : Marker.t) =
-  let module C = struct
+  let module N = Verifier_campaign.Net (struct
     let marker = m
     let mode = Verifier.Passive
-  end in
-  let module P = Verifier.Make (C) in
-  let module Net = Network.Make (P) in
-  let net = Net.create m.graph in
-  Net.detection_time net Scheduler.Sync ~max_rounds:20000
+  end) in
+  N.detection_time (N.create m.graph) Scheduler.Sync ~max_rounds:20000
 
 let measure ~seed ~h ~tau ~positive =
   let st = Gen.rng seed in

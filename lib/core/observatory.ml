@@ -26,7 +26,6 @@ type params = {
   trials : int;  (* campaign: seeds per fault model *)
   max_rounds : int;  (* detection budget *)
   domains : int;  (* sync-round worker domains (verify/stabilize/campaign) *)
-  compact_c : int;
   distance_c : int;
 }
 
@@ -44,7 +43,6 @@ let default_params =
     trials = 3;
     max_rounds = 20000;
     domains = 1;
-    compact_c = Monitor.default_compact_c;
     distance_c = Monitor.default_distance_c;
   }
 
@@ -110,7 +108,7 @@ let construct tel p =
           !version);
     }
   in
-  let mon = Monitor.create ~compact_c:p.compact_c ~distance_c:p.distance_c view in
+  let mon = Monitor.create ~distance_c:p.distance_c view in
   Monitor.check mon ~round:m.Marker.construction_rounds;
   let r =
     report tel "construct" p
@@ -139,34 +137,15 @@ let verify tel p =
   let g = graph_of p in
   let m = Marker.run g in
   let mode, daemon = mode_and_daemon p in
-  let module C = struct
+  let module N = Verifier_campaign.Net (struct
     let marker = m
     let mode = mode
-  end in
-  let module P = Verifier.Make (C) in
-  let module Net = Network.Make (P) in
-  let net = Net.create ~domains:p.domains g in
-  let view =
-    {
-      Monitor.graph = g;
-      parent = Tree.parent m.Marker.tree;
-      bits = (fun v -> P.bits (Net.state net v));
-      alarm = (fun v -> P.alarm (Net.state net v));
-      peak_bits = (fun () -> Net.peak_bits net);
-      any_alarm = (fun () -> Net.any_alarm net);
-      change_counter =
-        (fun () ->
-          let mm = Net.metrics net in
-          mm.Metrics.register_writes + mm.Metrics.faults_injected);
-    }
-  in
-  let mon =
-    Monitor.create ~metrics:(Net.metrics net) ~compact_c:p.compact_c ~distance_c:p.distance_c view
-  in
-  Net.set_round_hook net (fun () -> Monitor.check mon ~round:(Net.rounds net));
-  let metered name f = Telemetry.metered name (Net.metrics net) f in
+  end) in
+  let net = N.create ~domains:p.domains g in
+  let mon = N.attach_monitors ~distance_c:p.distance_c net in
+  let metered name f = Telemetry.metered name (N.metrics net) f in
   profiled tel @@ fun () ->
-  metered "settle" (fun () -> Net.run net daemon ~rounds:(Verifier_campaign.settle_rounds m));
+  metered "settle" (fun () -> N.settle net daemon);
   let r =
     report tel "verify" p
       [ ("mode", match mode with Verifier.Passive -> "passive" | Handshake -> "handshake");
@@ -174,24 +153,24 @@ let verify tel p =
   in
   Report.add_note r
     (Fmt.str "settled after %d rounds; alarms after settling: %b (must be false)"
-       (Net.rounds net) (Net.any_alarm net));
+       (N.rounds net) (N.any_alarm net));
   let conv = Hist.create () and bits_h = Hist.create () and alarm_lat = Hist.create () in
   for v = 0 to Graph.n g - 1 do
-    Hist.record conv (Net.last_write_round net v);
-    Hist.record bits_h (P.bits (Net.state net v))
+    Hist.record conv (N.last_write_round net v);
+    Hist.record bits_h (N.P.bits (N.state net v))
   done;
   if p.faults > 0 then begin
     let fs =
-      metered "inject" (fun () -> Net.inject_faults net (Gen.rng (p.seed + 2)) ~count:p.faults)
+      metered "inject" (fun () -> N.inject_faults net (Gen.rng (p.seed + 2)) ~count:p.faults)
     in
-    Monitor.note_injection mon ~round:(Net.rounds net) ~faults:fs;
-    match metered "detect" (fun () -> Net.detection_time net daemon ~max_rounds:p.max_rounds) with
+    Monitor.note_injection mon ~round:(N.rounds net) ~faults:fs;
+    match metered "detect" (fun () -> N.detection_time net daemon ~max_rounds:p.max_rounds) with
     | Some dt ->
         Hist.record alarm_lat dt;
         Report.add_note r
           (Fmt.str "injected %d fault(s); detected after %d rounds at distance %s"
              (List.length fs) dt
-             (match Net.detection_distance net ~faults:fs with
+             (match N.detection_distance net ~faults:fs with
              | Some d -> string_of_int d
              | None -> "?"))
     | None ->
@@ -200,7 +179,7 @@ let verify tel p =
                     corruption)"
              (List.length fs) p.max_rounds)
   end;
-  Report.add_metrics r "verifier network" (Net.metrics net);
+  Report.add_metrics r "verifier network" (N.metrics net);
   Report.add_hist r "per-node register bits" bits_h;
   Report.add_hist r "per-node convergence round (last write)" conv;
   Report.add_hist r "alarm latency after injection (rounds)" alarm_lat;
@@ -212,10 +191,9 @@ let verify tel p =
 (* The transformer loop, one ["epoch i"] frame per fault epoch. *)
 let stabilize tel p =
   let g = graph_of p in
-  let obs = Transformer.observatory ~compact_c:p.compact_c ~distance_c:p.distance_c () in
   let mode, daemon = mode_and_daemon p in
   profiled tel @@ fun () ->
-  let t = Transformer.create ~mode ~daemon ~domains:p.domains ~obs g in
+  let t = Transformer.create ~mode ~daemon ~domains:p.domains ~monitors:true g in
   let r =
     report tel "stabilize" p
       [ ("faults per epoch", string_of_int p.faults); ("epochs", string_of_int p.epochs) ]

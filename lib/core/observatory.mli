@@ -14,9 +14,9 @@ open Ssmst_obs
 (** The one scenario record: every [msst] driver — these scenarios, the
     {!Flight} recorder runs and the plain subcommands — turns its flags
     into one of these, builds its instance with {!graph_of}, picks its
-    verifier mode and daemon with {!mode_and_daemon}, and settles for
-    {!Verifier_campaign.settle_rounds}.  [n] is the request: drivers read
-    the size they built from [Graph.n]. *)
+    verifier mode and daemon with {!mode_and_daemon}, and runs its
+    verifier on {!Verifier_campaign.Net}.  [n] is the request: each reads
+    the size it built from [Graph.n]. *)
 type params = {
   family : string;
   n : int;
@@ -32,7 +32,6 @@ type params = {
   domains : int;
       (** sync-round worker domains for verify/stabilize/campaign; results
           are byte-identical at every value, only telemetry sees it *)
-  compact_c : int;
   distance_c : int;
 }
 

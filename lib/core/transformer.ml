@@ -27,11 +27,11 @@ open Ssmst_sim
    nest under it) charged the election's O(n) rounds, each reconstruction
    a [transformer.epoch] frame, and each [advance] a [transformer.advance]
    frame charged its verification rounds, with a [detect] frame per
-   injection-to-alarm window.  When an {!observatory} config asks for
-   them, the live verification network carries the online invariant
-   monitors through the engine's round hook.  Monitor verdicts latch
-   across epochs: a violation in any epoch survives the reconstruction
-   that discards the network it was observed on. *)
+   injection-to-alarm window.  With [~monitors:true], the live
+   verification network carries the online invariant monitors through
+   the engine's round hook.  Monitor verdicts latch across epochs: a
+   violation in any epoch survives the reconstruction that discards the
+   network it was observed on. *)
 
 type event =
   | Constructed of int  (* rounds charged for election + SYNC_MST + marker *)
@@ -45,23 +45,14 @@ type probe = {
   net_metrics : Metrics.t;
   net_last_write : int -> int;
   net_bits : int -> int;
-  net_rounds : unit -> int;
 }
-
-type observatory = { monitors : bool; compact_c : int; distance_c : int }
-
-let observatory ?(monitors = true) ?(compact_c = Ssmst_obs.Monitor.default_compact_c)
-    ?(distance_c = Ssmst_obs.Monitor.default_distance_c) () =
-  { monitors; compact_c; distance_c }
-
-let no_observatory = { monitors = false; compact_c = 0; distance_c = 0 }
 
 type t = {
   graph : Graph.t;
   mode : Verifier.mode;
   daemon : Scheduler.t;
   domains : int;  (* sync-round worker domains on the verification network *)
-  obs : observatory;
+  monitors : bool;  (* the online invariant monitors ride every epoch's network *)
   mutable marker : Marker.t;
   mutable total_rounds : int;
   mutable reconstructions : int;
@@ -111,62 +102,35 @@ let monitor_results (t : t) =
   | None -> t.monitor_verdicts
   | Some mon -> merge_verdicts t.monitor_verdicts (Ssmst_obs.Monitor.results mon)
 
-let monitors_ok (t : t) =
-  List.for_all (fun (_, v) -> Ssmst_obs.Monitor.verdict_ok v) (monitor_results t)
-
 (* ---------------- the regimes ---------------- *)
 
 let install (t : t) =
   let m = t.marker in
-  let module C = struct
+  let module N = Verifier_campaign.Net (struct
     let marker = m
     let mode = t.mode
-  end in
-  let module P = Verifier.Make (C) in
-  let module Net = Network.Make (P) in
-  let net = Net.create ~domains:t.domains t.graph in
+  end) in
+  let net = N.create ~domains:t.domains t.graph in
   t.probe <-
     Some
       {
-        net_metrics = Net.metrics net;
-        net_last_write = Net.last_write_round net;
-        net_bits = (fun v -> P.bits (Net.state net v));
-        net_rounds = (fun () -> Net.rounds net);
+        net_metrics = N.metrics net;
+        net_last_write = N.last_write_round net;
+        net_bits = (fun v -> N.P.bits (N.state net v));
       };
   flush_monitor t;
-  if t.obs.monitors then begin
-    let view =
-      {
-        Ssmst_obs.Monitor.graph = t.graph;
-        parent = Tree.parent m.Marker.tree;
-        bits = (fun v -> P.bits (Net.state net v));
-        alarm = (fun v -> P.alarm (Net.state net v));
-        peak_bits = (fun () -> Net.peak_bits net);
-        any_alarm = (fun () -> Net.any_alarm net);
-        change_counter =
-          (fun () ->
-            let mm = Net.metrics net in
-            mm.Metrics.register_writes + mm.Metrics.faults_injected);
-      }
-    in
-    let mon =
-      Ssmst_obs.Monitor.create ~metrics:(Net.metrics net)
-        ~compact_c:t.obs.compact_c ~distance_c:t.obs.distance_c view
-    in
-    t.monitor <- Some mon;
-    Net.set_round_hook net (fun () -> Ssmst_obs.Monitor.check mon ~round:(Net.rounds net))
-  end;
+  if t.monitors then t.monitor <- Some (N.attach_monitors net);
   let run_with_faults faults budget =
-    let executed, reached = Net.run_until net t.daemon ~max_rounds:budget Net.any_alarm in
-    t.peak_bits <- max t.peak_bits (Net.peak_bits net);
-    if reached then `Alarm (executed, Net.detection_distance net ~faults) else `Quiet
+    let executed, reached = N.run_until net t.daemon ~max_rounds:budget N.any_alarm in
+    t.peak_bits <- max t.peak_bits (N.peak_bits net);
+    if reached then `Alarm (executed, N.detection_distance net ~faults) else `Quiet
   in
   t.run_verify <- run_with_faults [];
   t.inject <-
     (fun st model ->
-      let faults = Net.inject net st model in
+      let faults = N.inject net st model in
       (match t.monitor with
-      | Some mon -> Ssmst_obs.Monitor.note_injection mon ~round:(Net.rounds net) ~faults
+      | Some mon -> Ssmst_obs.Monitor.note_injection mon ~round:(N.rounds net) ~faults
       | None -> ());
       t.run_verify <- run_with_faults faults;
       faults)
@@ -174,7 +138,7 @@ let install (t : t) =
 (* Start from an arbitrary initial configuration: the transformer's first
    act is a reconstruction. *)
 let create ?(mode = Verifier.Passive) ?(daemon = Scheduler.Sync) ?(domains = 1)
-    ?(obs = no_observatory) g =
+    ?(monitors = false) g =
   let marker = construct_marker g in
   let t =
     {
@@ -182,7 +146,7 @@ let create ?(mode = Verifier.Passive) ?(daemon = Scheduler.Sync) ?(domains = 1)
       mode;
       daemon;
       domains = max 1 domains;
-      obs;
+      monitors;
       marker;
       total_rounds = 0;
       reconstructions = 0;

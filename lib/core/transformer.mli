@@ -22,19 +22,7 @@ type probe = {
   net_metrics : Metrics.t;
   net_last_write : int -> int;
   net_bits : int -> int;
-  net_rounds : unit -> int;
 }
-
-(** The observatory ride-along: the online invariant monitors attached to
-    the live verification network through the engine's round hook.  (The
-    profiler is not configured here: the transformer's frames and charges
-    go to whatever {!Ssmst_parallel.Probe} sink is installed.) *)
-type observatory = { monitors : bool; compact_c : int; distance_c : int }
-
-val observatory : ?monitors:bool -> ?compact_c:int -> ?distance_c:int -> unit -> observatory
-(** Monitors default on, with {!Ssmst_obs.Monitor}'s default constants. *)
-
-val no_observatory : observatory
 
 type t = {
   graph : Graph.t;
@@ -43,7 +31,9 @@ type t = {
   domains : int;
       (** sync-round worker domains on the live verification network
           (see {!Network.Make.create}); 1 = sequential *)
-  obs : observatory;
+  monitors : bool;
+      (** whether every epoch's verification network carries the online
+          invariant monitors ({!Verifier_campaign.Net.attach_monitors}) *)
   mutable marker : Marker.t;
   mutable total_rounds : int;
   mutable reconstructions : int;
@@ -63,19 +53,21 @@ val create :
   ?mode:Verifier.mode ->
   ?daemon:Scheduler.t ->
   ?domains:int ->
-  ?obs:observatory ->
+  ?monitors:bool ->
   Graph.t ->
   t
 (** Start from an arbitrary configuration: the first act is a
     reconstruction (Theorem 10.2: O(n) stabilization).  [domains]
     (default 1) fans each verification sync round across that many OCaml 5
-    domains — byte-identical states and metrics at every count. *)
+    domains — byte-identical states and metrics at every count.
+    [monitors] (default false) attaches the online invariant monitors, with
+    {!Ssmst_obs.Monitor}'s default constants, to each epoch's network; the
+    profiler is not configured here: the transformer's frames and charges
+    go to whatever {!Ssmst_parallel.Probe} sink is installed. *)
 
 val monitor_results : t -> (string * Ssmst_obs.Monitor.verdict) list
 (** Latched across every epoch so far: the first violation per monitor
     survives the reconstructions that discard the network it was seen on. *)
-
-val monitors_ok : t -> bool
 
 val reconstruct : t -> unit
 

@@ -42,7 +42,20 @@ let build_graph ~family ~seed n =
   | "hypertree" when n >= stream_threshold -> Gen.stream_hypertree ~seed (hypertree_height n)
   | _ -> graph_of_family family (Gen.rng seed) n
 
-let settle_rounds (m : Marker.t) = 8 * Verifier.window_bound m.Marker.labels.(0)
+(* The one verifier network every caller runs: the engine over [C]'s
+   marker, plus what every Theorem 8.5 experiment (settle, inject,
+   detect) shares — the settling run and the monitors' hook-up. *)
+module Net (C : Verifier.CONFIG) = struct
+  module P = Verifier.Make (C)
+  include Network.Make (P)
+
+  let settle t daemon =
+    run t daemon ~rounds:(8 * Verifier.window_bound C.marker.Marker.labels.(0))
+
+  let attach_monitors ?trace ?distance_c t =
+    let module A = Ssmst_obs.Monitor.Attach (P) in
+    A.attach ?trace ?distance_c ~parent:(Tree.parent C.marker.Marker.tree) t
+end
 
 type instance = {
   graph : Graph.t;
@@ -56,40 +69,36 @@ let root t = Tree.root t.marker.Marker.tree
 let prepare ?(domains = 1) ~family ~n ~seed () =
   let g = build_graph ~family ~seed n in
   let m = Marker.run g in
-  let module C = struct
+  let module N = Net (struct
     let marker = m
     let mode = Verifier.Passive
-  end in
-  let module P = Verifier.Make (C) in
-  let module Net = Network.Make (P) in
-  let net = Net.create ~domains g in
-  Net.run net Scheduler.Sync ~rounds:(settle_rounds m);
-  { graph = g; marker = m; settled = Array.copy (Net.states net) }
+  end) in
+  let net = N.create ~domains g in
+  N.settle net Scheduler.Sync;
+  { graph = g; marker = m; settled = Array.copy (N.states net) }
 
 let run_trial ?(domains = 1) t ~model ~inject_seed ~max_rounds =
   (* one [campaign.trial] frame per trial, charged the rounds it ran and
      the faults it injected, so [msst profile campaign] can apportion time
      between settling and the trials *)
   Ssmst_parallel.Probe.with_ "campaign.trial" @@ fun () ->
-  let module C = struct
+  let module N = Net (struct
     let marker = t.marker
     let mode = Verifier.Passive
-  end in
-  let module P = Verifier.Make (C) in
-  let module Net = Network.Make (P) in
-  let net = Net.create ~domains t.graph in
+  end) in
+  let net = N.create ~domains t.graph in
   (* metrics/trace-neutral rewind: [set_state] would funnel n writes
      through the engine's write path, inflating [register_writes],
      stamping [last_write] on every node and emitting spurious Init
      events — [restore] installs the snapshot as pure bookkeeping *)
-  Net.restore net t.settled;
+  N.restore net t.settled;
   let rng = Gen.rng inject_seed in
   let o =
     Campaign.drive ~rng ~model ~max_rounds
-      ~round:(fun () -> Net.round net Scheduler.Sync)
-      ~any_alarm:(fun () -> Net.any_alarm net)
-      ~inject:(fun st m -> Net.inject net st m)
-      ~distance:(fun ~faults -> Net.detection_distance net ~faults)
+      ~round:(fun () -> N.round net Scheduler.Sync)
+      ~any_alarm:(fun () -> N.any_alarm net)
+      ~inject:(fun st m -> N.inject net st m)
+      ~distance:(fun ~faults -> N.detection_distance net ~faults)
   in
   (match Ssmst_parallel.Probe.get () with
   | Some s ->

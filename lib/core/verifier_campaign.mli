@@ -31,9 +31,27 @@ val build_graph : family:string -> seed:int -> int -> Graph.t
     seed-deterministic) weight draw.  Callers read the size they got from
     [Graph.n], never from the request. *)
 
-val settle_rounds : Marker.t -> int
-(** The verifier's settling budget, eight [Verifier.window_bound]s of the
-    marker's labels: every driver runs this many rounds before it injects. *)
+(** The one verifier network: {!Verifier.Make} over [C] under the
+    event-driven engine ([Network.Make]), which every caller — [msst], the
+    observatory, the flight recorder, the transformer, the campaigns, the
+    benches and the examples — builds its verifier from. *)
+module Net (C : Verifier.CONFIG) : sig
+  module P : Protocol.PACKED with type state = Verifier.state
+
+  include module type of struct
+    include Network.Make (P)
+  end
+
+  val settle : t -> Scheduler.t -> unit
+  (** Run the settling budget under the daemon: eight
+      [Verifier.window_bound]s of the marker's labels, the rounds [msst],
+      the observatory, the flight recorder and the campaigns run before
+      they inject. *)
+
+  val attach_monitors : ?trace:Trace.t -> ?distance_c:int -> t -> Ssmst_obs.Monitor.t
+  (** {!Ssmst_obs.Monitor.Attach} with the marker's tree as the claimed
+      parent pointers. *)
+end
 
 type instance
 (** A settled verifier instance: the graph, its marker, and the register

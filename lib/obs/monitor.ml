@@ -271,3 +271,32 @@ let check t ~round =
     check_compact t ~round;
     check_alarm_mono t ~round
   end
+
+(* ---------------- riding a live network ---------------- *)
+
+(* The one view over a live {!Network.Make} network: register sizes and
+   alarms read through [P], the O(1) counters from the engine, the change
+   counter from its metrics; the monitors are charged to the network's
+   metrics and evaluated on its round hook. *)
+module Attach (P : Protocol.S) = struct
+  module Net = Network.Make (P)
+
+  let attach ?trace ?distance_c ~parent net =
+    let view =
+      {
+        graph = Net.graph net;
+        parent;
+        bits = (fun v -> P.bits (Net.state net v));
+        alarm = (fun v -> P.alarm (Net.state net v));
+        peak_bits = (fun () -> Net.peak_bits net);
+        any_alarm = (fun () -> Net.any_alarm net);
+        change_counter =
+          (fun () ->
+            let m = Net.metrics net in
+            m.Metrics.register_writes + m.Metrics.faults_injected);
+      }
+    in
+    let mon = create ?trace ~metrics:(Net.metrics net) ?distance_c view in
+    Net.set_round_hook net (fun () -> check mon ~round:(Net.rounds net));
+    mon
+end

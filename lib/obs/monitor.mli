@@ -64,3 +64,17 @@ val all_ok : t -> bool
 
 val evaluations : t -> int
 (** Full evaluations actually executed (change-counter cache misses). *)
+
+(** The one attachment to a live {!Network.Make} network, for any
+    protocol: the view reads registers through [P] and the engine's O(1)
+    counters, the monitors are created with the network's metrics (and
+    [trace], [distance_c]), and {!check} runs on the network's round hook,
+    replacing any hook already set. *)
+module Attach (P : Protocol.S) : sig
+  val attach :
+    ?trace:Trace.t ->
+    ?distance_c:int ->
+    parent:(int -> int option) ->
+    Network.Make(P).t ->
+    t
+end

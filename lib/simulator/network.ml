@@ -591,7 +591,10 @@ end
    the flight recorder and the campaigns run on. *)
 module Make (P : Protocol.S) = struct
   module Store = Boxed (P)
-  include Core (P) (Store)
+
+  (* over the [Boxed (P)] path, not [Store]: every [Make (P)] then shares
+     one network type, so code outside can name it as [Make(P).t] *)
+  include Core (P) (Boxed (P))
 
   (* The live register array itself (the recorder aliases it); mutate via
      [set_state] only. *)

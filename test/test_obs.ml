@@ -627,40 +627,21 @@ type harness = {
   rounds : unit -> int;
 }
 
-let verifier_harness ?(compact_c = Monitor.default_compact_c)
-    ?(distance_c = Monitor.default_distance_c) ~seed n =
+let verifier_harness ?(distance_c = Monitor.default_distance_c) ~seed n =
   let g = Gen.random_connected (Gen.rng seed) n in
   let m = Marker.run g in
-  let module C = struct
+  let module Net = Verifier_campaign.Net (struct
     let marker = m
     let mode = Verifier.Passive
-  end in
-  let module P = Verifier.Make (C) in
-  let module Net = Network.Make (P) in
+  end) in
+  let module P = Net.P in
   let net = Net.create g in
   let tr = Trace.create () in
-  let view =
-    {
-      Monitor.graph = g;
-      parent = Tree.parent m.Marker.tree;
-      bits = (fun v -> P.bits (Net.state net v));
-      alarm = (fun v -> P.alarm (Net.state net v));
-      peak_bits = (fun () -> Net.peak_bits net);
-      any_alarm = (fun () -> Net.any_alarm net);
-      change_counter =
-        (fun () ->
-          let mm = Net.metrics net in
-          mm.Metrics.register_writes + mm.Metrics.faults_injected);
-    }
-  in
-  let mon = Monitor.create ~trace:tr ~metrics:(Net.metrics net) ~compact_c ~distance_c view in
-  Net.set_round_hook net (fun () -> Monitor.check mon ~round:(Net.rounds net));
+  let mon = Net.attach_monitors ~trace:tr ~distance_c net in
   {
     mon;
     tr;
-    settle =
-      (fun () ->
-        Net.run net Scheduler.Sync ~rounds:(8 * Verifier.window_bound m.Marker.labels.(0)));
+    settle = (fun () -> Net.settle net Scheduler.Sync);
     inject =
       (fun iseed count ->
         let fs = Net.inject_faults net (Gen.rng iseed) ~count in
@@ -752,30 +733,14 @@ let test_engine_diff_with_monitors () =
       let n = 16 in
       let g = Gen.random_connected (Gen.rng seed) n in
       let m = Marker.run g in
-      let module C = struct
+      let module E = Verifier_campaign.Net (struct
         let marker = m
         let mode = if kind = 0 then Verifier.Passive else Verifier.Handshake
-      end in
-      let module P = Verifier.Make (C) in
+      end) in
+      let module P = E.P in
       let module N = Network.Naive (P) in
-      let module E = Network.Make (P) in
       let naive = N.create g and engine = E.create g in
-      let view =
-        {
-          Monitor.graph = g;
-          parent = Tree.parent m.Marker.tree;
-          bits = (fun v -> P.bits (E.state engine v));
-          alarm = (fun v -> P.alarm (E.state engine v));
-          peak_bits = (fun () -> E.peak_bits engine);
-          any_alarm = (fun () -> E.any_alarm engine);
-          change_counter =
-            (fun () ->
-              let mm = E.metrics engine in
-              mm.Metrics.register_writes + mm.Metrics.faults_injected);
-        }
-      in
-      let mon = Monitor.create ~metrics:(E.metrics engine) view in
-      E.set_round_hook engine (fun () -> Monitor.check mon ~round:(E.rounds engine));
+      let mon = E.attach_monitors engine in
       let dn =
         if kind = 0 then Scheduler.Sync else Scheduler.Async_random (Gen.rng (seed + 1))
       in

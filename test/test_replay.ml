@@ -409,6 +409,59 @@ let test_built_n () =
       Alcotest.(check int) "bound from 63 nodes" (p.distance_c * f * Memory.of_nat 63) w.Flight.bound)
     r.Flight.witnesses
 
+(* The three verify paths run one experiment (Theorem 8.5: settle,
+   inject f faults drawn from [seed + 2], run to the first alarm), so they
+   must agree on it: the flight recorder's run, the observatory's verify
+   scenario and a bare {!Verifier_campaign.Net}.  The observatory's report
+   names no victims, so its leg compares the report's settle and
+   detection notes and its whole metrics row (writes, alarms raised and
+   cleared, ...), which the victims determine. *)
+let test_verify_paths_agree () =
+  let open Ssmst_obs in
+  let metrics_rows r =
+    List.filter
+      (fun l -> String.starts_with ~prefix:"metrics:" l)
+      (String.split_on_char '\n' (Report.to_csv r))
+  in
+  List.iter
+    (fun family ->
+      let p = { Observatory.default_params with family; n = 64; seed = 11; faults = 2 } in
+      let g = Observatory.graph_of p in
+      let module N = Verifier_campaign.Net (struct
+        let marker = Marker.run g
+        let mode = Verifier.Passive
+      end) in
+      let net = N.create g in
+      N.settle net Scheduler.Sync;
+      let settled = N.rounds net in
+      let victims = N.inject_faults net (Gen.rng (p.seed + 2)) ~count:p.faults in
+      let detection = N.detection_time net Scheduler.Sync ~max_rounds:p.max_rounds in
+      let ctx what = Fmt.str "%s: %s" family what in
+      let r = Flight.record_verify p in
+      Alcotest.(check int) (ctx "flight settled round") settled r.Flight.settled_round;
+      Alcotest.(check (list int)) (ctx "flight victims") victims r.Flight.victims;
+      Alcotest.(check (option int)) (ctx "flight detection") detection r.Flight.detection;
+      let report = Observatory.run ~scenario:"verify" (Telemetry.fake ()) p in
+      let md = Report.to_markdown report in
+      let note what line =
+        Alcotest.(check bool) (ctx ("observatory " ^ what)) true (Test_obs.contains md line)
+      in
+      note "settled round" (Fmt.str "settled after %d rounds;" settled);
+      note "detection"
+        (Fmt.str "injected %d fault(s); detected after %d rounds at distance %d"
+           (List.length victims) (Option.get detection)
+           (Option.get (N.detection_distance net ~faults:victims)));
+      let own = Report.create ~title:"" ~scenario:[] () in
+      Report.add_metrics own "verifier network" (N.metrics net);
+      Alcotest.(check (list string)) (ctx "observatory metrics") (metrics_rows own)
+        (metrics_rows report);
+      if family = "random" then begin
+        Alcotest.(check int) "random: settled at" 2560 settled;
+        Alcotest.(check (list int)) "random: victims" [ 50; 51 ] victims;
+        Alcotest.(check (option int)) "random: detected after" (Some 1) detection
+      end)
+    [ "random"; "grid"; "hypertree" ]
+
 (* ---------------- Hist edge cases ---------------- *)
 
 let test_hist_edges () =
@@ -453,5 +506,7 @@ let suite =
       test_flight_verify;
     Alcotest.test_case "flight replay: seek/step/diff" `Quick test_flight_replay;
     Alcotest.test_case "flight + observatory: hypertree runs on the built n" `Quick test_built_n;
+    Alcotest.test_case "flight, observatory and Net agree on settle/inject/detect" `Quick
+      test_verify_paths_agree;
     Alcotest.test_case "hist edge cases" `Quick test_hist_edges;
   ]
