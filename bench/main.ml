@@ -1,7 +1,7 @@
 (* The benchmark harness: one driver per table/figure of the paper (see
    DESIGN.md's experiment index), each printing the paper-shaped rows with
-   measured values, followed by a Bechamel wall-clock suite with one
-   Test.make per experiment driver.
+   measured values, and the gates that check the implementation's cost
+   contracts, each writing its rows to one BENCH_PR<N>.json schema.
 
    Run with: dune exec bench/main.exe            (all experiments)
              dune exec bench/main.exe -- T1 F-DT (a subset) *)
@@ -462,130 +462,13 @@ let ablation_window () =
      factors only slow the Ask rotation (and hence detection) linearly.@."
 
 (* ==================================================================== *)
-(* ENGINE — event-driven engine vs naive re-step engine                  *)
-(* ==================================================================== *)
-
-(* Metrics sink: rows accumulate here and are printed as CSV at the end of
-   the experiment; with SSMST_METRICS_JSONL set they are also appended to
-   that file as JSONL. *)
-let metrics_rows : (string * Metrics.t) list ref = ref []
-
-let sink_metrics label (m : Metrics.t) = metrics_rows := (label, m) :: !metrics_rows
-
-let flush_metrics () =
-  let rows = List.rev !metrics_rows in
-  metrics_rows := [];
-  Fmt.pr "@.metrics (CSV):@.label,%s@." Metrics.csv_header;
-  List.iter (fun (label, m) -> Fmt.pr "%s,%s@." label (Metrics.to_csv_row m)) rows;
-  match Sys.getenv_opt "SSMST_METRICS_JSONL" with
-  | None -> ()
-  | Some path ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      List.iter (fun (label, m) -> output_string oc (Metrics.to_json ~label m ^ "\n")) rows;
-      close_out oc;
-      Fmt.pr "(metrics appended to %s)@." path
-
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* W1: a silent protocol (self-stabilizing BFS / leader election).  After a
-   single fault the network is quiescent almost everywhere, so the
-   dirty-set engine does work proportional to the fault's footprint while
-   the naive engine re-steps all n nodes every round. *)
-let engine_w1 () =
-  let n = 256 and settle = 600 and after = 4096 in
-  let st = Gen.rng 6200 in
-  let g = Gen.random_connected st n in
-  let module P = Ssmst_protocols.Ss_bfs.P in
-  let module Naive = Network.Naive (P) in
-  let module Engine = Network.Make (P) in
-  (* settle both engines to the stabilized configuration (untimed), then
-     time the post-fault convergence window only *)
-  let naive = Naive.create g and engine = Engine.create g in
-  Naive.run naive Scheduler.Sync ~rounds:settle;
-  Engine.run engine Scheduler.Sync ~rounds:settle;
-  Metrics.reset (Engine.metrics engine);
-  let (), naive_s =
-    wall (fun () ->
-        ignore (Naive.inject_faults naive (Gen.rng 6201) ~count:1);
-        Naive.run naive Scheduler.Sync ~rounds:after)
-  in
-  let (), engine_s =
-    wall (fun () ->
-        ignore (Engine.inject_faults engine (Gen.rng 6201) ~count:1);
-        Engine.run engine Scheduler.Sync ~rounds:after)
-  in
-  (* the two engines agree bit-for-bit *)
-  let agree = Array.for_all2 P.equal (Naive.states naive) (Engine.states engine) in
-  let m = Engine.metrics engine in
-  sink_metrics "ENGINE-W1:ss-bfs-n256-1-fault" m;
-  Fmt.pr "%-34s %10.4fs %10.4fs %9.1fx %8b@."
-    (Fmt.str "W1 ss-bfs: 1 fault + %d rounds" after)
-    naive_s engine_s (naive_s /. engine_s) agree;
-  Fmt.pr "    naive steps %d vs engine activations %d (writes %d, wasted %d, skipped %d)@."
-    (after * n) m.Metrics.activations m.Metrics.register_writes m.Metrics.wasted_steps
-    m.Metrics.skipped_activations
-
-(* W2: the acceptance workload — run_until of the verifier on a 256-node
-   random graph after 1 fault.  The verifier's trains rotate forever, so
-   the dirty set stays populated; the gains here come from the O(1)
-   neighbour index, the O(1) alarm predicate and the removal of the
-   per-round O(n) allocations and rescans. *)
-let engine_w2 () =
-  let n = 256 in
-  let st = Gen.rng 6210 in
-  let g = Gen.random_connected st n in
-  let m = Marker.run g in
-  let module Engine = Verifier_campaign.Net (struct
-    let marker = m
-    let mode = Verifier.Passive
-  end) in
-  let module Naive = Network.Naive (Engine.P) in
-  let settle = 2 * Verifier.window_bound m.labels.(0) in
-  let run_naive () =
-    let net = Naive.create g in
-    Naive.run net Scheduler.Sync ~rounds:settle;
-    ignore (Naive.inject_faults net (Gen.rng 6211) ~count:1);
-    Naive.detection_time net Scheduler.Sync ~max_rounds:20000
-  in
-  let run_engine () =
-    let net = Engine.create g in
-    Engine.run net Scheduler.Sync ~rounds:settle;
-    ignore (Engine.inject_faults net (Gen.rng 6211) ~count:1);
-    let dt = Engine.detection_time net Scheduler.Sync ~max_rounds:20000 in
-    sink_metrics "ENGINE-W2:verifier-n256-1-fault" (Engine.metrics net);
-    dt
-  in
-  let naive_dt, naive_s = wall run_naive in
-  let engine_dt, engine_s = wall run_engine in
-  Fmt.pr "%-34s %10.3fs %10.3fs %9.1fx %8b@."
-    (Fmt.str "W2 verifier run_until detection" )
-    naive_s engine_s (naive_s /. engine_s) (naive_dt = engine_dt);
-  Fmt.pr "    detection after %a rounds (both engines agree on the round)@."
-    Fmt.(option ~none:(any "-") int)
-    engine_dt
-
-let fig_engine () =
-  header "ENGINE — event-driven engine vs naive re-step engine (same semantics)";
-  Fmt.pr "%-34s %11s %11s %10s %8s@." "workload" "naive" "engine" "speedup" "agree";
-  line ();
-  engine_w1 ();
-  engine_w2 ();
-  flush_metrics ();
-  Fmt.pr
-    "the differential suite (test/test_engine_diff.ml) asserts state-array and\n\
-     round-count equality of the two engines on 240+ random instances.@."
-
-(* ==================================================================== *)
 (* CAMPAIGN — typed fault-model campaign on the verifier                 *)
 (* ==================================================================== *)
 
 (* A compact instance of the msst-campaign sweep: per-trial detection time
    and distance for every fault model, aggregated min/median/p95 across
-   seeds, with the per-trial rows emitted as CSV (and JSONL through the
-   same env-var sink convention as the engine metrics). *)
+   seeds, with the per-trial rows emitted as CSV (msst campaign --jsonl
+   writes the same sweep's rows as JSONL). *)
 let fig_campaign () =
   header "CAMPAIGN — fault models x f: detection time / distance vs O(f log n)";
   let families = [ "random"; "grid" ] and sizes = [ 64 ] in
@@ -600,104 +483,9 @@ let fig_campaign () =
     (List.map (fun f -> Fmt.str "f=%d -> %d" f (f * logn 64)) fault_counts);
   Fmt.pr "@.per-trial rows (CSV):@.%s@." Campaign.csv_header;
   List.iter (fun t -> Fmt.pr "%s@." (Campaign.trial_to_csv t)) trials;
-  (match Sys.getenv_opt "SSMST_CAMPAIGN_JSONL" with
-  | None -> ()
-  | Some path ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      Campaign.write_jsonl oc trials;
-      close_out oc;
-      Fmt.pr "(campaign trials appended to %s)@." path);
   Fmt.pr
     "shape check: dd columns stay within a constant factor of f*log n for the random\n\
      placements and shrink for the clustered/near-root ones (faults share a ball).@."
-
-(* ==================================================================== *)
-(* OBS — runtime observatory overhead                                    *)
-(* ==================================================================== *)
-
-(* The observability tentpole's cost contract: running with the full
-   observatory attached (online invariant monitors on the engine's round
-   hook plus the phase profiler, installed with a metered frame) must
-   stay within 15% of the bare engine.  The monitors' change-counter
-   caching carries the quiescent workload; the verifier workload is the
-   worst case (every node writes every round, so the monitors re-evaluate
-   every round). *)
-let obs_budget = 0.15
-
-let fig_obs () =
-  header "OBS — runtime observatory overhead: probes on vs off (budget: 15%)";
-  let reps = 7 in
-  let time f =
-    ignore (f ());
-    (* best-of-reps: the minimum is the least scheduler-noise-polluted *)
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let failures = ref [] in
-  Fmt.pr "%-38s %12s %12s %10s@." "workload" "probes off" "probes on" "overhead";
-  line ();
-  let report name t_off t_on =
-    let ov = (t_on -. t_off) /. t_off in
-    Fmt.pr "%-38s %9.2f ms %9.2f ms %+9.1f%%@." name (1000. *. t_off) (1000. *. t_on)
-      (100. *. ov);
-    if ov > obs_budget then failures := Fmt.str "%s (%+.1f%%)" name (100. *. ov) :: !failures
-  in
-  (* run [drive net] on a fresh network, with the full observatory
-     attached when [probes]: the monitors on the round hook, and a phase
-     profiler installed with a metered frame around the drive *)
-  let module Observed (P : Protocol.S) = struct
-    module Net = Network.Make (P)
-    module Mon = Ssmst_obs.Monitor.Attach (P)
-
-    let run ~parent g drive probes () =
-      let net = Net.create g in
-      if not probes then drive net
-      else begin
-        ignore (Mon.attach ~parent net);
-        Ssmst_obs.Telemetry.install (Ssmst_obs.Telemetry.create ());
-        Fun.protect ~finally:Ssmst_obs.Telemetry.uninstall (fun () ->
-            Ssmst_obs.Telemetry.metered "settle" (Net.metrics net) (fun () -> drive net))
-      end
-  end in
-  (* churning workload: the BFS election re-converges after each periodic
-     fault burst (a pure quiescent tail would compare the monitors' O(1)
-     cached check against near-free skipped rounds, measuring only timer
-     noise; the cache itself is unit-tested in test_obs) *)
-  let module B = Observed (Ssmst_protocols.Ss_bfs.P) in
-  let bfs_run =
-    B.run ~parent:(fun _ -> None) (Gen.random_connected (Gen.rng 8100) 256) (fun net ->
-        for k = 0 to 7 do
-          ignore (B.Net.inject_faults net (Gen.rng (8110 + k)) ~count:4);
-          B.Net.run net Scheduler.Sync ~rounds:128
-        done)
-  in
-  report "ss-bfs + faults n=256, 1024 rounds" (time (bfs_run false)) (time (bfs_run true));
-  (* write-heavy workload: the verifier rewrites every register every
-     round, so every monitored round pays a full re-evaluation *)
-  let g2 = Gen.random_connected (Gen.rng 8200) 128 in
-  let m2 = Marker.run g2 in
-  let module VN = Verifier_campaign.Net (struct
-    let marker = m2
-    let mode = Verifier.Passive
-  end) in
-  let module V = Observed (VN.P) in
-  let verifier_run =
-    V.run ~parent:(Tree.parent m2.Marker.tree) g2 (fun net -> V.Net.run net Scheduler.Sync ~rounds:600)
-  in
-  report "verifier n=128, 600 rounds" (time (verifier_run false)) (time (verifier_run true));
-  match !failures with
-  | [] -> Fmt.pr "observatory overhead within the %.0f%% budget.@." (100. *. obs_budget)
-  | fs ->
-      Fmt.pr "OBS overhead budget (%.0f%%) exceeded: %a@." (100. *. obs_budget)
-        Fmt.(list ~sep:comma string)
-        fs;
-      exit 1
 
 (* ==================================================================== *)
 (* Knobs and bench artifacts                                             *)
@@ -835,56 +623,168 @@ let write_artifact ~pr ~within_budget rows =
 (* Shared gate drivers                                                   *)
 (* ==================================================================== *)
 
-(* REPLAY and PROF time the same ENGINE workloads (same graphs, seeds and
-   windows), so the bare wall_off_s rows of BENCH_PR4.json and
-   BENCH_PR9.json measure one experiment.  What rides along differs: the
-   flight recorder (k = 64, attached at creation, so the settle records
-   too) or a Telemetry sink (installed around the timed window only). *)
-type ride = Bare | Recorder | Telemetry
+let wall f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* The one A/B harness.  ENGINE, OBS, REPLAY and PROF time the same
+   workloads (same graphs, seeds and windows) with one timer,
+   [time_interleaved], so the bare wall_off_s rows of their artifacts
+   measure one experiment.  The overhead gates run a workload on the
+   event-driven engine bare and with a ride: the flight recorder (k = 64,
+   attached at creation, so the settle records too), a Telemetry sink
+   around the timed part, or the whole observatory — the monitors,
+   attached at creation, plus the sink.  With a sink installed, the
+   timed part runs in a frame charged the network's metrics.  ENGINE runs
+   the same phases on the naive reference engine against the event-driven
+   one. *)
+type ride = Bare | Recorder | Telemetry | Monitors
 
 let riding ride f =
   match ride with
-  | Telemetry ->
+  | Telemetry | Monitors ->
       Ssmst_obs.Telemetry.install (Ssmst_obs.Telemetry.create ());
       Fun.protect ~finally:Ssmst_obs.Telemetry.uninstall f
   | Bare | Recorder -> f ()
 
+(* What the workloads drive: [Network.Naive], or [Network.Make] with
+   [create]'s optional arguments left out. *)
+module type ENGINE = sig
+  type t
+  type state
+
+  val create : Graph.t -> t
+  val states : t -> state array
+  val run : t -> Scheduler.t -> rounds:int -> unit
+  val inject_faults : t -> Random.State.t -> count:int -> int list
+  val detection_time : t -> Scheduler.t -> max_rounds:int -> int option
+end
+
+(* The workloads' phases, written once for every engine. *)
+module Script (E : ENGINE) = struct
+  (* W1: the ss-bfs election settles (untimed), then 1 fault + 4096 mostly
+     quiescent rounds are timed *)
+  let w1_settle net = E.run net Scheduler.Sync ~rounds:600
+
+  let w1 net =
+    ignore (E.inject_faults net (Gen.rng 8311) ~count:1);
+    E.run net Scheduler.Sync ~rounds:4096
+
+  (* W2: the verifier settles, takes 1 fault and runs until detection,
+     creation included in the timing.  It rewrites every register every
+     round: the recorder's and the monitors' dense case. *)
+  let w2 ~settle net =
+    E.run net Scheduler.Sync ~rounds:settle;
+    ignore (E.inject_faults net (Gen.rng 8411) ~count:1);
+    ignore (E.detection_time net Scheduler.Sync ~max_rounds:20000)
+
+  (* churn: a 4-fault burst every 128 rounds keeps the ss-bfs election
+     re-converging, so nearly every activation is a write *)
+  let churn net =
+    for k = 0 to 7 do
+      ignore (E.inject_faults net (Gen.rng (8310 + k)) ~count:4);
+      E.run net Scheduler.Sync ~rounds:128
+    done
+
+  (* ENGINE's runs of W1 and W2 on [E]: wall time and final registers *)
+  let w1_side g =
+    let net = E.create g in
+    w1_settle net;
+    let (), s = wall (fun () -> w1 net) in
+    (s, E.states net)
+
+  let w2_side ~settle g =
+    let net, s =
+      wall (fun () ->
+          let net = E.create g in
+          w2 ~settle net;
+          net)
+    in
+    (s, E.states net)
+end
+
 module Ridden (P : Protocol.S) = struct
   module Net = Network.Make (P)
-  module R = Ssmst_replay.Recorder.Make (P)
 
-  let create ride g =
+  module Run = Script (struct
+    include Net
+
+    type state = P.state
+
+    let create g = create g
+  end)
+
+  module Naive = Script (struct
+    include Network.Naive (P)
+
+    type state = P.state
+  end)
+
+  module R = Ssmst_replay.Recorder.Make (P)
+  module Mon = Ssmst_obs.Monitor.Attach (P)
+
+  (* a network of [g] with [ride]'s attachment; [parent] is the tree the
+     monitors check *)
+  let create ?(parent = fun _ -> None) ride g =
     let net = Net.create g in
-    if ride = Recorder then begin
-      let rec_ = R.create ~interval:64 ~round0:0 g (Net.states net) in
-      Net.set_write_hook net (R.engine_hook rec_ (Net.states net))
-    end;
+    (match ride with
+    | Recorder ->
+        let rec_ = R.create ~interval:64 ~round0:0 g (Net.states net) in
+        Net.set_write_hook net (R.engine_hook rec_ (Net.states net))
+    | Monitors -> ignore (Mon.attach ~parent net)
+    | Bare | Telemetry -> ());
     net
+
+  (* [drive net] in a frame charged [net]'s metrics (plain [drive net]
+     when no sink is installed) *)
+  let metered drive net =
+    Ssmst_obs.Telemetry.metered "drive" (Net.metrics net) (fun () -> drive net)
+
+  (* [drive] on a fresh [ride] network of [g], creation included in the
+     wall time, and the network's metrics after *)
+  let timed ?parent ride g drive =
+    riding ride (fun () ->
+        let net, s =
+          wall (fun () ->
+              let net = create ?parent ride g in
+              metered drive net;
+              net)
+        in
+        (s, Net.metrics net))
+
+  (* ENGINE's two sides of a workload for [time_interleaved]: [side false]
+     runs [naive ()], [side true] [engine ()]; [agree ()] compares the
+     registers the last run of each ended in. *)
+  let versus naive engine =
+    let regs = [| [||]; [||] |] in
+    let side on =
+      let s, r = if on then engine () else naive () in
+      regs.(Bool.to_int on) <- r;
+      s
+    in
+    (side, fun () -> Array.for_all2 P.equal regs.(0) regs.(1))
 end
 
 module Bfs = Ridden (Ssmst_protocols.Ss_bfs.P)
 
 let w1_graph = lazy (Gen.random_connected (Gen.rng 8300) 256)
+let w1_name = "ENGINE-W1 ss-bfs n=256, 1 fault"
+let w2_name = "ENGINE-W2 verifier n=256, detection"
+let churn_name = "churn ss-bfs n=256, 8x4 faults"
 
-(* W1 mirrors ENGINE-W1: settle the ss-bfs election (untimed), then time
-   1 fault + 4096 mostly quiescent rounds. *)
 let w1_ride ride =
   let net = Bfs.create ride (Lazy.force w1_graph) in
-  Bfs.Net.run net Scheduler.Sync ~rounds:600;
+  Bfs.Run.w1_settle net;
   Metrics.reset (Bfs.Net.metrics net);
-  let dt =
-    riding ride (fun () ->
-        let t0 = Unix.gettimeofday () in
-        ignore (Bfs.Net.inject_faults net (Gen.rng 8311) ~count:1);
-        Bfs.Net.run net Scheduler.Sync ~rounds:4096;
-        Unix.gettimeofday () -. t0)
-  in
-  (dt, Bfs.Net.metrics net)
+  riding ride (fun () ->
+      let (), s = wall (fun () -> Bfs.metered Bfs.Run.w1 net) in
+      (s, Bfs.Net.metrics net))
 
-(* W2 mirrors ENGINE-W2: the verifier runs until detection after 1 fault,
-   creation and settle timed.  It rewrites every register every round —
-   the recorder's dense case.  The graph and marker are built on the
-   first (warm-up, untimed) run. *)
+let churn_ride ride = Bfs.timed ride (Lazy.force w1_graph) Bfs.Run.churn
+
+(* W2's instance, built on the first (warm-up, untimed) run: the ride
+   driver and ENGINE's two sides *)
 let w2 =
   lazy
     (let g = Gen.random_connected (Gen.rng 8400) 256 in
@@ -895,16 +795,15 @@ let w2 =
      end) in
      let module V = Ridden (VN.P) in
      let settle = 2 * Verifier.window_bound m.labels.(0) in
-     fun ride ->
-       riding ride (fun () ->
-           let t0 = Unix.gettimeofday () in
-           let net = V.create ride g in
-           V.Net.run net Scheduler.Sync ~rounds:settle;
-           ignore (V.Net.inject_faults net (Gen.rng 8411) ~count:1);
-           ignore (V.Net.detection_time net Scheduler.Sync ~max_rounds:20000);
-           (Unix.gettimeofday () -. t0, V.Net.metrics net)))
+     ( (fun ride -> V.timed ~parent:(Tree.parent m.Marker.tree) ride g (V.Run.w2 ~settle)),
+       V.versus (fun () -> V.Naive.w2_side ~settle g) (fun () -> V.Run.w2_side ~settle g) ))
 
-let w2_ride ride = Lazy.force w2 ride
+let w2_ride ride = fst (Lazy.force w2) ride
+
+let w1_engines =
+  lazy
+    (let g = Lazy.force w1_graph in
+     Bfs.versus (fun () -> Bfs.Naive.w1_side g) (fun () -> Bfs.Run.w1_side g))
 
 (* A gate's failed checks and missed bounds: print each, then exit 1. *)
 let exit_on_failures gate = function
@@ -932,11 +831,21 @@ let time_interleaved ~reps run =
   in
   (median off, median on_)
 
-(* REPLAY's and PROF's gate.  Each workload [(gated, reps, name, run)] is
-   timed bare vs with [ride]; [extra ~gated name t_on run] gives the
-   gate's own column and rows, whose "bool" rows are checks that must
-   hold on every workload.  Writes BENCH_PR<pr>.json and returns the
-   failed checks and the gated overheads above [budget]. *)
+(* The "bool" rows that read false, as failures. *)
+let failed_checks rows =
+  List.filter_map
+    (fun r ->
+      if r.unit = "bool" && r.value = 0. then
+        Some (Fmt.str "check %s failed on %s" r.metric r.workload)
+      else None)
+    rows
+
+(* The overhead gates' driver (OBS, REPLAY, PROF).  Each workload
+   [(gated, reps, name, run)] is timed bare vs with [ride]; [extra ~gated
+   name t_on run] gives the gate's own column and rows, whose "bool" rows
+   are checks that must hold on every workload.  Writes BENCH_PR<pr>.json
+   and returns the failed checks and the gated overheads above
+   [budget]. *)
 let overhead_gate ~gate ~pr ~ride ~budget ~column ~extra ~params workloads =
   let label = if ride = Recorder then "recorder" else "probes" in
   Fmt.pr "%-38s %12s %12s %10s %10s@." "workload" (label ^ " off") (label ^ " on") "overhead"
@@ -963,16 +872,20 @@ let overhead_gate ~gate ~pr ~ride ~budget ~column ~extra ~params workloads =
   write_artifact ~pr ~within_budget:(over = [])
     (rows @ (row ~gated:true gate "budget_pct" "%" (100. *. budget) :: params));
   if over = [] then Fmt.pr "%s overhead within the %.0f%% budget.@." gate (100. *. budget);
-  List.filter_map
-    (fun r ->
-      if r.unit = "bool" && r.value = 0. then
-        Some (Fmt.str "check %s failed on %s" r.metric r.workload)
-      else None)
-    rows
+  failed_checks rows
   @ List.map
       (fun (n, ov, _) ->
         Fmt.str "overhead budget (%.0f%%) exceeded: %s (%+.1f%%)" (100. *. budget) n (100. *. ov))
       over
+
+(* An overhead gate's [extra] that checks [ride] stays out of band: the
+   run ends with the bare run's metrics, byte for byte.  The monitors
+   count their violations there, so under [Monitors] it also checks that
+   none was recorded. *)
+let out_of_band ride ~gated name _ run =
+  let csv ride = Metrics.to_csv_row (snd (run ride)) in
+  let identical = csv Bare = csv ride in
+  ((if identical then "yes" else "NO"), [ check ~gated name "identical" identical ])
 
 module Flat_bfs = Network.Flat (Ssmst_protocols.Ss_bfs.P)
 
@@ -1051,6 +964,61 @@ let scaling_gate ~gate ~pr ~flag ~multicore ~min_speedup ~params run =
     else [])
 
 (* ==================================================================== *)
+(* ENGINE — event-driven engine vs naive re-step engine + BENCH_PR1.json *)
+(* ==================================================================== *)
+
+(* The naive reference re-steps every node every round; the event-driven
+   engine skips activations whose inputs are unchanged.  On W1, a silent
+   protocol after one fault, the skipping is nearly the whole run; W2, the
+   always-active verifier, is the control where nothing can be skipped.
+   The two engines must end in the same registers (exit 1 otherwise). *)
+let fig_engine () =
+  header "ENGINE — event-driven engine vs naive re-step engine (same semantics)";
+  Fmt.pr "%-38s %12s %12s %10s %8s@." "workload" "naive" "engine" "speedup" "agree";
+  line ();
+  let measure (reps, name, (side, agree)) =
+    let naive_s, engine_s = time_interleaved ~reps side in
+    let agree = agree () in
+    Fmt.pr "%-38s %9.2f ms %9.2f ms %9.1fx %8b@." name (1000. *. naive_s) (1000. *. engine_s)
+      (naive_s /. engine_s) agree;
+    [
+      row ~better:`Lower ~gated:false name "wall_naive_s" "s" naive_s;
+      row ~better:`Lower ~gated:false name "wall_engine_s" "s" engine_s;
+      row ~better:`Higher ~gated:false name "speedup_vs_naive" "x" (naive_s /. engine_s);
+      check ~gated:true name "agree" agree;
+    ]
+  in
+  let rows =
+    List.concat_map measure
+      [ (31, w1_name, Lazy.force w1_engines); (5, w2_name, snd (Lazy.force w2)) ]
+  in
+  let failed = failed_checks rows in
+  write_artifact ~pr:1 ~within_budget:(failed = []) rows;
+  Fmt.pr
+    "the differential suite (test/test_engine_diff.ml) asserts state-array and\n\
+     round-count equality of the two engines on 240+ random instances.@.";
+  exit_on_failures "ENGINE" failed
+
+(* ==================================================================== *)
+(* OBS — runtime observatory overhead + BENCH_PR3.json                   *)
+(* ==================================================================== *)
+
+(* The observatory's cost contract: a run with the full observatory
+   attached — the online invariant monitors on the engine's round hook
+   and a Telemetry profiler with a metered frame — must stay within 15%
+   of the bare engine.  Both workloads write every round, so every
+   monitored round pays a full re-evaluation (a quiescent tail would
+   compare the monitors' O(1) cached check against near-free skipped
+   rounds, measuring only timer noise; the cache itself is unit-tested in
+   test_obs). *)
+let fig_obs () =
+  header "OBS — runtime observatory overhead: probes on vs off (budget: 15%)";
+  exit_on_failures "OBS"
+    (overhead_gate ~gate:"OBS" ~pr:3 ~ride:Monitors ~budget:0.15 ~column:"identical"
+       ~extra:(out_of_band Monitors) ~params:[]
+       [ (true, 9, churn_name, churn_ride); (true, 5, w2_name, w2_ride) ])
+
+(* ==================================================================== *)
 (* REPLAY — flight recorder overhead + BENCH_PR4.json                    *)
 (* ==================================================================== *)
 
@@ -1059,18 +1027,6 @@ let scaling_gate ~gate ~pr ~flag ~multicore ~min_speedup ~params run =
    pushed to the delta ring) must stay within 20% of the bare engine. *)
 let fig_replay () =
   header "REPLAY — flight recorder overhead: k=64 checkpoints (budget: 20%)";
-  (* informational stress row: fault bursts keep the dirty set saturated so
-     nearly every activation is a recorded write — deliberately harsher
-     than the gated ENGINE workloads *)
-  let churn ride =
-    let t0 = Unix.gettimeofday () in
-    let net = Bfs.create ride (Lazy.force w1_graph) in
-    for k = 0 to 7 do
-      ignore (Bfs.Net.inject_faults net (Gen.rng (8310 + k)) ~count:4);
-      Bfs.Net.run net Scheduler.Sync ~rounds:128
-    done;
-    (Unix.gettimeofday () -. t0, Bfs.Net.metrics net)
-  in
   let recorded ~gated name t_on run =
     let _, (m : Metrics.t) = run Recorder in
     let writes = float_of_int (m.register_writes + m.faults_injected) in
@@ -1085,10 +1041,13 @@ let fig_replay () =
     (overhead_gate ~gate:"REPLAY" ~pr:4 ~ride:Recorder ~budget:0.20
        ~column:"events/s" ~extra:recorded
        ~params:[ row ~gated:true "REPLAY" "checkpoint_interval" "rounds" 64. ]
+       (* churn is informational here: fault bursts keep the dirty set
+          saturated, so nearly every activation is a recorded write —
+          deliberately harsher than the gated workloads *)
        [
-         (true, 31, "ENGINE-W1 ss-bfs n=256, 1 fault", w1_ride);
-         (true, 5, "ENGINE-W2 verifier n=256, detection", w2_ride);
-         (false, 9, "churn ss-bfs n=256, 8x4 faults", churn);
+         (true, 31, w1_name, w1_ride);
+         (true, 5, w2_name, w2_ride);
+         (false, 9, churn_name, churn_ride);
        ])
 
 (* ==================================================================== *)
@@ -1124,17 +1083,12 @@ let fig_prof () =
     in
     (dt, Flat_bfs.metrics net)
   in
-  let out_of_band ~gated name _ run =
-    let csv ride = Metrics.to_csv_row (snd (run ride)) in
-    let identical = csv Bare = csv Telemetry in
-    ((if identical then "yes" else "NO"), [ check ~gated name "identical" identical ])
-  in
   let failures =
     overhead_gate ~gate:"PROF" ~pr:9 ~ride:Telemetry ~budget:0.05
-      ~column:"identical" ~extra:out_of_band ~params:[]
+      ~column:"identical" ~extra:(out_of_band Telemetry) ~params:[]
       [
-        (true, 31, "ENGINE-W1 ss-bfs n=256, 1 fault", w1_ride);
-        (true, 5, "ENGINE-W2 verifier n=256, detection", w2_ride);
+        (true, 31, w1_name, w1_ride);
+        (true, 5, w2_name, w2_ride);
         (false, 5, "flat ss-bfs n=4096, election", flat_run);
       ]
   in
@@ -1588,60 +1542,6 @@ let fig_report () =
   end
 
 (* ==================================================================== *)
-(* Bechamel wall-clock suite: one Test.make per experiment driver        *)
-(* ==================================================================== *)
-
-let bechamel_suite () =
-  header "wall-clock micro-benchmarks (Bechamel; ns per driver run)";
-  let open Bechamel in
-  let open Toolkit in
-  let quick_graph n seed =
-    let st = Gen.rng seed in
-    Gen.random_connected st n
-  in
-  let g64 = quick_graph 64 6000 in
-  let m64 = Marker.run g64 in
-  let tests =
-    [
-      Test.make ~name:"T1:higham-liang-n64"
-        (Staged.stage (fun () -> ignore (Ssmst_baselines.Higham_liang.run g64)));
-      Test.make ~name:"T1:blin-n64" (Staged.stage (fun () -> ignore (Ssmst_baselines.Blin.run g64)));
-      Test.make ~name:"T2:marker-fig1" (Staged.stage (fun () -> ignore (Marker.run (fig1_graph ()))));
-      Test.make ~name:"F-CT:sync-mst-n64" (Staged.stage (fun () -> ignore (Sync_mst.run g64)));
-      Test.make ~name:"F-CT:ghs-n64"
-        (Staged.stage (fun () -> ignore (Ssmst_baselines.Ghs.run g64)));
-      Test.make ~name:"F-MEM:kkp-mark-n64"
-        (Staged.stage (fun () -> ignore (Ssmst_pls.Kkp_pls.mark m64)));
-      Test.make ~name:"F-DT:verifier-100-rounds-n64"
-        (Staged.stage (fun () ->
-             let module N = Verifier_campaign.Net (struct
-               let marker = m64
-               let mode = Verifier.Passive
-             end) in
-             N.run (N.create g64) Scheduler.Sync ~rounds:100));
-      Test.make ~name:"F-LB:hypertree-instance"
-        (Staged.stage (fun () ->
-             ignore (Lower_bound.measure ~seed:6001 ~h:4 ~tau:0 ~positive:false)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~stabilize:false () in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg [ Instance.monotonic_clock ] elt in
-          let ols =
-            Analyze.one
-              (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-              Instance.monotonic_clock raw
-          in
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Fmt.pr "%-36s %14.0f ns/run@." (Test.Elt.name elt) est
-          | _ -> Fmt.pr "%-36s (no estimate)@." (Test.Elt.name elt))
-        (Test.elements test))
-    tests
-
-(* ==================================================================== *)
 
 let all_experiments =
   [
@@ -1664,7 +1564,6 @@ let all_experiments =
     ("PROF", fig_prof);
     ("VSTEP", fig_vstep);
     ("REPORT", fig_report);
-    ("BENCH", bechamel_suite);
   ]
 
 let () =

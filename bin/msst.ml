@@ -169,6 +169,12 @@ let trace_run family n seed faults async_ out capacity fmt =
     Fmt.epr "msst trace: --capacity must be positive (got %d)@." capacity;
     exit 2
   end;
+  (* with nothing injected there is nothing to detect: the run would spin
+     out its whole detection budget *)
+  if faults < 1 then begin
+    Fmt.epr "msst trace: --faults must be at least 1 (got %d)@." faults;
+    exit 2
+  end;
   let p = params_of family n seed faults async_ in
   let g = Observatory.graph_of p in
   let m = Marker.run g in
@@ -284,13 +290,13 @@ let run_scenario cmd tel scenario family n seed faults async_ epochs trials max_
     end
   in
   known "scenario" Observatory.scenario_names scenario;
-  if scenario = "campaign" && async_ then begin
-    Fmt.epr "msst %s: campaign trials run Passive/Sync; --async does not apply to campaign@."
-      cmd;
-    exit 2
-  end;
-  Observatory.run ~scenario tel
-    { (params_of family n seed faults async_) with epochs; trials; max_rounds; domains }
+  let p = { (params_of family n seed faults async_) with epochs; trials; max_rounds; domains } in
+  Option.iter
+    (fun why ->
+      Fmt.epr "msst %s: %s@." cmd why;
+      exit 2)
+    (Observatory.refusal ~scenario p);
+  Observatory.run ~scenario tel p
 
 let write_file path s =
   let oc = open_out path in
@@ -348,7 +354,10 @@ let profile scenario family n seed faults async_ epochs trials max_rounds domain
       Fmt.epr "chrome trace written to %s (load in chrome://tracing or Perfetto)@." path);
   (match fmt with
   | Md ->
-      Fmt.pr "# msst profile — %s (%s, n = %d, -d %d%s)@.@." scenario family n d
+      (* the size built, as the report's header block records it *)
+      Fmt.pr "# msst profile — %s (%s, n = %s, -d %d%s)@.@." scenario family
+        (List.assoc "n" (Ssmst_obs.Report.scenario r))
+        d
         (if fake then ", fake clock" else "");
       print_string (Ssmst_obs.Telemetry.to_markdown tel)
   | Csv -> print_string (Ssmst_obs.Telemetry.to_csv tel)

@@ -48,26 +48,32 @@ let default_params =
 
 let scenario_names = [ "construct"; "verify"; "stabilize"; "campaign" ]
 
+let refusal ~scenario p =
+  if scenario = "campaign" && p.async then
+    Some "campaign trials run Passive/Sync; --async does not apply to campaign"
+  else None
+
 let graph_of p = Verifier_campaign.build_graph ~family:p.family ~seed:p.seed p.n
 
 let mode_and_daemon p =
   if p.async then (Verifier.Handshake, Scheduler.Async_random (Gen.rng (p.seed + 1)))
   else (Verifier.Passive, Scheduler.Sync)
 
-let base_scenario name p =
+let base_scenario name p ~n =
   [
     ("scenario", name);
     ("family", p.family);
-    ("n", string_of_int p.n);
+    ("n", string_of_int n);
     ("seed", string_of_int p.seed);
     ("daemon", if p.async then "async-random" else "sync");
   ]
 
-let report tel name p extra =
+(* [n] is the size built, which grid and hypertree round the request to *)
+let report tel name p ~n extra =
   let r =
     Report.create
-      ~title:(Fmt.str "msst report — %s (%s, n = %d)" name p.family p.n)
-      ~scenario:(base_scenario name p @ extra)
+      ~title:(Fmt.str "msst report — %s (%s, n = %d)" name p.family n)
+      ~scenario:(base_scenario name p ~n @ extra)
       ()
   in
   Report.set_spans r (Telemetry.root tel);
@@ -111,7 +117,7 @@ let construct tel p =
   let mon = Monitor.create ~distance_c:p.distance_c view in
   Monitor.check mon ~round:m.Marker.construction_rounds;
   let r =
-    report tel "construct" p
+    report tel "construct" p ~n:(Graph.n g)
       [ ("threshold", string_of_int m.Marker.assignment.Partition.threshold) ]
   in
   Report.add_hist r "per-node label bits" label_hist;
@@ -147,7 +153,7 @@ let verify tel p =
   profiled tel @@ fun () ->
   metered "settle" (fun () -> N.settle net daemon);
   let r =
-    report tel "verify" p
+    report tel "verify" p ~n:(Graph.n g)
       [ ("mode", match mode with Verifier.Passive -> "passive" | Handshake -> "handshake");
         ("faults", string_of_int p.faults) ]
   in
@@ -195,7 +201,7 @@ let stabilize tel p =
   profiled tel @@ fun () ->
   let t = Transformer.create ~mode ~daemon ~domains:p.domains ~monitors:true g in
   let r =
-    report tel "stabilize" p
+    report tel "stabilize" p ~n:(Graph.n g)
       [ ("faults per epoch", string_of_int p.faults); ("epochs", string_of_int p.epochs) ]
   in
   Report.add_note r
@@ -245,6 +251,9 @@ let stabilize tel p =
    injection seeds, one [campaign.trial] frame each (same-name siblings:
    one row); outcomes land in the detection-time/-distance histograms. *)
 let campaign tel p =
+  Option.iter
+    (fun why -> invalid_arg ("Observatory.campaign: " ^ why))
+    (refusal ~scenario:"campaign" p);
   let inst =
     Verifier_campaign.prepare ~domains:p.domains ~family:p.family ~n:p.n ~seed:p.seed ()
   in
@@ -280,7 +289,7 @@ let campaign tel p =
       done)
     Campaign.model_names;
   let r =
-    report tel "campaign" p
+    report tel "campaign" p ~n
       [
         ("models", String.concat "," Campaign.model_names);
         ("trials per model", string_of_int p.trials);

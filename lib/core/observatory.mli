@@ -47,6 +47,11 @@ val mode_and_daemon : params -> Verifier.mode * Scheduler.t
 val scenario_names : string list
 (** ["construct"; "verify"; "stabilize"; "campaign"] *)
 
+val refusal : scenario:string -> params -> string option
+(** Why [scenario] refuses these params, if it does: campaign trials run
+    Passive/Sync, so [campaign] refuses [async].  The scenario raises
+    [Invalid_argument] on them; callers check first to report it. *)
+
 val construct : Telemetry.t -> params -> Report.t
 val verify : Telemetry.t -> params -> Report.t
 
@@ -54,6 +59,7 @@ val stabilize : Telemetry.t -> params -> Report.t
 (** One ["epoch i"] frame (0-based) per fault epoch. *)
 
 val campaign : Telemetry.t -> params -> Report.t
+(** @raise Invalid_argument when [async] is set (see {!refusal}). *)
 
 val run : scenario:string -> Telemetry.t -> params -> Report.t
 (** Dispatch by name.  @raise Invalid_argument on an unknown scenario. *)

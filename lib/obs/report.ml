@@ -33,6 +33,7 @@ let create ~title ~scenario () =
     telemetry = None;
   }
 
+let scenario t = t.scenario
 let add_metrics t label m = t.metrics <- t.metrics @ [ (label, m) ]
 let add_hist t label h = t.hists <- t.hists @ [ (label, h) ]
 let set_spans t root = t.spans <- Some root

@@ -13,6 +13,8 @@ type t
 val create : title:string -> scenario:(string * string) list -> unit -> t
 (** [scenario] is the key/value header block (graph family, n, seed, ...). *)
 
+val scenario : t -> (string * string) list
+
 val add_metrics : t -> string -> Metrics.t -> unit
 (** One row per network, labelled; rows render in insertion order. *)
 

@@ -894,6 +894,29 @@ let test_report_stabilize () =
     (String.length j > 2 && j.[0] = '{' && j.[String.length j - 1] = '}');
   Alcotest.(check bool) "json says monitors ok" true (contains j {|"monitors_ok":true|})
 
+(* The header reports the size built, not the one requested: hypertree
+   rounds n = 100 down to 63 nodes. *)
+let test_report_built_n () =
+  let p = { Observatory.default_params with Observatory.family = "hypertree"; n = 100 } in
+  let md = Report.to_markdown (Observatory.run ~scenario:"construct" (Telemetry.fake ()) p) in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) (Fmt.str "markdown mentions %S" needle) true (contains md needle))
+    [ "(hypertree, n = 63)"; "- **n**: 63" ];
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) (Fmt.str "markdown omits %S" needle) false (contains md needle))
+    [ "n = 100"; "- **n**: 100" ]
+
+(* Campaign trials run Passive/Sync: the scenario refuses [async] rather
+   than label a sync run async-random. *)
+let test_campaign_refuses_async () =
+  let p = { Observatory.default_params with Observatory.n = 16; async = true } in
+  Alcotest.(check bool) "refusal" true (Observatory.refusal ~scenario:"campaign" p <> None);
+  match Observatory.run ~scenario:"campaign" (Telemetry.fake ()) p with
+  | _ -> Alcotest.fail "campaign ran with async = true"
+  | exception Invalid_argument _ -> ()
+
 (* The phase profiler charges the paper's logical cost exactly as the
    separate span profiler it replaced did.  Pinned from that profiler's
    trees at -n 32 --seed 11, default parameters: each scenario's root row
@@ -1005,4 +1028,6 @@ let suite =
     Alcotest.test_case "report: stabilize scenario" `Quick test_report_stabilize;
     Alcotest.test_case "report: logical costs pinned across the profiler merge" `Quick
       test_report_logical_costs_pinned;
+    Alcotest.test_case "report: header n is the built size" `Quick test_report_built_n;
+    Alcotest.test_case "report: campaign refuses async" `Quick test_campaign_refuses_async;
   ]
