@@ -73,171 +73,6 @@ module Make (C : CONFIG) = struct
       alarm = false;
     }
 
-  (* ---------------- one activation's view ----------------
-
-     An activation reads each port once, into [nbr], and derives the
-     claimed structure once: the parent's port and the children's ports
-     (in port order) with their registers.  Every check below works on
-     this view; none reads the network again. *)
-
-  type act = {
-    g : Graph.t;
-    v : int;
-    l : Marker.node_label;
-    nbr : state array;  (* [nbr.(p)]: the register behind port [p] *)
-    pport : int;  (* the claimed parent's port; -1 for none *)
-    kids : int array;  (* ports of the neighbours claiming v as parent *)
-    kid_regs : state array;  (* their registers, aligned with [kids] *)
-  }
-
-  (* whether the neighbour behind port [p] claims [v] as its parent *)
-  let points_back g v p (su : state) =
-    match su.label.comp_port with
-    | Some q ->
-        let u = Graph.peer_at g v p in
-        q >= 0 && q < Graph.degree g u && Graph.peer_at g u q = v
-    | None -> false
-
-  let view g v (s : state) read =
-    let deg = Graph.degree g v in
-    let nbr = Array.init deg read in
-    let pport = match s.label.comp_port with Some p when p >= 0 && p < deg -> p | _ -> -1 in
-    let nk = ref 0 in
-    for p = 0 to deg - 1 do
-      if points_back g v p nbr.(p) then incr nk
-    done;
-    let kids = Array.make !nk 0 and kid_regs = Array.make !nk s and i = ref 0 in
-    for p = 0 to deg - 1 do
-      if points_back g v p nbr.(p) then begin
-        kids.(!i) <- p;
-        kid_regs.(!i) <- nbr.(p);
-        incr i
-      end
-    done;
-    { g; v; l = s.label; nbr; pport; kids; kid_regs }
-
-  let rec kid_from (kids : int array) p i =
-    i < Array.length kids && (kids.(i) = p || kid_from kids p (i + 1))
-
-  let is_kid (a : act) p = kid_from a.kids p 0
-
-  (* ---------------- structural 1-round checks ----------------
-
-     One pass over the view, reporting each violated check by name to
-     [fail]: [step] passes a sink that stops at the first violation,
-     [diagnose] one that collects every name. *)
-
-  exception Violation
-
-  let stop_at_first _ = raise_notrace Violation
-
-  let part_of which (su : state) = if which = `Top then su.label.top else su.label.bot
-
-  let check_part (a : act) fail ~t ~my_id which (pl : Partition.node_part_label) =
-    let l = a.l in
-    let parent_pl =
-      if a.pport < 0 then None
-      else
-        let pp = part_of which a.nbr.(a.pport) in
-        if pp.part_root_id = pl.part_root_id then Some pp else None
-    in
-    (match parent_pl with
-    | None ->
-        (* part root *)
-        if pl.part_root_id <> my_id then fail "part-root-id";
-        if pl.dfs_rank <> 0 then fail "part-root-dfs";
-        if pl.depth_in_part <> 0 then fail "part-root-depth";
-        if Array.length pl.own <> min 2 pl.k then fail "part-root-own";
-        if which = `Top then begin
-          if pl.subtree < t then fail "top-size";
-          if pl.dbound > (4 * t) + 4 then fail "top-dbound";
-          if pl.k > l.strings.len then fail "top-k"
-        end
-        else begin
-          if pl.subtree >= t then fail "bot-size";
-          if pl.k > 2 * pl.subtree then fail "bot-k"
-        end
-    | Some pp ->
-        if pl.depth_in_part <> pp.depth_in_part + 1 then fail "part-depth";
-        if pl.depth_in_part > pl.dbound then fail "part-depth-bound";
-        if pl.k <> pp.k then fail "part-k";
-        if pl.dbound <> pp.dbound then fail "part-dbound");
-    (* same-part children: subtree sum and DFS ranks in port order *)
-    let sum = ref 1 in
-    for i = 0 to Array.length a.kid_regs - 1 do
-      let cp = part_of which a.kid_regs.(i) in
-      if cp.part_root_id = pl.part_root_id then sum := !sum + cp.subtree
-    done;
-    if pl.subtree <> !sum then fail "part-subtree";
-    let expect = ref (pl.dfs_rank + 1) in
-    for i = 0 to Array.length a.kid_regs - 1 do
-      let cp = part_of which a.kid_regs.(i) in
-      if cp.part_root_id = pl.part_root_id then begin
-        if cp.dfs_rank <> !expect then fail "part-dfs-order";
-        expect := !expect + cp.subtree
-      end
-    done;
-    (* own pieces shape *)
-    let expected_own = max 0 (min 2 (pl.k - (2 * pl.dfs_rank))) in
-    if Array.length pl.own <> expected_own then fail "own-shape";
-    for i = 0 to Array.length pl.own - 1 do
-      if pl.own.(i).Pieces.level >= l.strings.len then fail "own-level"
-    done
-
-  (* Example SP, Example NumK, conditions RS/EPS and the part labels *)
-  let structural (a : act) fail =
-    let l = a.l in
-    let my_id = Graph.id a.g a.v in
-    (match l.comp_port with Some _ when a.pport < 0 -> fail "comp-port" | Some _ | None -> ());
-    let is_root = l.sp_depth = 0 in
-    (* Example SP *)
-    if is_root then begin if l.sp_root <> my_id then fail "sp-root-id" end
-    else if a.pport < 0 then fail "sp-no-parent"
-    else if a.nbr.(a.pport).label.sp_depth <> l.sp_depth - 1 then fail "sp-depth";
-    for p = 0 to Array.length a.nbr - 1 do
-      if a.nbr.(p).label.sp_root <> l.sp_root then fail "sp-root-agree"
-    done;
-    (* Example NumK *)
-    for p = 0 to Array.length a.nbr - 1 do
-      if a.nbr.(p).label.nk_n <> l.nk_n then fail "nk-agree"
-    done;
-    let sub = ref 1 in
-    for i = 0 to Array.length a.kid_regs - 1 do
-      sub := !sub + a.kid_regs.(i).label.nk_sub
-    done;
-    if l.nk_sub <> !sub then fail "nk-sum";
-    if is_root && l.nk_sub <> l.nk_n then fail "nk-root";
-    (* string conditions RS / EPS *)
-    (match
-       Labels.check stop_at_first l.strings
-         ~parent:(if a.pport < 0 then None else Some a.nbr.(a.pport).label.strings)
-         ~children:(Array.map (fun (c : state) -> c.label.strings) a.kid_regs)
-         ~is_root
-     with
-    | () -> ()
-    | exception Violation -> fail "rs-eps");
-    (* strings length vs claimed n *)
-    if l.strings.len > Memory.of_nat (max 2 l.nk_n) + 2 then fail "len-bound";
-    if l.delim > l.strings.len then fail "delim-bound";
-    (* part labels *)
-    let t = max 2 (Memory.of_nat (max 2 l.nk_n)) in
-    check_part a fail ~t ~my_id `Top l.top;
-    check_part a fail ~t ~my_id `Bottom l.bot
-
-  let structural_alarm_of (a : act) =
-    match structural a stop_at_first with () -> false | exception Violation -> true
-
-  (* Whether node [v]'s 1-round structural checks fail: the alarm [step]
-     raises for them. *)
-  let structural_alarm g v (s : state) read = structural_alarm_of (view g v s read)
-
-  (* Names of the structural checks node [v] currently violates (diagnostic
-     aid for tests and the CLI). *)
-  let diagnose g v (s : state) read =
-    let bad = ref [] in
-    structural (view g v s read) (fun name -> bad := name :: !bad);
-    List.rev !bad
-
   (* ---------------- membership rules ---------------- *)
 
   let roots_at (l : Marker.node_label) j =
@@ -291,6 +126,242 @@ module Make (C : CONFIG) = struct
     let ell = l.strings.len - 1 in
     List.filter (fun j -> roots_at l j <> Labels.RStar) (List.init (max 0 ell) Fun.id)
 
+  (* ---------------- the claimed structure ----------------
+
+     From [v]'s label and the label in each neighbour's register [nbr]
+     (only labels are read): the parent's port and the children's ports,
+     in port order. *)
+
+  (* the claimed parent's port; -1 for none *)
+  let parent_port (l : Marker.node_label) deg =
+    match l.comp_port with Some p when p >= 0 && p < deg -> p | _ -> -1
+
+  (* whether the neighbour behind port [p] claims [v] as its parent *)
+  let points_back g v p (su : state) =
+    match su.label.comp_port with
+    | Some q ->
+        let u = Graph.peer_at g v p in
+        q >= 0 && q < Graph.degree g u && Graph.peer_at g u q = v
+    | None -> false
+
+  (* the ports of the neighbours claiming [v] as parent *)
+  let kid_ports g v (nbr : state array) =
+    let deg = Array.length nbr and nk = ref 0 in
+    for p = 0 to deg - 1 do
+      if points_back g v p nbr.(p) then incr nk
+    done;
+    let kids = Array.make !nk 0 and i = ref 0 in
+    for p = 0 to deg - 1 do
+      if points_back g v p nbr.(p) then begin
+        kids.(!i) <- p;
+        incr i
+      end
+    done;
+    kids
+
+  let rec kid_from (kids : int array) p i =
+    i < Array.length kids && (kids.(i) = p || kid_from kids p (i + 1))
+
+  (* ---------------- structural 1-round checks ----------------
+
+     One pass over the labels, reporting each violated check by name to
+     [fail]: the derived view passes a sink that stops at the first
+     violation, [diagnose] one that collects every name. *)
+
+  exception Violation
+
+  let stop_at_first _ = raise_notrace Violation
+
+  let part_of which (su : state) = if which = `Top then su.label.top else su.label.bot
+
+  let check_part (l : Marker.node_label) (nbr : state array) ~pport ~kids fail ~t ~my_id which
+      (pl : Partition.node_part_label) =
+    let parent_pl =
+      if pport < 0 then None
+      else
+        let pp = part_of which nbr.(pport) in
+        if pp.part_root_id = pl.part_root_id then Some pp else None
+    in
+    (match parent_pl with
+    | None ->
+        (* part root *)
+        if pl.part_root_id <> my_id then fail "part-root-id";
+        if pl.dfs_rank <> 0 then fail "part-root-dfs";
+        if pl.depth_in_part <> 0 then fail "part-root-depth";
+        if Array.length pl.own <> min 2 pl.k then fail "part-root-own";
+        if which = `Top then begin
+          if pl.subtree < t then fail "top-size";
+          if pl.dbound > (4 * t) + 4 then fail "top-dbound";
+          if pl.k > l.strings.len then fail "top-k"
+        end
+        else begin
+          if pl.subtree >= t then fail "bot-size";
+          if pl.k > 2 * pl.subtree then fail "bot-k"
+        end
+    | Some pp ->
+        if pl.depth_in_part <> pp.depth_in_part + 1 then fail "part-depth";
+        if pl.depth_in_part > pl.dbound then fail "part-depth-bound";
+        if pl.k <> pp.k then fail "part-k";
+        if pl.dbound <> pp.dbound then fail "part-dbound");
+    (* same-part children: subtree sum and DFS ranks in port order *)
+    let sum = ref 1 in
+    for i = 0 to Array.length kids - 1 do
+      let cp = part_of which nbr.(kids.(i)) in
+      if cp.part_root_id = pl.part_root_id then sum := !sum + cp.subtree
+    done;
+    if pl.subtree <> !sum then fail "part-subtree";
+    let expect = ref (pl.dfs_rank + 1) in
+    for i = 0 to Array.length kids - 1 do
+      let cp = part_of which nbr.(kids.(i)) in
+      if cp.part_root_id = pl.part_root_id then begin
+        if cp.dfs_rank <> !expect then fail "part-dfs-order";
+        expect := !expect + cp.subtree
+      end
+    done;
+    (* own pieces shape *)
+    let expected_own = max 0 (min 2 (pl.k - (2 * pl.dfs_rank))) in
+    if Array.length pl.own <> expected_own then fail "own-shape";
+    for i = 0 to Array.length pl.own - 1 do
+      if pl.own.(i).Pieces.level >= l.strings.len then fail "own-level"
+    done
+
+  (* Example SP, Example NumK, conditions RS/EPS and the part labels *)
+  let structural g v (l : Marker.node_label) (nbr : state array) ~pport ~kids fail =
+    let my_id = Graph.id g v in
+    (match l.comp_port with Some _ when pport < 0 -> fail "comp-port" | Some _ | None -> ());
+    let is_root = l.sp_depth = 0 in
+    (* Example SP *)
+    if is_root then begin if l.sp_root <> my_id then fail "sp-root-id" end
+    else if pport < 0 then fail "sp-no-parent"
+    else if nbr.(pport).label.sp_depth <> l.sp_depth - 1 then fail "sp-depth";
+    for p = 0 to Array.length nbr - 1 do
+      if nbr.(p).label.sp_root <> l.sp_root then fail "sp-root-agree"
+    done;
+    (* Example NumK *)
+    for p = 0 to Array.length nbr - 1 do
+      if nbr.(p).label.nk_n <> l.nk_n then fail "nk-agree"
+    done;
+    let sub = ref 1 in
+    for i = 0 to Array.length kids - 1 do
+      sub := !sub + nbr.(kids.(i)).label.nk_sub
+    done;
+    if l.nk_sub <> !sub then fail "nk-sum";
+    if is_root && l.nk_sub <> l.nk_n then fail "nk-root";
+    (* string conditions RS / EPS *)
+    (match
+       Labels.check stop_at_first l.strings
+         ~parent:(if pport < 0 then None else Some nbr.(pport).label.strings)
+         ~children:(Array.map (fun p -> nbr.(p).label.strings) kids)
+         ~is_root
+     with
+    | () -> ()
+    | exception Violation -> fail "rs-eps");
+    (* strings length vs claimed n *)
+    if l.strings.len > Memory.of_nat (max 2 l.nk_n) + 2 then fail "len-bound";
+    if l.delim > l.strings.len then fail "delim-bound";
+    (* part labels *)
+    let t = max 2 (Memory.of_nat (max 2 l.nk_n)) in
+    check_part l nbr ~pport ~kids fail ~t ~my_id `Top l.top;
+    check_part l nbr ~pport ~kids fail ~t ~my_id `Bottom l.bot
+
+  (* ---------------- the derived view ----------------
+
+     Everything an activation needs that is a function of the labels
+     around [v] alone: the claimed structure, the structural verdict, the
+     two trains' cycle-set masks and the first Ask level. *)
+
+  type derived = {
+    pport : int;
+    kids : int array;
+    struct_alarm : bool;  (* whether some structural check fails *)
+    req_top : int;  (* [required_levels] of the Top train *)
+    req_bot : int;  (* [required_levels] of the Bottom train *)
+    first : int;  (* [first_level] of v's label *)
+  }
+
+  let derive g v (l : Marker.node_label) nbr =
+    let pport = parent_port l (Array.length nbr) and kids = kid_ports g v nbr in
+    {
+      pport;
+      kids;
+      struct_alarm =
+        (match structural g v l nbr ~pport ~kids stop_at_first with
+        | () -> false
+        | exception Violation -> true);
+      req_top = required_levels l `Top;
+      req_bot = required_levels l `Bottom;
+      first = first_level l;
+    }
+
+  (* Every node's derived view under the marker's own labels — the view
+     of the initial registers — built once per marker, eagerly: it is
+     immutable, so domains share it without a lock.  Between faults a
+     node and its neighbours hold exactly these label records, so an
+     activation takes its view from here when every label it reads is
+     physically the marker's.  That key is sound because no fault edits a
+     label in place — each builds a fresh record (pinned in test_verifier)
+     — so a marker record always carries the content its entry was
+     derived from. *)
+  let marker_graph = C.marker.Marker.graph
+  let marker_labels = C.marker.labels
+
+  let table =
+    let g = marker_graph in
+    Array.mapi
+      (fun v l ->
+        derive g v l (Array.init (Graph.degree g v) (fun p -> init g (Graph.peer_at g v p))))
+      marker_labels
+
+  let rec marker_from g v (nbr : state array) p =
+    p >= Array.length nbr
+    || (nbr.(p).label == marker_labels.(Graph.peer_at g v p) && marker_from g v nbr (p + 1))
+
+  (* [v]'s derived view: the table's entry when every label it reads is
+     the marker's, otherwise derived on the spot — one view either way *)
+  let derived_of g v (s : state) nbr =
+    if g == marker_graph && s.label == marker_labels.(v) && marker_from g v nbr 0 then table.(v)
+    else derive g v s.label nbr
+
+  (* ---------------- one activation's view ----------------
+
+     An activation reads each port once, into [nbr], and takes the
+     derived view; every check below works on it and none reads the
+     network again. *)
+
+  type act = {
+    g : Graph.t;
+    v : int;
+    l : Marker.node_label;
+    nbr : state array;  (* [nbr.(p)]: the register behind port [p] *)
+    d : derived;
+    kid_regs : state array;  (* the registers behind [d.kids] *)
+  }
+
+  let view g v (s : state) read =
+    let nbr = Array.init (Graph.degree g v) read in
+    let d = derived_of g v s nbr in
+    let kid_regs = Array.make (Array.length d.kids) s in
+    for i = 0 to Array.length d.kids - 1 do
+      kid_regs.(i) <- nbr.(d.kids.(i))
+    done;
+    { g; v; l = s.label; nbr; d; kid_regs }
+
+  let is_kid (a : act) p = kid_from a.d.kids p 0
+
+  (* Whether node [v]'s 1-round structural checks fail: the alarm [step]
+     raises for them. *)
+  let structural_alarm g v (s : state) read = (view g v s read).d.struct_alarm
+
+  (* Names of the structural checks node [v] currently violates (diagnostic
+     aid for tests and the CLI). *)
+  let diagnose g v (s : state) read =
+    let nbr = Array.init (Graph.degree g v) read and bad = ref [] in
+    structural g v s.label nbr
+      ~pport:(parent_port s.label (Array.length nbr))
+      ~kids:(kid_ports g v nbr)
+      (fun name -> bad := name :: !bad);
+    List.rev !bad
+
   (* the car on display for level j, if any: the member-filtered broadcast
      buffer of either train (a register's Show) *)
   let shown_in l (top : Train.state) (bot : Train.state) j =
@@ -305,14 +376,15 @@ module Make (C : CONFIG) = struct
 
   (* ---------------- the comparison checks ---------------- *)
 
-  (* ω′ of the edge behind port [p] *)
-  let edge_weight (a : act) p ~in_tree =
-    Weight.make ~base:(Graph.weight_at a.g a.v p) ~in_tree ~id_u:(Graph.id a.g a.v)
+  (* the claimed weight of [ask] against ω′ of the edge behind port [p] *)
+  let edge_cmp (a : act) p (ask : Pieces.t) ~in_tree =
+    Weight.compare_edge ask.Pieces.weight ~base:(Graph.weight_at a.g a.v p) ~in_tree
+      ~id_u:(Graph.id a.g a.v)
       ~id_v:(Graph.id a.g (Graph.peer_at a.g a.v p))
 
   (* C2 for the edge behind port [p]: the claimed minimum outgoing weight
      must not exceed the edge's actual ω′ weight. *)
-  let c2_ok a p (ask : Pieces.t) ~in_tree = Weight.(ask.Pieces.weight <= edge_weight a p ~in_tree)
+  let c2_ok a p (ask : Pieces.t) ~in_tree = edge_cmp a p ask ~in_tree <= 0
 
   (* whether the (claimed) tree neighbour shares v's level-j fragment *)
   let tree_same_frag (l : Marker.node_label) (lu : Marker.node_label) ~u_is_parent j =
@@ -323,7 +395,7 @@ module Make (C : CONFIG) = struct
   let compare_at (a : act) (ask : Pieces.t) p =
     let j = ask.Pieces.level in
     let su = a.nbr.(p) in
-    let u_is_parent = p = a.pport in
+    let u_is_parent = p = a.d.pport in
     if u_is_parent || is_kid a p then begin
       if tree_same_frag a.l su.label ~u_is_parent j then
         (* same fragment: pieces must agree whenever u's is on display *)
@@ -355,19 +427,19 @@ module Make (C : CONFIG) = struct
   let c1_ok (a : act) (ask : Pieces.t) =
     let l = a.l and j = ask.Pieces.level in
     let edge_ok p =
-      (not (tree_same_frag l a.nbr.(p).label ~u_is_parent:(p = a.pport) j))
-      && Weight.equal ask.Pieces.weight (edge_weight a p ~in_tree:true)
+      (not (tree_same_frag l a.nbr.(p).label ~u_is_parent:(p = a.d.pport) j))
+      && edge_cmp a p ask ~in_tree:true = 0
     in
     if j >= l.strings.len then true
     else
       match l.strings.endp.(j) with
       | Labels.ENone | Labels.EStar -> true
-      | Labels.Up -> a.pport >= 0 && edge_ok a.pport
+      | Labels.Up -> a.d.pport >= 0 && edge_ok a.d.pport
       | Labels.Down ->
           let target = ref (-1) and i = ref 0 in
-          while !target < 0 && !i < Array.length a.kids do
+          while !target < 0 && !i < Array.length a.d.kids do
             let lc = a.kid_regs.(!i).label in
-            if j < lc.strings.len && lc.strings.parents.(j) then target := a.kids.(!i);
+            if j < lc.strings.len && lc.strings.parents.(j) then target := a.d.kids.(!i);
             incr i
           done;
           !target >= 0 && edge_ok !target
@@ -408,7 +480,7 @@ module Make (C : CONFIG) = struct
       ~lbl:(if top then l.top else l.bot)
       ~parent ~children:a.kid_regs ~flag_rule:(flag_rule a.g a.v l)
       ~member:(if top then member_top l else member_bot l)
-      ~required:(required_levels l which) ~ordered:top ~hold:(held a which ts) ts
+      ~required:(if top then a.d.req_top else a.d.req_bot) ~ordered:top ~hold:(held a which ts) ts
 
   (* the handshake cursor's next server, or the next level after the last *)
   let advance ~deg ~w l (c : cmp_state) =
@@ -419,16 +491,15 @@ module Make (C : CONFIG) = struct
   let step g v (s : state) read =
     let a = view g v s read in
     let l = s.label in
-    let struct_alarm = structural_alarm_of a in
     (* --- trains --- *)
-    let parent = if a.pport < 0 then None else Some a.nbr.(a.pport) in
+    let parent = if a.d.pport < 0 then None else Some a.nbr.(a.d.pport) in
     let train_top = step_train a parent `Top s.train_top in
     let train_bot = step_train a parent `Bottom s.train_bot in
     (* --- comparison --- *)
-    let alarm = ref (s.alarm || struct_alarm || train_top.alarm || train_bot.alarm) in
+    let alarm = ref (s.alarm || a.d.struct_alarm || train_top.alarm || train_bot.alarm) in
     let w = window_bound l in
     let cmp =
-      let first = first_level l in
+      let first = a.d.first in
       if first < 0 then cmp_init
       else begin
         (* (re)initialize the level when out of range *)

@@ -60,12 +60,15 @@ end
 type instance = {
   graph : Graph.t;
   marker : Marker.t;
-  settled : Verifier.state array;  (* registers after the settling run *)
+  trial :
+    domains:int -> model:Fault.t -> inject_seed:int -> max_rounds:int -> Campaign.outcome;
 }
 
 let graph t = t.graph
 let root t = Tree.root t.marker.Marker.tree
 
+(* One [Net] per instance: settling and every trial share its verifier,
+   so the label-derived view table is built once, while settling. *)
 let prepare ?(domains = 1) ~family ~n ~seed () =
   let g = build_graph ~family ~seed n in
   let m = Marker.run g in
@@ -75,31 +78,29 @@ let prepare ?(domains = 1) ~family ~n ~seed () =
   end) in
   let net = N.create ~domains g in
   N.settle net Scheduler.Sync;
-  { graph = g; marker = m; settled = Array.copy (N.states net) }
-
-let run_trial ?(domains = 1) t ~model ~inject_seed ~max_rounds =
-  (* one [campaign.trial] frame per trial, charged the rounds it ran and
-     the faults it injected, so [msst profile campaign] can apportion time
-     between settling and the trials *)
-  Ssmst_parallel.Probe.with_ "campaign.trial" @@ fun () ->
-  let module N = Net (struct
-    let marker = t.marker
-    let mode = Verifier.Passive
-  end) in
-  let net = N.create ~domains t.graph in
-  (* metrics/trace-neutral rewind: [set_state] would funnel n writes
-     through the engine's write path, inflating [register_writes],
-     stamping [last_write] on every node and emitting spurious Init
-     events — [restore] installs the snapshot as pure bookkeeping *)
-  N.restore net t.settled;
-  let rng = Gen.rng inject_seed in
-  let o =
+  let settled = Array.copy (N.states net) in
+  let trial ~domains ~model ~inject_seed ~max_rounds =
+    let net = N.create ~domains g in
+    (* metrics/trace-neutral rewind: [set_state] would funnel n writes
+       through the engine's write path, inflating [register_writes],
+       stamping [last_write] on every node and emitting spurious Init
+       events — [restore] installs the snapshot as pure bookkeeping *)
+    N.restore net settled;
+    let rng = Gen.rng inject_seed in
     Campaign.drive ~rng ~model ~max_rounds
       ~round:(fun () -> N.round net Scheduler.Sync)
       ~any_alarm:(fun () -> N.any_alarm net)
       ~inject:(fun st m -> N.inject net st m)
       ~distance:(fun ~faults -> N.detection_distance net ~faults)
   in
+  { graph = g; marker = m; trial }
+
+let run_trial ?(domains = 1) t ~model ~inject_seed ~max_rounds =
+  (* one [campaign.trial] frame per trial, charged the rounds it ran and
+     the faults it injected, so [msst profile campaign] can apportion time
+     between settling and the trials *)
+  Ssmst_parallel.Probe.with_ "campaign.trial" @@ fun () ->
+  let o = t.trial ~domains ~model ~inject_seed ~max_rounds in
   (match Ssmst_parallel.Probe.get () with
   | Some s ->
       s.charge ~rounds:o.Campaign.rounds_run ~activations:0 ~writes:o.Campaign.injections

@@ -54,10 +54,11 @@ module Net (C : Verifier.CONFIG) : sig
 end
 
 type instance
-(** A settled verifier instance: the graph, its marker, and the register
-    snapshot after the settling run — trials restart from the snapshot, so
-    the O(window_bound) settling cost is paid once per instance, not once
-    per (f, model) grid point. *)
+(** A settled verifier instance: the graph, its marker, its one {!Net},
+    and the register snapshot after the settling run — trials restart
+    from the snapshot on that [Net], so the O(window_bound) settling cost
+    and the verifier's label-derived view table are paid once per
+    instance, not once per (f, model) grid point. *)
 
 val prepare : ?domains:int -> family:string -> n:int -> seed:int -> unit -> instance
 (** [domains] (default 1) fans the settling run's sync rounds across
@@ -74,12 +75,12 @@ val run_trial :
   inject_seed:int ->
   max_rounds:int ->
   Campaign.outcome
-(** One trial on a fresh network rewound to the instance snapshot via the
-    engine's metrics/trace-neutral [restore] (so [register_writes] counts
-    protocol work only — 0 until the injection); deterministic in the
-    instance and [inject_seed] at every [domains].  Each trial runs under
-    a ["campaign.trial"] telemetry frame when a {!Ssmst_parallel.Probe}
-    sink is installed. *)
+(** One trial on a fresh network of the instance's [Net], rewound to the
+    instance snapshot via the engine's metrics/trace-neutral [restore] (so
+    [register_writes] counts protocol work only — 0 until the injection);
+    deterministic in the instance and [inject_seed] at every [domains].
+    Each trial runs under a ["campaign.trial"] telemetry frame when a
+    {!Ssmst_parallel.Probe} sink is installed. *)
 
 val sweep :
   ?jobs:int ->

@@ -36,6 +36,19 @@ let make ~base ~in_tree ~id_u ~id_v =
     id_max = max id_u id_v;
   }
 
+(* [compare a (make ~base ~in_tree ~id_u ~id_v)], field by field, without
+   building the right-hand side: the verifier compares a claimed weight
+   against an edge's ω′ for every port it checks. *)
+let compare_edge (a : t) ~base ~in_tree ~id_u ~id_v =
+  let c = Int.compare a.base base in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.anti_tree (if in_tree then 0 else 1) in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.id_min (min id_u id_v) in
+      if c <> 0 then c else Int.compare a.id_max (max id_u id_v)
+
 (* A weight strictly larger than any weight built from the given bounds; used
    as the identity for minimum computations. *)
 let infinity = { base = max_int; anti_tree = max_int; id_min = max_int; id_max = max_int }

@@ -20,6 +20,10 @@ val make : base:int -> in_tree:bool -> id_u:int -> id_v:int -> t
 val compare : t -> t -> int
 (** Total lexicographic order. *)
 
+val compare_edge : t -> base:int -> in_tree:bool -> id_u:int -> id_v:int -> int
+(** [compare_edge a ~base ~in_tree ~id_u ~id_v] is
+    [compare a (make ~base ~in_tree ~id_u ~id_v)], without allocating. *)
+
 val equal : t -> t -> bool
 
 val ( < ) : t -> t -> bool

@@ -221,6 +221,108 @@ let qcheck_structural_alarm_iff_diagnosed =
           && ((not structural) || (P.step g v s read).Verifier.alarm))
         (List.init n Fun.id))
 
+(* ---------------- the label-derived view table ----------------
+
+   [step] takes a node's derived view from a per-marker table when every
+   label around the node is physically the marker's, and derives it on the
+   spot otherwise.  The key is physical identity, which is sound only if
+   no fault ever edits a marker label in place. *)
+
+let table_instances () =
+  [
+    ("random", Marker.run (Gen.random_connected (Gen.rng 1201) 48));
+    ("grid", Marker.run (Gen.grid (Gen.rng 1202) 6 6));
+  ]
+
+(* (a) every fault path leaves the marker's label records as they were *)
+let test_faults_never_edit_marker_labels () =
+  List.iter
+    (fun (family, m) ->
+      let g = m.Marker.graph in
+      let module C = struct
+        let marker = m
+        let mode = Verifier.Passive
+      end in
+      let module P = Verifier.Make (C) in
+      let module Net = Network.Make (P) in
+      let records = Array.copy m.Marker.labels in
+      let contents : Marker.node_label array =
+        Marshal.from_string (Marshal.to_string m.Marker.labels []) 0
+      in
+      let net = Net.create g in
+      Net.run net Scheduler.Sync ~rounds:(2 * Verifier.window_bound m.Marker.labels.(0));
+      let st = Gen.rng 1203 in
+      (* every corruption function on every node's settled register *)
+      for v = 0 to Graph.n g - 1 do
+        let s = Net.state net v in
+        ignore (P.corrupt st g v s);
+        ignore (P.corrupt_field st g v s);
+        ignore (P.corrupt_piece_weight st s)
+      done;
+      (* every severity under every placement, with rounds in between *)
+      let placements =
+        [
+          Fault.Uniform;
+          Fault.Clustered { center = None; radius = 2 };
+          Fault.Near_root { root = Tree.root m.Marker.tree };
+          Fault.Targeted [ 0; Graph.n g - 1 ];
+        ]
+      in
+      List.iter
+        (fun placement ->
+          List.iter
+            (fun severity ->
+              ignore (Net.inject net st (Fault.make ~placement ~severity ~count:4 ()));
+              Net.run net Scheduler.Sync ~rounds:20)
+            [ Fault.Corrupt_random; Fault.Crash_reset; Fault.Bit_flip ])
+        placements;
+      Array.iteri
+        (fun v (l : Marker.node_label) ->
+          if l != records.(v) || l <> contents.(v) then
+            Alcotest.failf "%s: marker label %d changed" family v)
+        m.Marker.labels)
+    (table_instances ())
+
+(* (b) the derived-on-the-spot view steps exactly like the table's: swap
+   every label around a node for an equal copy and the step must not
+   change *)
+let test_table_and_derived_views_agree () =
+  let copy (s : Verifier.state) =
+    { s with Verifier.label = { s.Verifier.label with Marker.sp_root = s.Verifier.label.sp_root } }
+  in
+  List.iter
+    (fun (family, m) ->
+      let g = m.Marker.graph in
+      List.iter
+        (fun (mode, daemon) ->
+          let module C = struct
+            let marker = m
+            let mode = mode
+          end in
+          let module P = Verifier.Make (C) in
+          let module Net = Network.Make (P) in
+          let net = Net.create g in
+          (* from the initial registers, then settled *)
+          for checkpoint = 0 to 4 do
+            for v = 0 to Graph.n g - 1 do
+              let s = Net.state net v and read p = Net.state net (Graph.peer_at g v p) in
+              if P.structural_alarm g v s read then
+                Alcotest.failf "%s: settled node %d alarms" family v;
+              let from_table = P.step g v s read in
+              let derived = P.step g v (copy s) (fun p -> copy (read p)) in
+              if not (P.equal from_table derived) then
+                Alcotest.failf "%s, checkpoint %d: node %d steps differently on copied labels"
+                  family checkpoint v
+            done;
+            Net.run net daemon
+              ~rounds:(if checkpoint = 0 then 2 * Verifier.window_bound m.Marker.labels.(0) else 37)
+          done)
+        [
+          (Verifier.Passive, Scheduler.Sync);
+          (Verifier.Handshake, Scheduler.Async_random (Gen.rng 1204));
+        ])
+    (table_instances ())
+
 let suite =
   [
     Alcotest.test_case "accepts correct instances (sync)" `Quick test_accept_sync;
@@ -234,4 +336,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_accept;
     Alcotest.test_case "one read per port per activation" `Quick test_one_read_per_port;
     QCheck_alcotest.to_alcotest qcheck_structural_alarm_iff_diagnosed;
+    Alcotest.test_case "no fault edits a marker label in place" `Quick
+      test_faults_never_edit_marker_labels;
+    Alcotest.test_case "table and derived views step alike" `Quick
+      test_table_and_derived_views_agree;
   ]

@@ -64,6 +64,19 @@ let qcheck_total_order =
       in
       anti && trans)
 
+(* [compare_edge] is [compare] against the edge [make] would build, with
+   small components so that every tie-break level is reached *)
+let qcheck_compare_edge =
+  QCheck.Test.make ~name:"compare_edge = compare against make" ~count:1000
+    QCheck.(
+      pair
+        (quad (int_range 0 3) bool (int_range 0 3) (int_range 0 3))
+        (quad (int_range 0 3) bool (int_range 0 3) (int_range 0 3)))
+    (fun ((b1, t1, u1, v1), (base, in_tree, id_u, id_v)) ->
+      let a = Weight.make ~base:b1 ~in_tree:t1 ~id_u:u1 ~id_v:v1 in
+      compare (Weight.compare_edge a ~base ~in_tree ~id_u ~id_v) 0
+      = compare (Weight.compare a (Weight.make ~base ~in_tree ~id_u ~id_v)) 0)
+
 let suite =
   [
     Alcotest.test_case "lexicographic order" `Quick test_order;
@@ -72,4 +85,5 @@ let suite =
     Alcotest.test_case "bit accounting" `Quick test_bits;
     Alcotest.test_case "integer bit length = float formula" `Quick test_bit_length_matches_float;
     QCheck_alcotest.to_alcotest qcheck_total_order;
+    QCheck_alcotest.to_alcotest qcheck_compare_edge;
   ]
