@@ -4,6 +4,7 @@
      construct  build the MST + proof labels for a generated network
      verify     run the self-stabilizing verifier, optionally inject faults
      stabilize  run the transformer scenario (construct/verify/repair loop)
+                (these three print the notes of report's run of the scenario)
      trace      fault-injection run emitting a JSONL event trace
      campaign   sweep fault models x sizes x fault counts; measure detection
      report     run a scenario with the observatory; render the combined report
@@ -89,75 +90,6 @@ let params_of family n seed faults async =
    any box, splits even short lists across lines *)
 let commas pp = Fmt.(list ~sep:(any ", ") pp)
 
-(* ---------------- construct ---------------- *)
-
-let construct family n seed =
-  let g = Verifier_campaign.build_graph ~family ~seed n in
-  let m = Marker.run g in
-  Fmt.pr "graph: %d nodes, %d edges, max degree %d@." (Graph.n g) (Graph.num_edges g)
-    (Graph.max_degree g);
-  Fmt.pr "MST weight: %d (verified against Kruskal: %b)@." (Tree.total_base_weight m.tree)
-    (Mst.is_mst g (Graph.plain_weight_fn g) m.tree);
-  Fmt.pr "hierarchy: %d fragments, height %d@." (Array.length m.hierarchy.frags)
-    m.hierarchy.height;
-  Fmt.pr "construction: %d charged rounds (%.1f per node)@." m.construction_rounds
-    (float_of_int m.construction_rounds /. float_of_int (Graph.n g));
-  Fmt.pr "labels: max %d bits per node (log2 n = %d)@." m.label_bits (Memory.of_nat (Graph.n g));
-  Fmt.pr "partitions: %d parts (Top+Bottom), threshold %d@."
-    (Array.length m.assignment.Partition.parts) m.assignment.Partition.threshold;
-  0
-
-(* ---------------- verify ---------------- *)
-
-let verify family n seed faults async_ domains =
-  let p = params_of family n seed faults async_ in
-  let g = Observatory.graph_of p in
-  let m = Marker.run g in
-  let mode, daemon = Observatory.mode_and_daemon p in
-  let module N = Verifier_campaign.Net (struct
-    let marker = m
-    let mode = mode
-  end) in
-  let net = N.create ~domains:(resolve_domains domains) g in
-  N.settle net daemon;
-  Fmt.pr "settled after %d rounds; alarms: %b (must be false)@." (N.rounds net)
-    (N.any_alarm net);
-  if faults > 0 then begin
-    let fs = N.inject_faults net (Gen.rng (seed + 2)) ~count:faults in
-    Fmt.pr "injected %d fault(s) at %a@." (List.length fs) (commas Fmt.int) fs;
-    match N.detection_time net daemon ~max_rounds:200000 with
-    | Some dt ->
-        Fmt.pr "detected after %d rounds; alarming nodes: %a; detection distance: %a@." dt
-          (commas Fmt.int) (N.alarming_nodes net)
-          Fmt.(option ~none:(any "?") int)
-          (N.detection_distance net ~faults:fs)
-    | None -> Fmt.pr "no detection (the corruption was semantically null)@."
-  end;
-  0
-
-(* ---------------- stabilize ---------------- *)
-
-let stabilize family n seed faults async_ domains =
-  let p = params_of family n seed faults async_ in
-  let g = Observatory.graph_of p in
-  let mode, daemon = Observatory.mode_and_daemon p in
-  let t = Transformer.create ~mode ~daemon ~domains:(resolve_domains domains) g in
-  Fmt.pr "stabilized in %d rounds; output weight %d@."
-    (Transformer.stabilization_rounds t)
-    (Tree.total_base_weight (Transformer.tree t));
-  let rng = Gen.rng (seed + 2) in
-  for epoch = 1 to 3 do
-    Transformer.advance t ~rounds:200;
-    let fs = Transformer.inject_faults t rng ~count:faults in
-    Fmt.pr "epoch %d: faults at %a@." epoch (commas Fmt.int) fs;
-    Transformer.advance t ~rounds:20000;
-    Fmt.pr "  output is the MST: %b@."
-      (Mst.is_mst g (Graph.plain_weight_fn g) (Transformer.tree t))
-  done;
-  Fmt.pr "reconstructions: %d, charged rounds: %d, peak memory: %d bits@."
-    t.Transformer.reconstructions t.Transformer.total_rounds (Transformer.memory_bits t);
-  0
-
 (* ---------------- trace ---------------- *)
 
 (* Settle the verifier (untraced), attach a trace, inject faults, run to
@@ -189,7 +121,7 @@ let trace_run family n seed faults async_ out capacity fmt =
     (N.any_alarm net);
   let tr = Trace.create ~capacity () in
   N.attach_trace net tr;
-  let fs = N.inject_faults net (Gen.rng (seed + 2)) ~count:faults in
+  let fs = N.inject net (Observatory.fault_rng p) (Observatory.fault_model p) in
   Fmt.epr "injected %d fault(s) at %a@." (List.length fs) (commas Fmt.int) fs;
   (match N.detection_time net daemon ~max_rounds:200000 with
   | Some dt -> Fmt.epr "detected after %d rounds@." dt
@@ -274,13 +206,13 @@ let campaign families sizes fault_counts models seeds seed max_rounds jobs csv_o
       Fmt.pr "per-trial JSONL written to %s@." path);
   0
 
-(* ---------------- report / profile ---------------- *)
+(* ---------------- the scenario commands ---------------- *)
 
-(* The one driver behind [report] and [profile]: check the names, then run
-   the scenario with the observatory attached and [tel] installed as the
-   phase profiler.  The two commands differ only in the profiler they pass
-   and in what they render. *)
-let run_scenario cmd tel scenario family n seed faults async_ epochs trials max_rounds domains =
+(* The one driver behind construct, verify, stabilize, report and profile:
+   check the names, then run the scenario with the observatory attached
+   and [tel] installed as the phase profiler.  The commands differ only in
+   the params and profiler they pass and in what they render. *)
+let run_scenario cmd tel scenario (p : Observatory.params) =
   let known what names x =
     if not (List.mem x names) then begin
       Fmt.epr "msst %s: unknown %s %s (known: %a)@." cmd what x
@@ -290,13 +222,42 @@ let run_scenario cmd tel scenario family n seed faults async_ epochs trials max_
     end
   in
   known "scenario" Observatory.scenario_names scenario;
-  let p = { (params_of family n seed faults async_) with epochs; trials; max_rounds; domains } in
   Option.iter
     (fun why ->
       Fmt.epr "msst %s: %s@." cmd why;
       exit 2)
     (Observatory.refusal ~scenario p);
   Observatory.run ~scenario tel p
+
+(* The exit status of every scenario command: 1 when a monitor reports a
+   violation. *)
+let monitors_exit cmd scenario r =
+  if Ssmst_obs.Report.all_monitors_ok r then 0
+  else begin
+    Fmt.epr "msst %s: invariant monitor violation (see msst report %s)@." cmd scenario;
+    1
+  end
+
+(* construct, verify and stabilize: the scenario's run through [report]'s
+   driver, printed as the report's notes, one per line. *)
+let plain scenario p =
+  let r = run_scenario scenario (Ssmst_obs.Telemetry.fake ()) scenario p in
+  List.iter (Fmt.pr "%s@.") (Ssmst_obs.Report.notes r);
+  monitors_exit scenario scenario r
+
+let construct family n seed = plain "construct" { Observatory.default_params with family; n; seed }
+
+let verify family n seed faults async_ domains =
+  plain "verify"
+    {
+      (params_of family n seed faults async_) with
+      max_rounds = 200_000;
+      domains = resolve_domains domains;
+    }
+
+let stabilize family n seed faults async_ domains =
+  plain "stabilize"
+    { (params_of family n seed faults async_) with domains = resolve_domains domains }
 
 let write_file path s =
   let oc = open_out path in
@@ -309,8 +270,8 @@ let write_file path s =
    the profiler is the deterministic fake one. *)
 let report scenario family n seed faults async_ epochs trials max_rounds md_out json_out fmt =
   let r =
-    run_scenario "report" (Ssmst_obs.Telemetry.fake ()) scenario family n seed faults async_
-      epochs trials max_rounds 1
+    run_scenario "report" (Ssmst_obs.Telemetry.fake ()) scenario
+      { (params_of family n seed faults async_) with epochs; trials; max_rounds }
   in
   let rendered =
     match fmt with
@@ -328,11 +289,7 @@ let report scenario family n seed faults async_ epochs trials max_rounds md_out 
   | Some path ->
       write_file path (Ssmst_obs.Report.to_json r ^ "\n");
       Fmt.epr "JSON report written to %s@." path);
-  if Ssmst_obs.Report.all_monitors_ok r then 0
-  else begin
-    Fmt.epr "msst report: invariant monitor violation (see the report)@.";
-    1
-  end
+  monitors_exit "report" scenario r
 
 (* The same run under a live profiler, rendered as the per-phase table
    (md/csv: both costs per phase) or the full report JSON with the
@@ -344,7 +301,8 @@ let profile scenario family n seed faults async_ epochs trials max_rounds domain
   let d = resolve_domains domains in
   let tel = if fake then Ssmst_obs.Telemetry.fake () else Ssmst_obs.Telemetry.create () in
   let r =
-    run_scenario "profile" tel scenario family n seed faults async_ epochs trials max_rounds d
+    run_scenario "profile" tel scenario
+      { (params_of family n seed faults async_) with epochs; trials; max_rounds; domains = d }
   in
   Ssmst_obs.Report.set_telemetry r (Ssmst_obs.Telemetry.to_json tel);
   (match chrome with
@@ -364,7 +322,7 @@ let profile scenario family n seed faults async_ epochs trials max_rounds domain
   | Json ->
       print_string (Ssmst_obs.Report.to_json r);
       print_newline ());
-  0
+  monitors_exit "profile" scenario r
 
 (* ---------------- explain ---------------- *)
 
@@ -668,19 +626,29 @@ let compare_cmd family n seed =
 
 (* ---------------- command wiring ---------------- *)
 
+let plain_doc what =
+  what
+  ^ "  Runs the scenario through $(b,msst report)'s driver, prints the report's notes \
+     one per line and exits 1 if an invariant monitor reports a violation."
+
 let construct_cmd =
   Cmd.v
-    (Cmd.info "construct" ~doc:"Build the MST and its proof labels.")
+    (Cmd.info "construct" ~doc:(plain_doc "Build the MST and its proof labels."))
     Term.(const construct $ family_arg "construct" $ n_arg $ seed_arg)
 
 let verify_cmd =
   Cmd.v
-    (Cmd.info "verify" ~doc:"Run the self-stabilizing verifier; optionally inject faults.")
+    (Cmd.info "verify"
+       ~doc:
+         (plain_doc
+            "Run the self-stabilizing verifier; optionally inject faults and wait up to \
+             200 000 rounds for the first alarm."))
     Term.(const verify $ family_arg "verify" $ n_arg $ seed_arg $ faults_arg $ async_arg $ domains_arg)
 
 let stabilize_cmd =
   Cmd.v
-    (Cmd.info "stabilize" ~doc:"Run the transformer-based self-stabilizing MST scenario.")
+    (Cmd.info "stabilize"
+       ~doc:(plain_doc "Run the transformer-based self-stabilizing MST scenario."))
     Term.(const stabilize $ family_arg "stabilize" $ n_arg $ seed_arg $ faults_arg $ async_arg $ domains_arg)
 
 let out_arg =
@@ -919,7 +887,8 @@ let profile_cmd =
           does and print the per-phase table — calls, wall time, %, minor/major words and \
           collections, and the paper's rounds, activations, writes and peak bits — plus \
           optionally a Chrome-trace JSON.  Telemetry is strictly out-of-band: registers, \
-          metrics and monitors are byte-identical to an unprofiled run at every -d.")
+          metrics and monitors are byte-identical to an unprofiled run at every -d.  Exits \
+          1 if an invariant monitor reports a violation.")
     Term.(
       const profile $ scenario_arg $ family_arg "profile" $ n_arg $ seed_arg $ faults_arg
       $ async_arg $ epochs_arg $ trials_arg $ max_rounds_arg $ domains_arg $ format_arg Md

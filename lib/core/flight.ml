@@ -51,12 +51,6 @@ type verify_run = {
   end_equal : bool;  (* replayed final state == live final state *)
 }
 
-let fault_model (p : Observatory.params) =
-  let placement =
-    if p.clustered then Fault.Clustered { center = None; radius = 2 } else Fault.Uniform
-  in
-  Fault.make ~placement ~count:p.faults ()
-
 (* [alarm = Some (node, round)] restricts the witness list to the one
    requested alarm (the node's first alarming write at or before [round]
    when given); the default explains every alarming node *)
@@ -75,7 +69,7 @@ let record_verify ?alarm (p : Observatory.params) =
     R.create ~interval:p.interval ~capacity:p.capacity ~round0:settled_round g (N.states net)
   in
   N.set_write_hook net (R.engine_hook rec_ (N.states net));
-  let victims = N.inject net (Gen.rng (p.seed + 2)) (fault_model p) in
+  let victims = N.inject net (Observatory.fault_rng p) (Observatory.fault_model p) in
   let detection = N.detection_time net Scheduler.Sync ~max_rounds:p.max_rounds in
   let alarms = List.sort Int.compare (N.alarming_nodes net) in
   let f = max 1 (List.length victims) in
@@ -161,7 +155,7 @@ type replay_run = {
 let replay_probe (p : Observatory.params) ~seek ~steps ~diff =
   let module P = Ssmst_protocols.Ss_bfs.P in
   let module Net = Network.Make (P) in
-  let module Nv = Network.Naive (P) in
+  let module Nv = Ssmst_oracle.Naive (P) in
   let module R = Recorder.Make (P) in
   let g = Observatory.graph_of p in
   let net = Net.create g in
@@ -179,7 +173,11 @@ let replay_probe (p : Observatory.params) ~seek ~steps ~diff =
     go budget
   in
   quiet p.max_rounds;
-  if p.faults > 0 then ignore (Net.inject net (Gen.rng (p.seed + 2)) (fault_model p));
+  (* both engines inject the scenario's one fault draw *)
+  let inject_into inject =
+    ignore (inject (Observatory.fault_rng p) (Observatory.fault_model p))
+  in
+  if p.faults > 0 then inject_into (Net.inject net);
   quiet p.max_rounds;
   let rounds_run = Net.rounds net in
   let divergence, end_equal =
@@ -199,7 +197,7 @@ let replay_probe (p : Observatory.params) ~seek ~steps ~diff =
       | None -> ());
       while Nv.rounds nv < rounds_run do
         if Nv.rounds nv = !fault_at then begin
-          ignore (Nv.inject nv (Gen.rng (p.seed + 2)) (fault_model p));
+          inject_into (Nv.inject nv);
           (* fault writes belong to the injection round, before the next
              round executes — exactly how the engine records them *)
           observe ()
@@ -208,7 +206,7 @@ let replay_probe (p : Observatory.params) ~seek ~steps ~diff =
         observe ()
       done;
       if Nv.rounds nv = !fault_at then begin
-        ignore (Nv.inject nv (Gen.rng (p.seed + 2)) (fault_model p));
+        inject_into (Nv.inject nv);
         observe ()
       end;
       let eq =

@@ -29,7 +29,6 @@ type hierarchy = {
 }
 
 let size f = Array.length f.members
-let is_whole h f = f.index = h.whole
 let mem f v =
   let rec bin lo hi =
     if lo >= hi then false

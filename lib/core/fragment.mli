@@ -34,8 +34,6 @@ val mem : t -> int -> bool
 val ident : Graph.t -> t -> int * int
 (** ID(F) = (identity of the root, level), Section 6. *)
 
-val is_whole : hierarchy -> t -> bool
-
 val at : hierarchy -> int -> int -> t option
 (** [at h v j] is the level-[j] fragment containing [v], if any. *)
 

@@ -266,14 +266,8 @@ let candidate_edge (vw : view) v j =
         |> Option.map (fun c -> `Down c)
     | ENone | EStar -> None
 
-(* Whether tree-neighbour u shares v's level-j fragment, decidable from the
-   two labels alone (Section 5.2): going down, the child is a member iff its
-   roots entry is '0'; going up, v is a member of the parent's fragment iff
-   v's own entry is '0'. *)
-let same_fragment_as_child (vw : view) ~child j =
-  let lc = vw.label child in
-  j < lc.len && lc.roots.(j) = R0
-
+(* Whether [node] shares its tree parent's level-j fragment, decidable from
+   its own label alone (Section 5.2): it does iff its roots entry is '0'. *)
 let same_fragment_as_parent (vw : view) ~node j =
   let l = vw.label node in
   j < l.len && l.roots.(j) = R0

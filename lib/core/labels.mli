@@ -66,8 +66,5 @@ val candidate_edge : view -> int -> int -> [ `Up of int | `Down of int ] option
     endpoint; the down case is resolved through the children's parents
     bits. *)
 
-val same_fragment_as_child : view -> child:int -> int -> bool
-(** Whether the (claimed) child shares the node's level-[j] fragment. *)
-
 val same_fragment_as_parent : view -> node:int -> int -> bool
 (** Whether [node] shares its (claimed) parent's level-[j] fragment. *)

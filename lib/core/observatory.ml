@@ -2,7 +2,8 @@ open Ssmst_graph
 open Ssmst_sim
 open Ssmst_obs
 
-(* Scenario drivers for [msst report] and [msst profile]: run one of the
+(* Scenario drivers for [msst report] and [msst profile], and the one run
+   behind [msst construct], [verify] and [stabilize]: run one of the
    repo's standard scenarios — construct, verify, stabilize, campaign —
    with the full observatory attached (the phase profiler, log-bucketed
    histograms, online invariant monitors) and return one {!Report.t}
@@ -19,7 +20,7 @@ type params = {
   seed : int;
   faults : int;
   async : bool;
-  clustered : bool;  (* explain/replay: clustered placement (radius 2) instead of uniform *)
+  clustered : bool;  (* fault_model: clustered placement (radius 2) instead of uniform *)
   interval : int;  (* explain/replay: checkpoint every <= interval rounds *)
   capacity : int;  (* explain/replay: delta-ring capacity *)
   epochs : int;  (* stabilize: fault-injection epochs *)
@@ -58,6 +59,16 @@ let graph_of p = Verifier_campaign.build_graph ~family:p.family ~seed:p.seed p.n
 let mode_and_daemon p =
   if p.async then (Verifier.Handshake, Scheduler.Async_random (Gen.rng (p.seed + 1)))
   else (Verifier.Passive, Scheduler.Sync)
+
+let fault_rng p = Gen.rng (p.seed + 2)
+
+let fault_model p =
+  let placement =
+    if p.clustered then Fault.Clustered { center = None; radius = 2 } else Fault.Uniform
+  in
+  Fault.make ~placement ~count:p.faults ()
+
+let node_list vs = String.concat ", " (List.map string_of_int vs)
 
 let base_scenario name p ~n =
   [
@@ -120,6 +131,9 @@ let construct tel p =
     report tel "construct" p ~n:(Graph.n g)
       [ ("threshold", string_of_int m.Marker.assignment.Partition.threshold) ]
   in
+  Report.add_note r
+    (Fmt.str "graph: %d nodes, %d edges, max degree %d" (Graph.n g) (Graph.num_edges g)
+       (Graph.max_degree g));
   Report.add_hist r "per-node label bits" label_hist;
   Report.add_hist r "node depth in the MST" depth_hist;
   Report.set_monitors r (Monitor.results mon);
@@ -132,6 +146,13 @@ let construct tel p =
   Report.add_note r
     (Fmt.str "construction: %d charged rounds; max label %d bits (ceil(log2 n) = %d)"
        m.Marker.construction_rounds m.Marker.label_bits (Memory.of_nat (Graph.n g)));
+  Report.add_note r
+    (Fmt.str "construction: %.1f charged rounds per node"
+       (float_of_int m.Marker.construction_rounds /. float_of_int (Graph.n g)));
+  Report.add_note r
+    (Fmt.str "partitions: %d parts (Top+Bottom), threshold %d"
+       (Array.length m.Marker.assignment.Partition.parts)
+       m.Marker.assignment.Partition.threshold);
   r
 
 (* ---------------- verify ---------------- *)
@@ -167,9 +188,10 @@ let verify tel p =
   done;
   if p.faults > 0 then begin
     let fs =
-      metered "inject" (fun () -> N.inject_faults net (Gen.rng (p.seed + 2)) ~count:p.faults)
+      metered "inject" (fun () -> N.inject net (fault_rng p) (fault_model p))
     in
     Monitor.note_injection mon ~round:(N.rounds net) ~faults:fs;
+    Report.add_note r ("fault victims: " ^ node_list fs);
     match metered "detect" (fun () -> N.detection_time net daemon ~max_rounds:p.max_rounds) with
     | Some dt ->
         Hist.record alarm_lat dt;
@@ -178,7 +200,8 @@ let verify tel p =
              (List.length fs) dt
              (match N.detection_distance net ~faults:fs with
              | Some d -> string_of_int d
-             | None -> "?"))
+             | None -> "?"));
+        Report.add_note r ("alarming nodes: " ^ node_list (N.alarming_nodes net))
     | None ->
         Report.add_note r
           (Fmt.str "injected %d fault(s); no detection within %d rounds (semantically null \
@@ -206,15 +229,29 @@ let stabilize tel p =
   in
   Report.add_note r
     (Fmt.str "stabilized in %d charged rounds" (Transformer.stabilization_rounds t));
-  let rng = Gen.rng (p.seed + 2) in
+  Report.add_note r
+    (Fmt.str "output weight %d after stabilization"
+       (Tree.total_base_weight (Transformer.tree t)));
+  let rng = fault_rng p in
   for i = 0 to p.epochs - 1 do
-    Ssmst_parallel.Probe.with_ (Fmt.str "epoch %d" i) (fun () ->
-        Transformer.advance t ~rounds:200;
-        if p.faults > 0 then
-          Ssmst_parallel.Probe.with_ "inject" (fun () ->
-              let fs = Transformer.inject_faults t rng ~count:p.faults in
-              Ssmst_parallel.Probe.charge ~writes:(List.length fs) ());
-        Transformer.advance t ~rounds:p.max_rounds)
+    let fs =
+      Ssmst_parallel.Probe.with_ (Fmt.str "epoch %d" i) (fun () ->
+          Transformer.advance t ~rounds:200;
+          let fs =
+            if p.faults = 0 then []
+            else
+              Ssmst_parallel.Probe.with_ "inject" (fun () ->
+                  let fs = Transformer.inject_model t rng (fault_model p) in
+                  Ssmst_parallel.Probe.charge ~writes:(List.length fs) ();
+                  fs)
+          in
+          Transformer.advance t ~rounds:p.max_rounds;
+          fs)
+    in
+    Report.add_note r
+      (Fmt.str "epoch %d: %s; output is the MST: %b" i
+         (if fs = [] then "no faults" else "faults at " ^ node_list fs)
+         (Mst.is_mst g (Graph.plain_weight_fn g) (Transformer.tree t)))
   done;
   (* the last detection installed a fresh verification network: settle it so
      the probe snapshots a live epoch (per-node convergence, register bits) *)

@@ -46,17 +46,6 @@ let diameter g =
   done;
   !d
 
-(* Diameter of the subgraph induced by [member]; assumes it is connected. *)
-let diameter_within g ~member =
-  let d = ref 0 in
-  for v = 0 to Graph.n g - 1 do
-    if member v then
-      Array.iter (fun x -> if x > !d then d := x) (bfs_within g ~member v)
-  done;
-  !d
-
-let hop_distance g u v = (bfs g u).(v)
-
 (* The paper's detection distance (Section 2.4): the worst, over the
    faults, of the hop distance to the *closest* alarming node.  Alarms in a
    different component than a fault are skipped; a fault no alarming node

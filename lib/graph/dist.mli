@@ -11,11 +11,6 @@ val eccentricity : Graph.t -> int -> int
 
 val diameter : Graph.t -> int
 
-val diameter_within : Graph.t -> member:(int -> bool) -> int
-(** Diameter of the induced subgraph (assumed connected). *)
-
-val hop_distance : Graph.t -> int -> int -> int
-
 val detection_distance : Graph.t -> faults:int list -> alarms:int list -> int option
 (** The paper's detection distance (Section 2.4): the maximum over
     [faults] of the hop distance to the closest member of [alarms].

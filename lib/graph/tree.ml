@@ -22,7 +22,6 @@ type t = {
 let graph t = t.graph
 let root t = t.root
 let parent t v = if t.parent.(v) < 0 then None else Some t.parent.(v)
-let parent_exn t v = if t.parent.(v) < 0 then invalid_arg "Tree.parent_exn: root" else t.parent.(v)
 let children t v = t.children.(v)
 let depth t v = t.depth.(v)
 let n t = Graph.n t.graph

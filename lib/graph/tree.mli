@@ -28,8 +28,6 @@ val root : t -> int
 
 val parent : t -> int -> int option
 
-val parent_exn : t -> int -> int
-
 val children : t -> int -> int list
 (** Children in increasing port order at the parent. *)
 

@@ -39,6 +39,7 @@ let add_hist t label h = t.hists <- t.hists @ [ (label, h) ]
 let set_spans t root = t.spans <- Some root
 let set_monitors t results = t.monitors <- results
 let add_note t s = t.notes <- t.notes @ [ s ]
+let notes t = t.notes
 let set_telemetry t json = t.telemetry <- Some json
 
 let all_monitors_ok t =

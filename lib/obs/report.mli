@@ -27,6 +27,9 @@ val set_spans : t -> Telemetry.phase -> unit
 val set_monitors : t -> (string * Monitor.verdict) list -> unit
 val add_note : t -> string -> unit
 
+val notes : t -> string list
+(** The notes, in the order they were added. *)
+
 val set_telemetry : t -> string -> unit
 (** Attach a pre-rendered {!Telemetry.to_json} block; it appears verbatim
     under the ["telemetry"] key of {!to_json} ([null] when absent) and is

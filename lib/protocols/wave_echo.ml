@@ -73,8 +73,3 @@ let minimum ~children ?ttl ~candidate ~compare root =
   run ~children ?ttl ~leaf:candidate
     ~combine:(fun v xs -> List.fold_left better (candidate v) xs)
     root
-
-(* One-way broadcast cost over a subtree (no echo). *)
-let broadcast_rounds ~children root =
-  let rec depth v = List.fold_left (fun acc c -> max acc (depth c + 1)) 0 (children v) in
-  depth root + 1

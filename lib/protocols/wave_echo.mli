@@ -37,6 +37,3 @@ val minimum :
   int ->
   'a option t
 (** Minimum over per-node candidates ([None] skipped): Find_Min_Out_Edge. *)
-
-val broadcast_rounds : children:(int -> int list) -> int -> int
-(** Ideal time of a one-way broadcast (no echo). *)

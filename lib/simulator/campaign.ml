@@ -181,13 +181,6 @@ let aggregate trials =
       })
     !order
 
-let agg_csv_header =
-  "family,n,faults,model,trials,detected,dt_min,dt_med,dt_p95,dd_min,dd_med,dd_p95"
-
-let agg_to_csv a =
-  Fmt.str "%s,%d,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d" a.family a.n a.faults a.model a.trials
-    a.detected a.dt_min a.dt_med a.dt_p95 a.dd_min a.dd_med a.dd_p95
-
 let pp_agg_table ppf aggs =
   Fmt.pf ppf "%-10s %-6s %-4s %-14s %9s %12s %12s %10s %10s@." "family" "n" "f" "model"
     "detected" "dt med" "dt p95" "dd med" "dd p95";

@@ -81,6 +81,4 @@ type agg = {
 val aggregate : trial list -> agg list
 (** Group by (family, n, faults, model), in first-appearance order. *)
 
-val agg_csv_header : string
-val agg_to_csv : agg -> string
 val pp_agg_table : Format.formatter -> agg list -> unit

@@ -69,9 +69,10 @@ val choose_victims : Random.State.t -> Graph.t -> t -> int list
     RNG state, the graph and the model.  [Uniform] consumes the RNG exactly
     as the historical sampler did (distinct rejection draws). *)
 
-(** The severity semantics over a concrete protocol.  Both {!Network.Naive}
-    and the event-driven core ({!Network.Make}, {!Network.Flat}) funnel
-    injection through {!Apply.apply} so the engines corrupt the same victims, in the same (ascending) order, with
+(** The severity semantics over a concrete protocol.  The naive reference
+    engine ([Ssmst_oracle.Naive]) and the event-driven core ({!Network.Make},
+    {!Network.Flat}) both funnel injection through {!Apply.apply}, so the
+    engines corrupt the same victims, in the same (ascending) order, with
     the same RNG consumption. *)
 module Apply (P : Protocol.S) : sig
   val corrupt_one : Random.State.t -> Graph.t -> severity -> int -> P.state -> P.state

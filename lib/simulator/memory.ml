@@ -18,9 +18,6 @@ let of_list f l = of_nat (List.length l) + List.fold_left (fun acc x -> acc + f 
 
 let of_array f a = of_nat (Array.length a) + Array.fold_left (fun acc x -> acc + f x) 0 a
 
-(* A string over a small alphabet, [card] symbols per position. *)
-let of_symbol_string ~card ~len = len * of_nat (card - 1)
-
 (* ---------------- measured (packed) footprints ---------------- *)
 
 (* The helpers above model the paper's bit counts; the ones below measure

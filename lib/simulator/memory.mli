@@ -16,9 +16,6 @@ val of_list : ('a -> int) -> 'a list -> int
 
 val of_array : ('a -> int) -> 'a array -> int
 
-val of_symbol_string : card:int -> len:int -> int
-(** A string of [len] symbols over a [card]-sized alphabet. *)
-
 (** {2 Measured (packed) footprints}
 
     The helpers above model the paper's bit counts; these measure what the

@@ -2,142 +2,23 @@ open Ssmst_graph
 open Ssmst_parallel
 
 (* Executing a protocol over a graph under a daemon, with round counting,
-   alarm observation, fault injection, memory accounting and (in the
-   event-driven engine) tracing and work metrics.
+   alarm observation, fault injection, memory accounting, tracing and work
+   metrics.
 
-   - {!Naive} re-steps every node every round, exactly as the paper's model
-     reads: the reference oracle for differential tests, O(sum deg) steps
-     per round regardless of activity.
-
-   - {!Core} is the event-driven engine: it steps a node only if the node
-     or a neighbour changed since the node's last no-op step.  [P.step] is
-     deterministic, so a clean node's step is provably a no-op: states and
-     round counts stay identical to {!Naive} under every daemon, at a cost
-     proportional to actual state churn.  The core is written once over a
-     register store, the only thing its two instances disagree on: {!Make}
-     keeps boxed [P.state] values, {!Flat} packs every register into
-     O(log n) words of one flat int array. *)
+   {!Core} is the event-driven engine: it steps a node only if the node
+   or a neighbour changed since the node's last no-op step.  [P.step] is
+   deterministic, so a clean node's step is provably a no-op: states and
+   round counts stay identical to the naive reference engine
+   ([Ssmst_oracle.Naive], which re-steps every node every round) under
+   every daemon, at a cost proportional to actual state churn.  The core
+   is written once over a register store, the only thing its two
+   instances disagree on: {!Make} keeps boxed [P.state] values, {!Flat}
+   packs every register into O(log n) words of one flat int array. *)
 
 (* Telemetry probes: with a {!Probe} sink installed (msst profile, bench
    PROF), each synchronous round reports its frontier / compute / apply
    wall-clock sub-phases, strictly out-of-band.  The sink is fetched once
    per round, and rounds with an empty frontier skip the probes. *)
-
-(* ------------------------------------------------------------------ *)
-(* The naive reference engine                                          *)
-(* ------------------------------------------------------------------ *)
-
-module Naive (P : Protocol.S) = struct
-  type t = {
-    graph : Graph.t;
-    mutable states : P.state array;
-    mutable rounds : int;  (* ideal time elapsed *)
-    mutable peak_bits : int;
-  }
-
-  let create graph =
-    let states = Array.init (Graph.n graph) (P.init graph) in
-    let peak = Array.fold_left (fun acc s -> max acc (P.bits s)) 0 states in
-    { graph; states; rounds = 0; peak_bits = peak }
-
-  let graph t = t.graph
-  let state t v = t.states.(v)
-  let states t = t.states
-
-  (* Peak bits are maintained incrementally: every state the network ever
-     holds passes through [create], [touch] (on change) or [set_state]. *)
-  let touch t s = if P.bits s > t.peak_bits then t.peak_bits <- P.bits s
-
-  let set_state t v s =
-    t.states.(v) <- s;
-    touch t s
-
-  let rounds t = t.rounds
-  let peak_bits t = t.peak_bits
-
-  (* The register behind port [p] of [v]: a port outside [0, degree v)
-     names no neighbour. *)
-  let port_read g states v p =
-    if p < 0 || p >= Graph.degree g v then invalid_arg "Network.step: reading a non-neighbour";
-    states.(Graph.peer_at g v p)
-
-  (* One synchronous round: all nodes step on a snapshot. *)
-  let sync_round t =
-    let snapshot = t.states in
-    t.states <-
-      Array.mapi
-        (fun v s ->
-          let s' = P.step t.graph v s (port_read t.graph snapshot v) in
-          if not (P.equal s' s) then touch t s';
-          s')
-        snapshot;
-    t.rounds <- t.rounds + 1
-
-  (* One asynchronous round under a fair daemon: nodes fire sequentially per
-     the daemon's schedule and read fresh registers. *)
-  let async_round t daemon =
-    let schedule = Scheduler.round_schedule daemon (Graph.n t.graph) in
-    List.iter
-      (fun v ->
-        let s = t.states.(v) in
-        let s' = P.step t.graph v s (port_read t.graph t.states v) in
-        if not (P.equal s' s) then begin
-          t.states.(v) <- s';
-          touch t s'
-        end
-        else t.states.(v) <- s')
-      schedule;
-    t.rounds <- t.rounds + 1
-
-  let round t daemon = if Scheduler.is_sync daemon then sync_round t else async_round t daemon
-
-  let run t daemon ~rounds =
-    for _ = 1 to rounds do
-      round t daemon
-    done
-
-  let any_alarm t = Array.exists P.alarm t.states
-
-  let alarming_nodes t =
-    let acc = ref [] in
-    Array.iteri (fun v s -> if P.alarm s then acc := v :: !acc) t.states;
-    !acc
-
-  (* Run until [stop] holds or [max_rounds] elapse; returns the number of
-     rounds executed and whether [stop] was reached. *)
-  let run_until t daemon ~max_rounds stop =
-    let executed = ref 0 and reached = ref (stop t) in
-    while (not !reached) && !executed < max_rounds do
-      round t daemon;
-      incr executed;
-      reached := stop t
-    done;
-    (!executed, !reached)
-
-  (* Rounds until the first alarm, or [None] if none within [max_rounds]. *)
-  let detection_time t daemon ~max_rounds =
-    let executed, reached = run_until t daemon ~max_rounds any_alarm in
-    if reached then Some executed else None
-
-  module Inject = Fault.Apply (P)
-
-  (* Apply one burst of [model]: the victim set and the corruption order
-     are deterministic (ascending node index; see {!Fault}), so identical
-     seeds reproduce identical post-fault configurations. *)
-  let inject t st (model : Fault.t) =
-    Inject.apply st t.graph model
-      ~get:(fun v -> t.states.(v))
-      ~set:(fun v s' -> set_state t v s')
-
-  (* Corrupt [count] distinct random nodes; returns the sorted list of
-     faulty nodes. *)
-  let inject_faults t st ~count = inject t st (Fault.uniform ~count)
-
-  (* Max hop distance from any fault to the closest alarming node: the
-     paper's detection distance (Section 2.4). *)
-  let detection_distance t ~faults =
-    Dist.detection_distance t.graph ~faults ~alarms:(alarming_nodes t)
-end
 
 (* Register stores: where the n registers live.  [put] is an immediate
    write (async activations, fault injection, [set_state]); [stage] then
@@ -505,9 +386,10 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
     fire_round_hook t
 
   (* One asynchronous round under a fair daemon, drawn exactly as in
-     {!Naive}: scheduled clean nodes are skipped, dirty ones read fresh
-     registers and write immediately.  Compacting the frontier afterwards
-     keeps within-round flag churn from accumulating stale entries. *)
+     [Ssmst_oracle.Naive]: scheduled clean nodes are skipped, dirty ones
+     read fresh registers and write immediately.  Compacting the frontier
+     afterwards keeps within-round flag churn from accumulating stale
+     entries. *)
   let async_round t daemon =
     let round = t.rounds + 1 and mt = t.metrics in
     let schedule = Scheduler.round_schedule daemon (Graph.n t.graph) in
@@ -570,9 +452,10 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
 
   module Inject = Fault.Apply (P)
 
-  (* One burst of [model], drawn exactly as {!Naive.inject} draws it; each
-     rewrite is an immediate write tagged with its injection id (numbered
-     per run: the terminals provenance walks resolve against). *)
+  (* One burst of [model], drawn exactly as [Ssmst_oracle.Naive.inject]
+     draws it; each rewrite is an immediate write tagged with its
+     injection id (numbered per run: the terminals provenance walks
+     resolve against). *)
   let inject t st (model : Fault.t) =
     Inject.apply st t.graph model ~get:(state t) ~set:(fun v s' ->
         let fid : Fault.id = t.metrics.Metrics.faults_injected in
@@ -580,7 +463,8 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
         emit t (Trace.Fault_injected { round = t.rounds; node = v; fault = Some fid });
         put t ~round:t.rounds ~cause:(Trace.Fault fid) v s')
 
-  (* as in {!Naive}: uniform faults, and the Section 2.4 detection distance *)
+  (* as in the naive engine: uniform faults, and the Section 2.4
+     detection distance *)
   let inject_faults t st ~count = inject t st (Fault.uniform ~count)
 
   let detection_distance t ~faults =

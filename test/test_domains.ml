@@ -12,7 +12,7 @@ open Ssmst_protocols
       register file, metrics CSV row, last-write stamps, alarm set and
       write-hook event sequence as -d 1, across grid/random/hypertree
       instances under repeated fault bursts; {!Network.Make} at -d k stays
-      state-identical to {!Network.Naive};
+      state-identical to {!Ssmst_oracle.Naive};
    3. canonical write order — the (round, node) sequence of Flat's write
       hook matches {!Network.Make}'s [Register_write] trace events exactly
       on a faulted grid, at -d 1 and -d 2 alike, and a trace attached to
@@ -75,7 +75,7 @@ let test_run_covers_all_workers () =
 
 module F = Network.Flat (Ss_bfs.P)
 module E = Network.Make (Ss_bfs.P)
-module N = Network.Naive (Ss_bfs.P)
+module N = Ssmst_oracle.Naive (Ss_bfs.P)
 
 (* Two interleaved fault cadences keep the frontier wide and the alarm
    flags churning while the election re-converges between bursts. *)

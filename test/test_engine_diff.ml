@@ -3,11 +3,11 @@ open Ssmst_sim
 open Ssmst_protocols
 open Ssmst_core
 
-(* Differential testing of the event-driven engine ({!Network.Make}) against
-   the naive reference engine ({!Network.Naive}): on the same graph, daemon
-   (twin RNGs) and fault schedule, states and round counts must be identical
-   after every round.  This is the soundness argument for the dirty-set rule
-   made executable. *)
+(* Differential testing of the event-driven engine ({!Network.Make})
+   against the naive reference engine ({!Ssmst_oracle.Naive}): on the same
+   graph, daemon (twin RNGs) and fault schedule, states and round counts
+   must be identical after every round.  This is the soundness argument for
+   the dirty-set rule made executable. *)
 
 (* a silent protocol with plenty of churn before quiescence *)
 module Flood = struct
@@ -36,7 +36,7 @@ module Flood = struct
 end
 
 module Diff (P : Protocol.S) = struct
-  module N = Network.Naive (P)
+  module N = Ssmst_oracle.Naive (P)
   module E = Network.Make (P)
 
   let daemon_of kind seed =

@@ -227,7 +227,7 @@ let detection_distance_unreachable () =
     (Dist.detection_distance g ~faults:[ 0; 2 ] ~alarms:[ 1 ])
 
 let net_detection_distance_unreachable () =
-  let module Net = Network.Naive (Watcher) in
+  let module Net = Ssmst_oracle.Naive (Watcher) in
   let g = two_components () in
   let net = Net.create g in
   Net.set_state net 3 true;

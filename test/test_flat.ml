@@ -12,7 +12,7 @@ open Ssmst_protocols
    2. layout descriptors — [field_offsets] is aligned index-for-index with
       [field_names], monotone and within the word budget;
    3. the three-way differential — {!Network.Flat} stays bit-identical to
-      {!Network.Make} and {!Network.Naive} under every daemon and every
+      {!Network.Make} and {!Ssmst_oracle.Naive} under every daemon and every
       fault model, which is the soundness argument for running the scale
       experiments on the packed engine. *)
 
@@ -145,7 +145,7 @@ let test_word_budgets () =
 (* ---------------- the three-way engine differential ---------------- *)
 
 module Diff3 (P : Protocol.PACKED) = struct
-  module N = Network.Naive (P)
+  module N = Ssmst_oracle.Naive (P)
   module E = Network.Make (P)
   module F = Network.Flat (P)
 

@@ -738,7 +738,7 @@ let test_engine_diff_with_monitors () =
         let mode = if kind = 0 then Verifier.Passive else Verifier.Handshake
       end) in
       let module P = E.P in
-      let module N = Network.Naive (P) in
+      let module N = Ssmst_oracle.Naive (P) in
       let naive = N.create g and engine = E.create g in
       let mon = E.attach_monitors engine in
       let dn =
