@@ -90,59 +90,68 @@ let params_of family n seed faults async =
    any box, splits even short lists across lines *)
 let commas pp = Fmt.(list ~sep:(any ", ") pp)
 
+(* The exit status of every scenario command: 1 when a monitor reports a
+   violation. *)
+let monitors_exit cmd scenario ok =
+  if ok then 0
+  else begin
+    Fmt.epr "msst %s: invariant monitor violation (see msst report %s)@." cmd scenario;
+    1
+  end
+
+(* With nothing injected there is nothing to detect or explain: trace and
+   explain refuse a run without a fault burst. *)
+let require_faults cmd faults =
+  if faults < 1 then begin
+    Fmt.epr "msst %s: --faults must be at least 1 (got %d)@." cmd faults;
+    exit 2
+  end
+
+(* [f] on stdout, or on [out] (announced on stderr) *)
+let with_out out f =
+  match out with
+  | None ->
+      f stdout;
+      flush stdout
+  | Some path ->
+      let oc = open_out path in
+      f oc;
+      close_out oc;
+      Fmt.epr "written to %s@." path
+
 (* ---------------- trace ---------------- *)
 
-(* Settle the verifier (untraced), attach a trace, inject faults, run to
-   detection; emit the events as JSONL.  The trace therefore opens at the
-   injection and is guaranteed to retain the fault-injected and
-   alarm-raised events of the run. *)
+(* The verify scenario with a trace hung on the settled network (and on
+   the monitors): the trace therefore opens at the injection and retains
+   the fault-injected and alarm-raised events of the run.  The events go
+   out as JSONL; the scenario's notes go to stderr. *)
 let trace_run family n seed faults async_ out capacity fmt =
   if capacity <= 0 then begin
     Fmt.epr "msst trace: --capacity must be positive (got %d)@." capacity;
     exit 2
   end;
-  (* with nothing injected there is nothing to detect: the run would spin
-     out its whole detection budget *)
-  if faults < 1 then begin
-    Fmt.epr "msst trace: --faults must be at least 1 (got %d)@." faults;
-    exit 2
-  end;
-  let p = params_of family n seed faults async_ in
-  let g = Observatory.graph_of p in
-  let m = Marker.run g in
-  let mode, daemon = Observatory.mode_and_daemon p in
-  let module N = Verifier_campaign.Net (struct
-    let marker = m
-    let mode = mode
-  end) in
-  let net = N.create g in
-  N.settle net daemon;
-  Fmt.epr "settled after %d rounds; alarms: %b (must be false)@." (N.rounds net)
-    (N.any_alarm net);
-  let tr = Trace.create ~capacity () in
-  N.attach_trace net tr;
-  let fs = N.inject net (Observatory.fault_rng p) (Observatory.fault_model p) in
-  Fmt.epr "injected %d fault(s) at %a@." (List.length fs) (commas Fmt.int) fs;
-  (match N.detection_time net daemon ~max_rounds:200000 with
-  | Some dt -> Fmt.epr "detected after %d rounds@." dt
-  | None -> Fmt.epr "no detection (the corruption was semantically null)@.");
-  let oc, close = match out with None -> (stdout, false) | Some f -> (open_out f, true) in
-  (match fmt with
-  | Json -> Trace.write_jsonl oc tr
-  | Csv -> Trace.write_csv oc tr
-  | Md ->
-      output_string oc "| # | event |\n|---|---|\n";
-      let i = ref 0 in
-      Trace.iter
-        (fun e ->
-          Printf.fprintf oc "| %d | %s |\n" !i (md_cell (Fmt.str "%a" Trace.pp_event e));
-          incr i)
-        tr);
-  if close then close_out oc else flush oc;
+  require_faults "trace" faults;
+  let p = { (params_of family n seed faults async_) with max_rounds = 200_000 } in
+  let tel = Ssmst_obs.Telemetry.fake () and tr = Trace.create ~capacity () in
+  let v = Observatory.verify_run ~listen:(Observatory.Trace tr) tel p in
+  let r = Observatory.verify_report tel p v in
+  List.iter (Fmt.epr "%s@.") (Ssmst_obs.Report.notes r);
+  with_out out (fun oc ->
+      match fmt with
+      | Json -> Trace.write_jsonl oc tr
+      | Csv -> Trace.write_csv oc tr
+      | Md ->
+          output_string oc "| # | event |\n|---|---|\n";
+          let i = ref 0 in
+          Trace.iter
+            (fun e ->
+              Printf.fprintf oc "| %d | %s |\n" !i (md_cell (Fmt.str "%a" Trace.pp_event e));
+              incr i)
+            tr);
   Fmt.epr "trace: %d events emitted (%d recorded, %d dropped by the ring buffer)@."
     (Trace.length tr) (Trace.total tr) (Trace.dropped tr);
-  Fmt.epr "metrics: %a@." Metrics.pp (N.metrics net);
-  0
+  Fmt.epr "metrics: %a@." Metrics.pp v.Observatory.metrics;
+  monitors_exit "trace" "verify" (Ssmst_obs.Report.all_monitors_ok r)
 
 (* ---------------- campaign ---------------- *)
 
@@ -229,21 +238,12 @@ let run_scenario cmd tel scenario (p : Observatory.params) =
     (Observatory.refusal ~scenario p);
   Observatory.run ~scenario tel p
 
-(* The exit status of every scenario command: 1 when a monitor reports a
-   violation. *)
-let monitors_exit cmd scenario r =
-  if Ssmst_obs.Report.all_monitors_ok r then 0
-  else begin
-    Fmt.epr "msst %s: invariant monitor violation (see msst report %s)@." cmd scenario;
-    1
-  end
-
 (* construct, verify and stabilize: the scenario's run through [report]'s
    driver, printed as the report's notes, one per line. *)
 let plain scenario p =
   let r = run_scenario scenario (Ssmst_obs.Telemetry.fake ()) scenario p in
   List.iter (Fmt.pr "%s@.") (Ssmst_obs.Report.notes r);
-  monitors_exit scenario scenario r
+  monitors_exit scenario scenario (Ssmst_obs.Report.all_monitors_ok r)
 
 let construct family n seed = plain "construct" { Observatory.default_params with family; n; seed }
 
@@ -289,7 +289,7 @@ let report scenario family n seed faults async_ epochs trials max_rounds md_out 
   | Some path ->
       write_file path (Ssmst_obs.Report.to_json r ^ "\n");
       Fmt.epr "JSON report written to %s@." path);
-  monitors_exit "report" scenario r
+  monitors_exit "report" scenario (Ssmst_obs.Report.all_monitors_ok r)
 
 (* The same run under a live profiler, rendered as the per-phase table
    (md/csv: both costs per phase) or the full report JSON with the
@@ -322,7 +322,7 @@ let profile scenario family n seed faults async_ epochs trials max_rounds domain
   | Json ->
       print_string (Ssmst_obs.Report.to_json r);
       print_newline ());
-  monitors_exit "profile" scenario r
+  monitors_exit "profile" scenario (Ssmst_obs.Report.all_monitors_ok r)
 
 (* ---------------- explain ---------------- *)
 
@@ -355,17 +355,6 @@ let flight_params cmd family n seed faults clustered interval capacity max_round
     distance_c;
   }
 
-let with_out out f =
-  match out with
-  | None ->
-      f stdout;
-      flush stdout
-  | Some path ->
-      let oc = open_out path in
-      f oc;
-      close_out oc;
-      Fmt.epr "written to %s@." path
-
 let witness_json (w : Flight.witness) =
   let hops =
     String.concat ","
@@ -397,6 +386,7 @@ let witness_path_string (w : Flight.witness) =
    the witness hop count is checked against the Section 2.4 bound. *)
 let explain_run family n seed faults clustered interval capacity max_rounds distance_c
     alarm fmt out =
+  require_faults "explain" faults;
   let p =
     flight_params "explain" family n seed faults clustered interval capacity max_rounds
       distance_c
@@ -409,15 +399,16 @@ let explain_run family n seed faults clustered interval capacity max_rounds dist
        drop horizon will report as broken@."
       r.Flight.dropped;
   let int_list l = String.concat "," (List.map string_of_int l) in
+  let v = r.Flight.facts in
+  let n = Graph.n v.Observatory.graph in
   with_out out (fun oc ->
       match fmt with
       | Json ->
           Printf.fprintf oc
             {|{"family":"%s","n":%d,"seed":%d,"faults":%d,"settled_round":%d,"victims":[%s],"detection":%s,"alarms":[%s],"total_writes":%d,"dropped":%d,"checkpoints":[%s],"end_equal":%b,"witnesses":[%s]}|}
-            (Trace.json_escape family) r.Flight.n seed faults r.Flight.settled_round
-            (int_list r.Flight.victims)
-            (match r.Flight.detection with None -> "null" | Some d -> string_of_int d)
-            (int_list r.Flight.alarms) r.Flight.total_writes r.Flight.dropped
+            (Trace.json_escape family) n seed faults v.settled_round (int_list v.victims)
+            (match v.detection with None -> "null" | Some d -> string_of_int d)
+            (int_list v.alarms) r.Flight.total_writes r.Flight.dropped
             (int_list r.Flight.checkpoints) r.Flight.end_equal
             (String.concat "," (List.map witness_json r.Flight.witnesses));
           output_char oc '\n'
@@ -435,16 +426,14 @@ let explain_run family n seed faults clustered interval capacity max_rounds dist
             r.Flight.witnesses
       | Md ->
           Printf.fprintf oc "# msst explain — fault → alarm witnesses\n\n";
-          Printf.fprintf oc "- **instance**: %s, n=%d, seed=%d, faults=%d (%s)\n" family
-            r.Flight.n seed faults
+          Printf.fprintf oc "- **instance**: %s, n=%d, seed=%d, faults=%d (%s)\n" family n
+            seed faults
             (if clustered then "clustered" else "uniform");
-          Printf.fprintf oc "- **settled round**: %d; **victims**: %s\n"
-            r.Flight.settled_round (int_list r.Flight.victims);
+          Printf.fprintf oc "- **settled round**: %d; **victims**: %s\n" v.settled_round
+            (int_list v.victims);
           Printf.fprintf oc "- **detection**: %s; **alarms**: %s\n"
-            (match r.Flight.detection with
-            | None -> "none"
-            | Some d -> Fmt.str "%d round(s)" d)
-            (int_list r.Flight.alarms);
+            (match v.detection with None -> "none" | Some d -> Fmt.str "%d round(s)" d)
+            (int_list v.alarms);
           Printf.fprintf oc
             "- **recorder**: %d write(s), %d dropped, checkpoints at %s; replayed end \
              state equals live: %b\n"
@@ -491,7 +480,9 @@ let explain_run family n seed faults clustered interval capacity max_rounds dist
     Fmt.epr "msst explain: witness outside the detection-distance bound@.";
     1
   end
-  else 0
+  else
+    monitors_exit "explain" "verify"
+      (List.for_all (fun (_, m) -> Ssmst_obs.Monitor.verdict_ok m) v.Observatory.monitors)
 
 (* ---------------- replay ---------------- *)
 
@@ -676,8 +667,8 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Run a fault-injection scenario on the verifier and emit the engine's event trace \
-          as JSON lines (one event per line); diagnostics go to stderr.")
+         "Run the verify scenario (monitors on) and emit the engine's event trace from the \
+          burst on as JSON lines; its notes go to stderr.  Exits 1 on a monitor violation.")
     Term.(const trace_run $ family_arg "trace" $ n_arg $ seed_arg $ faults_arg $ async_arg $ out_arg
           $ capacity_arg $ format_arg Json)
 
@@ -717,7 +708,7 @@ let explain_cmd =
           causal provenance of each alarm backwards — register write by register write — \
           to the fault injection that seeded it.  Each witness's graph-hop count is \
           checked against the detection-distance bound C*f*ceil(log2 n) (Section 2.4).  \
-          Exits 3 when a provenance chain is broken, 1 when a witness violates the bound.")
+          Exits 3 when a provenance chain is broken, 1 when a witness or a monitor fails.")
     Term.(
       const explain_run $ family_arg "explain" $ n_arg $ seed_arg $ faults_arg $ clustered_arg
       $ interval_arg $ capacity_arg $ max_rounds_arg $ distance_c_arg $ alarm_arg

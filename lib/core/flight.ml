@@ -2,28 +2,24 @@ open Ssmst_graph
 open Ssmst_sim
 open Ssmst_replay
 
-(* Flight-recorder scenario drivers for [msst explain] and [msst replay]
-   (and the CI replay smoke test): run one of the repo's standard fault
-   scenarios with the recorder attached and distil the recording into
-   plain-data results the CLI can render in any format.
+(* Flight-recorder drivers for [msst explain] and [msst replay] (and the
+   CI replay smoke test): record one of the repo's standard fault
+   scenarios and distil the recording into plain-data results the CLI can
+   render in any format.  Both take the one scenario record,
+   {!Observatory.params}.
 
-   Two drivers:
-
-   - {!record_verify}: settle the full verifier, attach the recorder,
-     inject a fault burst, run to detection, then walk the provenance DAG
-     backwards from every alarming node to its originating injection —
-     producing one printable witness per alarm whose hop count is checked
-     against the [distance_c * f * ceil(log2 n)] detection-distance bound
-     (the same formula the Section 2.4 monitor enforces).
+   - {!record_verify}: ride the verify scenario ({!Observatory.verify_run},
+     monitors on), with the recorder's write hook as its listener from the
+     settled network on; then walk the provenance DAG backwards from every
+     alarming node to its originating injection — one printable witness
+     per alarm whose hop count is checked against the
+     [distance_c * f * ceil(log2 n)] detection-distance bound (the formula
+     the Section 2.4 monitor enforces).
 
    - {!replay_probe}: record the same ss-bfs stabilization run on both
      engines (event-driven via the write hook, naive via per-round
      diffing) and expose seek/step views plus the first-divergence
      bisector over the pair. *)
-
-(* Both drivers take the one scenario record, {!Observatory.params}; of
-   its fields they read family, n, seed, faults, clustered, interval,
-   capacity, max_rounds and distance_c. *)
 
 (* ---------------- explain: fault -> alarm witnesses ---------------- *)
 
@@ -39,11 +35,7 @@ type witness = {
 }
 
 type verify_run = {
-  n : int;  (* as built: [Graph.n], not the request *)
-  settled_round : int;
-  victims : int list;
-  detection : int option;  (* rounds from injection to the first alarm *)
-  alarms : int list;
+  facts : Observatory.verify_facts;  (* the verify scenario's run the recorder rode *)
   witnesses : witness list;
   total_writes : int;
   dropped : int;
@@ -51,34 +43,28 @@ type verify_run = {
   end_equal : bool;  (* replayed final state == live final state *)
 }
 
+module R = Recorder.Make (Verifier.Register)
+
 (* [alarm = Some (node, round)] restricts the witness list to the one
    requested alarm (the node's first alarming write at or before [round]
    when given); the default explains every alarming node *)
 let record_verify ?alarm (p : Observatory.params) =
-  let g = Observatory.graph_of p in
-  let m = Marker.run g in
-  let module N = Verifier_campaign.Net (struct
-    let marker = m
-    let mode = Verifier.Passive
-  end) in
-  let module R = Recorder.Make (N.P) in
-  let net = N.create g in
-  N.settle net Scheduler.Sync;
-  let settled_round = N.rounds net in
-  let rec_ =
-    R.create ~interval:p.interval ~capacity:p.capacity ~round0:settled_round g (N.states net)
+  let recorder = ref None in
+  let listen =
+    Observatory.Write_hook
+      (fun g ~settled states ->
+        let r = R.create ~interval:p.interval ~capacity:p.capacity ~round0:settled g states in
+        recorder := Some r;
+        R.engine_hook r states)
   in
-  N.set_write_hook net (R.engine_hook rec_ (N.states net));
-  let victims = N.inject net (Observatory.fault_rng p) (Observatory.fault_model p) in
-  let detection = N.detection_time net Scheduler.Sync ~max_rounds:p.max_rounds in
-  let alarms = List.sort Int.compare (N.alarming_nodes net) in
-  let f = max 1 (List.length victims) in
-  let bound = p.distance_c * f * Memory.of_nat (Graph.n g) in
+  let v = Observatory.verify_run ~listen (Ssmst_obs.Telemetry.fake ()) p in
+  let rec_ = Option.get !recorder in
+  let bound = p.distance_c * max 1 (List.length v.victims) * Memory.of_nat (Graph.n v.graph) in
   let witness_of ?round node =
     match R.explain rec_ ?round ~node () with
     | Ok (path : Provenance.path) ->
         let alarm_round =
-          match List.rev path.hops with h :: _ -> h.Provenance.round | [] -> settled_round
+          match List.rev path.hops with h :: _ -> h.Provenance.round | [] -> v.settled_round
         in
         {
           alarm_node = node;
@@ -104,27 +90,17 @@ let record_verify ?alarm (p : Observatory.params) =
   in
   let witnesses =
     match alarm with
-    | None -> List.map (fun v -> witness_of v) alarms
+    | None -> List.map (fun node -> witness_of node) v.alarms
     | Some (node, round) -> [ witness_of ?round node ]
   in
-  let final = R.state_at rec_ (R.last_round rec_) in
-  let end_equal =
-    let live = N.states net in
-    let ok = ref true in
-    Array.iteri (fun v s -> if not (N.P.equal s live.(v)) then ok := false) final.R.states;
-    !ok
-  in
   {
-    n = Graph.n g;
-    settled_round;
-    victims;
-    detection;
-    alarms;
+    facts = v;
     witnesses;
     total_writes = R.total_writes rec_;
     dropped = R.dropped rec_;
     checkpoints = R.checkpoint_rounds rec_;
-    end_equal;
+    end_equal =
+      Array.for_all2 Verifier.Register.equal (R.state_at rec_ (R.last_round rec_)).R.states v.final;
   }
 
 (* every witness terminates at a fault and respects the bound *)

@@ -3,12 +3,13 @@ open Ssmst_sim
 open Ssmst_obs
 
 (* Scenario drivers for [msst report] and [msst profile], and the one run
-   behind [msst construct], [verify] and [stabilize]: run one of the
-   repo's standard scenarios — construct, verify, stabilize, campaign —
-   with the full observatory attached (the phase profiler, log-bucketed
-   histograms, online invariant monitors) and return one {!Report.t}
-   combining everything.  The caller passes the {!Telemetry.t} to install
-   over the scenario's measured part (see the interface).
+   behind [msst construct], [verify], [stabilize], [trace] and [explain]:
+   run one of the repo's standard scenarios — construct, verify,
+   stabilize, campaign — with the full observatory attached (the phase
+   profiler, log-bucketed histograms, online invariant monitors) and
+   return one {!Report.t} combining everything.  The caller passes the
+   {!Telemetry.t} to install over the scenario's measured part (see the
+   interface).
 
    This is the only module that knows both the protocol stack and the
    observatory; {!Ssmst_obs} itself stays below the protocols so the engine
@@ -56,6 +57,7 @@ let refusal ~scenario p =
 
 let graph_of p = Verifier_campaign.build_graph ~family:p.family ~seed:p.seed p.n
 
+(* (Passive, Sync), or (Handshake, Async_random) on a fresh RNG at seed + 1 *)
 let mode_and_daemon p =
   if p.async then (Verifier.Handshake, Scheduler.Async_random (Gen.rng (p.seed + 1)))
   else (Verifier.Passive, Scheduler.Sync)
@@ -157,63 +159,99 @@ let construct tel p =
 
 (* ---------------- verify ---------------- *)
 
-(* Settle the verifier, inject a burst, run to detection, each in a frame
-   charged the engine's metrics; the monitors ride the engine's round
-   hook the whole way. *)
-let verify tel p =
+type listener =
+  | Trace of Trace.t
+  | Write_hook of (Graph.t -> settled:int -> Verifier.state array -> round:int -> node:int ->
+                   old:Verifier.state -> Verifier.state -> Trace.cause -> unit)
+
+type verify_facts = {
+  graph : Graph.t;
+  settled_round : int;
+  settled_alarm : bool;
+  convergence : Hist.t;
+  register_bits : Hist.t;
+  victims : int list;
+  detection : int option;
+  distance : int option;
+  alarms : int list;
+  metrics : Metrics.t;
+  monitors : (string * Monitor.verdict) list;
+  final : Verifier.state array;
+}
+
+(* Settle the verifier, hang the listener, inject a burst, run to
+   detection, each in a frame charged the engine's metrics; the monitors
+   ride the engine's round hook the whole way. *)
+let verify_run ?listen tel p =
   let g = graph_of p in
-  let m = Marker.run g in
   let mode, daemon = mode_and_daemon p in
   let module N = Verifier_campaign.Net (struct
-    let marker = m
+    let marker = Marker.run g
     let mode = mode
   end) in
   let net = N.create ~domains:p.domains g in
-  let mon = N.attach_monitors ~distance_c:p.distance_c net in
+  let trace = match listen with Some (Trace tr) -> Some tr | _ -> None in
+  let mon = N.attach_monitors ?trace ~distance_c:p.distance_c net in
   let metered name f = Telemetry.metered name (N.metrics net) f in
   profiled tel @@ fun () ->
   metered "settle" (fun () -> N.settle net daemon);
+  let settled_round = N.rounds net and settled_alarm = N.any_alarm net in
+  let convergence = Hist.create () and register_bits = Hist.create () in
+  for v = 0 to Graph.n g - 1 do
+    Hist.record convergence (N.last_write_round net v);
+    Hist.record register_bits (N.P.bits (N.state net v))
+  done;
+  (match listen with
+  | Some (Trace tr) -> N.attach_trace net tr
+  | Some (Write_hook f) -> N.set_write_hook net (f g ~settled:settled_round (N.states net))
+  | None -> ());
+  let victims, detection =
+    if p.faults = 0 then ([], None)
+    else begin
+      let fs = metered "inject" (fun () -> N.inject net (fault_rng p) (fault_model p)) in
+      Monitor.note_injection mon ~round:(N.rounds net) ~faults:fs;
+      (fs, metered "detect" (fun () -> N.detection_time net daemon ~max_rounds:p.max_rounds))
+    end
+  in
+  { graph = g; settled_round; settled_alarm; convergence; register_bits; victims; detection;
+    distance = (if detection = None then None else N.detection_distance net ~faults:victims);
+    alarms = List.rev (N.alarming_nodes net); metrics = N.metrics net;
+    monitors = Monitor.results mon; final = N.states net }
+
+let verify_report tel p v =
   let r =
-    report tel "verify" p ~n:(Graph.n g)
-      [ ("mode", match mode with Verifier.Passive -> "passive" | Handshake -> "handshake");
+    report tel "verify" p ~n:(Graph.n v.graph)
+      [ ("mode", match fst (mode_and_daemon p) with Passive -> "passive" | Handshake -> "handshake");
         ("faults", string_of_int p.faults) ]
   in
   Report.add_note r
     (Fmt.str "settled after %d rounds; alarms after settling: %b (must be false)"
-       (N.rounds net) (N.any_alarm net));
-  let conv = Hist.create () and bits_h = Hist.create () and alarm_lat = Hist.create () in
-  for v = 0 to Graph.n g - 1 do
-    Hist.record conv (N.last_write_round net v);
-    Hist.record bits_h (N.P.bits (N.state net v))
-  done;
+       v.settled_round v.settled_alarm);
+  let alarm_lat = Hist.create () in
   if p.faults > 0 then begin
-    let fs =
-      metered "inject" (fun () -> N.inject net (fault_rng p) (fault_model p))
-    in
-    Monitor.note_injection mon ~round:(N.rounds net) ~faults:fs;
-    Report.add_note r ("fault victims: " ^ node_list fs);
-    match metered "detect" (fun () -> N.detection_time net daemon ~max_rounds:p.max_rounds) with
+    Report.add_note r ("fault victims: " ^ node_list v.victims);
+    match v.detection with
     | Some dt ->
         Hist.record alarm_lat dt;
         Report.add_note r
           (Fmt.str "injected %d fault(s); detected after %d rounds at distance %s"
-             (List.length fs) dt
-             (match N.detection_distance net ~faults:fs with
-             | Some d -> string_of_int d
-             | None -> "?"));
-        Report.add_note r ("alarming nodes: " ^ node_list (N.alarming_nodes net))
+             (List.length v.victims) dt
+             (match v.distance with Some d -> string_of_int d | None -> "?"));
+        Report.add_note r ("alarming nodes: " ^ node_list (List.rev v.alarms))
     | None ->
         Report.add_note r
           (Fmt.str "injected %d fault(s); no detection within %d rounds (semantically null \
                     corruption)"
-             (List.length fs) p.max_rounds)
+             (List.length v.victims) p.max_rounds)
   end;
-  Report.add_metrics r "verifier network" (N.metrics net);
-  Report.add_hist r "per-node register bits" bits_h;
-  Report.add_hist r "per-node convergence round (last write)" conv;
+  Report.add_metrics r "verifier network" v.metrics;
+  Report.add_hist r "per-node register bits" v.register_bits;
+  Report.add_hist r "per-node convergence round (last write)" v.convergence;
   Report.add_hist r "alarm latency after injection (rounds)" alarm_lat;
-  Report.set_monitors r (Monitor.results mon);
+  Report.set_monitors r v.monitors;
   r
+
+let verify tel p = verify_report tel p (verify_run tel p)
 
 (* ---------------- stabilize ---------------- *)
 

@@ -3,24 +3,23 @@ open Ssmst_sim
 open Ssmst_obs
 
 (** Scenario drivers for [msst report] and [msst profile], and the one run
-    behind [msst construct], [verify] and [stabilize]: run one of the
-    standard scenarios — construct, verify, stabilize, campaign — with the
-    full observatory attached (the phase profiler, log-bucketed
-    histograms, online invariant monitors) and return one {!Report.t}
-    combining engine metrics, histograms, the profiler's phase tree and
-    the monitor verdicts.  Each scenario installs the given {!Telemetry.t}
-    over its measured part; verify's marker and campaign's settled
-    instance are built before, unprofiled.  Every fact a run establishes
-    is a note of its report ({!Report.notes}); the plain subcommands print
-    those notes and nothing else. *)
+    behind [msst construct], [verify], [stabilize], [trace] and [explain]:
+    run one of the standard scenarios — construct, verify, stabilize,
+    campaign — with the full observatory attached (the phase profiler,
+    log-bucketed histograms, online invariant monitors) and return one
+    {!Report.t} combining engine metrics, histograms, the profiler's phase
+    tree and the monitor verdicts.  Each scenario installs the given
+    {!Telemetry.t} over its measured part; verify's marker and campaign's
+    settled instance are built before, unprofiled.  Every fact a run
+    establishes is a note of its report ({!Report.notes}); the plain
+    subcommands print those notes and nothing else. *)
 
-(** The one scenario record: every [msst] driver — these scenarios, the
-    {!Flight} recorder runs and [msst trace] — turns its flags into one of
-    these, builds its instance with {!graph_of}, picks its verifier mode
-    and daemon with {!mode_and_daemon}, draws its faults with
-    {!fault_rng} and {!fault_model}, and runs its verifier on
-    {!Verifier_campaign.Net}.  [n] is the request: each reads
-    the size it built from [Graph.n]. *)
+(** The one scenario record: every [msst] driver turns its flags into one
+    of these and builds its instance with {!graph_of}.  The verify
+    scenario's run ({!verify_run}) is the only settle, burst and detect
+    run: [msst trace] and {!Flight.record_verify} hang a {!listener} on it
+    instead of driving a verifier of their own.  [n] is the request: each
+    reads the size it built from [Graph.n]. *)
 type params = {
   family : string;
   n : int;
@@ -44,10 +43,6 @@ val default_params : params
 val graph_of : params -> Graph.t
 (** [Verifier_campaign.build_graph] on the record's family, seed and n. *)
 
-val mode_and_daemon : params -> Verifier.mode * Scheduler.t
-(** [(Passive, Sync)] when [async] is false, else
-    [(Handshake, Async_random (Gen.rng (seed + 1)))] with a fresh RNG. *)
-
 val fault_rng : params -> Random.State.t
 (** The one fault-draw RNG, fresh on every call: seeded from [seed] at
     offset 2, clear of the async daemon's RNG at offset 1.  Every
@@ -66,7 +61,41 @@ val refusal : scenario:string -> params -> string option
     [Invalid_argument] on them; callers check first to report it. *)
 
 val construct : Telemetry.t -> params -> Report.t
-val verify : Telemetry.t -> params -> Report.t
+
+(** What rides the verify run from the settled network on: the engine's
+    event trace (also the monitors' violation sink), or a write hook built
+    from the graph, the settled round and the live register array (the
+    flight recorder's). *)
+type listener =
+  | Trace of Trace.t
+  | Write_hook of (Graph.t -> settled:int -> Verifier.state array -> round:int -> node:int ->
+                   old:Verifier.state -> Verifier.state -> Trace.cause -> unit)
+
+(** The facts of one verify run. *)
+type verify_facts = {
+  graph : Graph.t;  (** as built: read n from it *)
+  settled_round : int;
+  settled_alarm : bool;  (** any alarm after settling (must be false) *)
+  convergence : Hist.t;  (** per-node last-write round, at settle *)
+  register_bits : Hist.t;  (** per-node register bits, at settle *)
+  victims : int list;  (** [[]] when [faults = 0]: no burst *)
+  detection : int option;  (** rounds from the burst to the first alarm *)
+  distance : int option;  (** Section 2.4 detection distance, when detected *)
+  alarms : int list;  (** alarming nodes at the end, ascending *)
+  metrics : Metrics.t;
+  monitors : (string * Monitor.verdict) list;
+  final : Verifier.state array;  (** the final registers *)
+}
+
+val verify_run : ?listen:listener -> Telemetry.t -> params -> verify_facts
+(** The one Theorem 8.5 run — settle, burst, detect — with the monitors
+    on the round hook and [listen] attached after settling, before the
+    burst.  [msst trace] and {!Flight} ride it; listening changes no
+    register, metric or verdict. *)
+
+val verify_report : Telemetry.t -> params -> verify_facts -> Report.t
+(** The verify scenario's report, from its run's facts alone: [run
+    ~scenario:"verify"] is [verify_report tel p (verify_run tel p)]. *)
 
 val stabilize : Telemetry.t -> params -> Report.t
 (** One ["epoch i"] frame (0-based) per fault epoch. *)

@@ -61,8 +61,40 @@ let window_bound (l : Marker.node_label) =
   let t = max 2 (Memory.of_nat (max 2 l.nk_n)) in
   (!window_factor * t) + !window_factor
 
-module Make (C : CONFIG) = struct
+(* The marker-free part of every [Make]'s register interface — the part
+   the flight recorder reads ({!Ssmst_replay.Recorder.REGISTER}). *)
+module Register = struct
   type nonrec state = state
+
+  let alarm s = s.alarm
+
+  (* the register is pure data (label + trains + comparison module), so
+     structural equality is register equality.  Compare the frequently
+     changing working state first and the large, almost always physically
+     shared label last, with physical-equality fast paths ([=] alone would
+     deep-compare the whole label every activation). *)
+  let equal (a : state) (b : state) =
+    a == b
+    || (a.alarm = b.alarm && a.cmp = b.cmp && a.train_top = b.train_top
+       && a.train_bot = b.train_bot
+       && (a.label == b.label || a.label = b.label))
+
+  let field_names = [| "label"; "train_top"; "train_bot"; "cmp"; "alarm" |]
+
+  (* compound fields are fingerprinted; the deep-sampling [hash_field]
+     keeps single-piece label perturbations visible in the encoding *)
+  let encode (s : state) =
+    [|
+      Protocol.hash_field s.label;
+      Protocol.hash_field s.train_top;
+      Protocol.hash_field s.train_bot;
+      Protocol.hash_field s.cmp;
+      Bool.to_int s.alarm;
+    |]
+end
+
+module Make (C : CONFIG) = struct
+  include Register
 
   let init _g v =
     {
@@ -556,19 +588,6 @@ module Make (C : CONFIG) = struct
     in
     { label = l; train_top; train_bot; cmp; alarm = !alarm }
 
-  let alarm s = s.alarm
-
-  (* the register is pure data (label + trains + comparison module), so
-     structural equality is register equality.  Compare the frequently
-     changing working state first and the large, almost always physically
-     shared label last, with physical-equality fast paths ([=] alone would
-     deep-compare the whole label every activation). *)
-  let equal (a : state) (b : state) =
-    a == b
-    || (a.alarm = b.alarm && a.cmp = b.cmp && a.train_top = b.train_top
-       && a.train_bot = b.train_bot
-       && (a.label == b.label || a.label = b.label))
-
   let bits s =
     Marker.label_bits s.label + Train.bits s.train_top + Train.bits s.train_bot
     + Memory.of_int s.cmp.ask_level
@@ -737,19 +756,6 @@ module Make (C : CONFIG) = struct
       | _ -> { l with Marker.sp_depth = l.Marker.sp_depth + 1 + Random.State.int st 7 }
     in
     { s with label; cmp = cmp_init; alarm = false }
-
-  let field_names = [| "label"; "train_top"; "train_bot"; "cmp"; "alarm" |]
-
-  (* compound fields are fingerprinted; the deep-sampling [hash_field]
-     keeps single-piece label perturbations visible in the encoding *)
-  let encode (s : state) =
-    [|
-      Protocol.hash_field s.label;
-      Protocol.hash_field s.train_top;
-      Protocol.hash_field s.train_bot;
-      Protocol.hash_field s.cmp;
-      Bool.to_int s.alarm;
-    |]
 
   (* ---------------- packed codec ----------------
 

@@ -32,9 +32,10 @@ val build_graph : family:string -> seed:int -> int -> Graph.t
     [Graph.n], never from the request. *)
 
 (** The one verifier network: {!Verifier.Make} over [C] under the
-    event-driven engine ([Network.Make]), which every caller — [msst], the
-    observatory, the flight recorder, the transformer, the campaigns, the
-    benches and the examples — builds its verifier from. *)
+    event-driven engine ([Network.Make]), which every caller — the
+    observatory (and through its verify run [msst] and the flight
+    recorder), the transformer, the campaigns, the benches and the
+    examples — builds its verifier from. *)
 module Net (C : Verifier.CONFIG) : sig
   module P : Protocol.PACKED with type state = Verifier.state
 
@@ -44,9 +45,8 @@ module Net (C : Verifier.CONFIG) : sig
 
   val settle : t -> Scheduler.t -> unit
   (** Run the settling budget under the daemon: eight
-      [Verifier.window_bound]s of the marker's labels, the rounds [msst],
-      the observatory, the flight recorder and the campaigns run before
-      they inject. *)
+      [Verifier.window_bound]s of the marker's labels, the rounds the
+      observatory's verify run and the campaigns run before they inject. *)
 
   val attach_monitors : ?trace:Trace.t -> ?distance_c:int -> t -> Ssmst_obs.Monitor.t
   (** {!Ssmst_obs.Monitor.Attach} with the marker's tree as the claimed

@@ -162,14 +162,3 @@ let explain g (writes : write array) ~target ?(same_round_reads = false) () =
         in
         Ok { fault; hops = collect f []; node_changes = dist.(f) }
   end
-
-let pp_path ppf p =
-  Fmt.pf ppf "fault #%d -> alarm in %d hop%s over %d write%s@." p.fault p.node_changes
-    (if p.node_changes = 1 then "" else "s")
-    (List.length p.hops)
-    (if List.length p.hops = 1 then "" else "s");
-  List.iter
-    (fun h ->
-      Fmt.pf ppf "  round %-5d node %-5d %s@." h.round h.node
-        (if h.fields = [] then "-" else String.concat "," h.fields))
-    p.hops

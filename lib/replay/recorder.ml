@@ -28,7 +28,17 @@ open Ssmst_sim
    reconstruction is *exact* unless a dropped delta falls between the
    checkpoint and the target; inexact views are flagged, never silent. *)
 
-module Make (P : Protocol.S) = struct
+(* What the recorder reads of a protocol: register equality, the alarm
+   bit and the per-field descriptor.  Every {!Protocol.S} satisfies it. *)
+module type REGISTER = sig
+  type state
+  val equal : state -> state -> bool
+  val alarm : state -> bool
+  val field_names : string array
+  val encode : state -> int array
+end
+
+module Make (P : REGISTER) = struct
   type write = {
     round : int;
     node : int;
@@ -137,7 +147,7 @@ module Make (P : Protocol.S) = struct
     iter_writes (fun w -> acc := w :: !acc) t;
     List.rev !acc
 
-  (* Field deltas are derived on demand (explain, dump, bisection): the
+  (* Field deltas are derived on demand (explain, bisection): the
      recording hot path stores the two state pointers and never encodes. *)
   let field_changes = Trace.field_changes ~names:P.field_names ~encode:P.encode
 
@@ -353,46 +363,6 @@ module Make (P : Protocol.S) = struct
               scan (diff_at r touched))
     in
     scan (diff_at lo all)
-
-  (* ---------------- JSONL dump (the on-disk checkpoint format) ---------------- *)
-
-  (* One header object, then one object per checkpoint (per-field encoded
-     fingerprints of every register) and one per retained delta, in order.
-     See DESIGN.md "Flight recorder format". *)
-  let write_jsonl oc t =
-    let enc_row states =
-      String.concat ","
-        (Array.to_list
-           (Array.map
-              (fun s ->
-                "["
-                ^ String.concat "," (Array.to_list (Array.map string_of_int (P.encode s)))
-                ^ "]")
-              states))
-    in
-    Printf.fprintf oc
-      {|{"kind":"header","round0":%d,"last_round":%d,"interval":%d,"nodes":%d,"fields":[%s],"total_writes":%d,"dropped":%d}|}
-      t.round0 t.cur_round t.interval (Graph.n t.graph)
-      (String.concat ","
-         (Array.to_list (Array.map (fun f -> "\"" ^ Trace.json_escape f ^ "\"") P.field_names)))
-      t.total (dropped t);
-    output_char oc '\n';
-    List.iter
-      (fun (r, states) ->
-        Printf.fprintf oc {|{"kind":"checkpoint","round":%d,"enc":[%s]}|} r (enc_row states);
-        output_char oc '\n')
-      t.checkpoints;
-    let pv = prevs t in
-    let i = ref 0 in
-    iter_writes
-      (fun w ->
-        Printf.fprintf oc {|{"kind":"delta","round":%d,"node":%d,"cause":"%s","changes":"%s"}|}
-          w.round w.node
-          (Trace.json_escape (Trace.cause_to_string w.cause))
-          (Trace.json_escape (Trace.changes_to_string (field_changes pv.(!i) w.state)));
-        incr i;
-        output_char oc '\n')
-      t
 
   (* ---------------- provenance glue ---------------- *)
 

@@ -368,10 +368,11 @@ let test_flight_verify () =
     { Observatory.default_params with n = 24; seed = 11; faults = 2; clustered = true }
   in
   let r = Flight.record_verify p in
-  Alcotest.(check bool) "faults detected" true (r.Flight.detection <> None);
+  let v = r.Flight.facts in
+  Alcotest.(check bool) "faults detected" true (v.Observatory.detection <> None);
   Alcotest.(check bool) "nothing dropped" true (r.Flight.dropped = 0);
   Alcotest.(check bool) "replayed end state equals live" true r.Flight.end_equal;
-  Alcotest.(check bool) "alarms raised" true (r.Flight.alarms <> []);
+  Alcotest.(check bool) "alarms raised" true (v.Observatory.alarms <> []);
   Alcotest.(check bool) "every alarm witnessed within the bound" true
     (Flight.all_witnessed r)
 
@@ -401,8 +402,9 @@ let test_built_n () =
   let report = Observatory.run ~scenario:"campaign" (Ssmst_obs.Telemetry.fake ()) p in
   Alcotest.(check bool) "campaign monitors ok" true (Ssmst_obs.Report.all_monitors_ok report);
   let r = Flight.record_verify p in
-  Alcotest.(check int) "built n" 63 r.Flight.n;
-  let f = max 1 (List.length r.Flight.victims) in
+  let v = r.Flight.facts in
+  Alcotest.(check int) "built n" 63 (Graph.n v.Observatory.graph);
+  let f = max 1 (List.length v.Observatory.victims) in
   Alcotest.(check bool) "alarms raised" true (r.Flight.witnesses <> []);
   List.iter
     (fun (w : Flight.witness) ->
@@ -412,10 +414,11 @@ let test_built_n () =
 (* The three verify paths run one experiment (Theorem 8.5: settle,
    inject f faults drawn from [seed + 2], run to the first alarm), so they
    must agree on it: the flight recorder's run, the observatory's verify
-   scenario and a bare {!Verifier_campaign.Net}.  The observatory's report
-   names no victims, so its leg compares the report's settle and
-   detection notes and its whole metrics row (writes, alarms raised and
-   cleared, ...), which the victims determine. *)
+   scenario and a bare {!Verifier_campaign.Net}.  The observatory's leg
+   compares the report's settle and detection notes and its whole metrics
+   row (writes, alarms raised and cleared, ...), which the victims
+   determine; a trace hung on the scenario through its listener must hold,
+   event for event, what a trace attached by hand after [settle] records. *)
 let test_verify_paths_agree () =
   let open Ssmst_obs in
   let metrics_rows r =
@@ -434,13 +437,15 @@ let test_verify_paths_agree () =
       let net = N.create g in
       N.settle net Scheduler.Sync;
       let settled = N.rounds net in
+      let bare_trace = Trace.create () in
+      N.attach_trace net bare_trace;
       let victims = N.inject_faults net (Gen.rng (p.seed + 2)) ~count:p.faults in
       let detection = N.detection_time net Scheduler.Sync ~max_rounds:p.max_rounds in
       let ctx what = Fmt.str "%s: %s" family what in
-      let r = Flight.record_verify p in
-      Alcotest.(check int) (ctx "flight settled round") settled r.Flight.settled_round;
-      Alcotest.(check (list int)) (ctx "flight victims") victims r.Flight.victims;
-      Alcotest.(check (option int)) (ctx "flight detection") detection r.Flight.detection;
+      let v = (Flight.record_verify p).Flight.facts in
+      Alcotest.(check int) (ctx "flight settled round") settled v.Observatory.settled_round;
+      Alcotest.(check (list int)) (ctx "flight victims") victims v.Observatory.victims;
+      Alcotest.(check (option int)) (ctx "flight detection") detection v.Observatory.detection;
       let report = Observatory.run ~scenario:"verify" (Telemetry.fake ()) p in
       let md = Report.to_markdown report in
       let note what line =
@@ -455,6 +460,13 @@ let test_verify_paths_agree () =
       Report.add_metrics own "verifier network" (N.metrics net);
       Alcotest.(check (list string)) (ctx "observatory metrics") (metrics_rows own)
         (metrics_rows report);
+      let scenario_trace = Trace.create () in
+      ignore
+        (Observatory.verify_run ~listen:(Observatory.Trace scenario_trace) (Telemetry.fake ()) p);
+      let events tr = List.map Trace.event_to_json (Trace.to_list tr) in
+      Alcotest.(check bool) (ctx "bare trace is not empty") true (Trace.length bare_trace > 0);
+      Alcotest.(check (list string)) (ctx "scenario trace = bare trace") (events bare_trace)
+        (events scenario_trace);
       if family = "random" then begin
         Alcotest.(check int) "random: settled at" 2560 settled;
         Alcotest.(check (list int)) "random: victims" [ 50; 51 ] victims;
