@@ -642,11 +642,12 @@ let stabilize_cmd =
        ~doc:(plain_doc "Run the transformer-based self-stabilizing MST scenario."))
     Term.(const stabilize $ family_arg "stabilize" $ n_arg $ seed_arg $ faults_arg $ async_arg $ domains_arg)
 
-let out_arg =
+(* [-o FILE], documented by what the command writes there *)
+let out_arg what =
   Arg.(
     value
     & opt (some string) None
-    & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write the JSONL trace to $(docv) instead of stdout.")
+    & info [ "o"; "out" ] ~docv:"FILE" ~doc:("Write " ^ what ^ " to $(docv) instead of stdout."))
 
 let capacity_arg =
   Arg.(
@@ -669,7 +670,8 @@ let trace_cmd =
        ~doc:
          "Run the verify scenario (monitors on) and emit the engine's event trace from the \
           burst on as JSON lines; its notes go to stderr.  Exits 1 on a monitor violation.")
-    Term.(const trace_run $ family_arg "trace" $ n_arg $ seed_arg $ faults_arg $ async_arg $ out_arg
+    Term.(const trace_run $ family_arg "trace" $ n_arg $ seed_arg $ faults_arg $ async_arg
+          $ out_arg "the event trace (in $(b,--format), JSON lines by default)"
           $ capacity_arg $ format_arg Json)
 
 (* ---------------- explain / replay wiring ---------------- *)
@@ -712,7 +714,8 @@ let explain_cmd =
     Term.(
       const explain_run $ family_arg "explain" $ n_arg $ seed_arg $ faults_arg $ clustered_arg
       $ interval_arg $ capacity_arg $ max_rounds_arg $ distance_c_arg $ alarm_arg
-      $ format_arg Md $ out_arg)
+      $ format_arg Md
+      $ out_arg "the alarm witnesses (in $(b,--format), markdown by default)")
 
 let seek_arg =
   Arg.(
@@ -744,7 +747,8 @@ let replay_cmd =
     Term.(
       const replay_run $ family_arg "replay" $ n_arg $ seed_arg $ faults_arg $ clustered_arg
       $ interval_arg $ capacity_arg $ max_rounds_arg $ seek_arg $ steps_arg $ diff_arg
-      $ format_arg Md $ out_arg)
+      $ format_arg Md
+      $ out_arg "the replayed round views and any divergence (in $(b,--format), markdown by default)")
 
 let families_arg =
   Arg.(

@@ -199,7 +199,7 @@ let verify_run ?listen tel p =
   let convergence = Hist.create () and register_bits = Hist.create () in
   for v = 0 to Graph.n g - 1 do
     Hist.record convergence (N.last_write_round net v);
-    Hist.record register_bits (N.P.bits (N.state net v))
+    Hist.record register_bits (N.P.bits g v (N.state net v))
   done;
   (match listen with
   | Some (Trace tr) -> N.attach_trace net tr

@@ -59,17 +59,41 @@ let bits (s : state) =
   + Ssmst_sim.Memory.of_nat s.seen + 3
   + Ssmst_sim.Memory.of_int s.last_lvl
 
-(* How a node reads this train off a neighbour: the neighbour's part
-   label and its train state.  The verifier reads both of its trains off
-   one neighbour register. *)
-type 'a side = { part : 'a -> Partition.node_part_label; train : 'a -> state }
+(* Register equality, field by field: a step that moves no car returns
+   its input, and an unchanged car is shared, so the physical tests
+   settle most comparisons. *)
+let car_equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | Some x, Some y ->
+      x.idx = y.idx && x.flag = y.flag && x.tag = y.tag
+      && (x.piece == y.piece || Pieces.equal x.piece y.piece)
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+
+let equal a b =
+  a == b
+  || a.want_idx = b.want_idx && a.cursor = b.cursor && a.seen = b.seen
+     && a.complete = b.complete && a.last_lvl = b.last_lvl && a.alarm = b.alarm
+     && car_equal a.up b.up && car_equal a.bc b.bc
+
+(* One train of a protocol: how a node reads it off a neighbour (the
+   neighbour's part label and train state — the verifier reads both of
+   its trains off one neighbour register), how it judges a piece under
+   the activation's context ['c], and whether levels must arrive in
+   order.  A protocol builds each side once, so an activation passes its
+   context instead of building closures over it. *)
+type ('a, 'c) side = {
+  part : 'a -> Partition.node_part_label;
+  train : 'a -> state;
+  flag_rule : 'c -> Pieces.t -> parent_flag:bool -> bool;
+  member : 'c -> Pieces.t -> flag:bool -> bool;
+  ordered : bool;
+}
 
 let lo (l : Partition.node_part_label) = min (2 * l.dfs_rank) l.k
 let hi (l : Partition.node_part_label) = min (2 * (l.dfs_rank + l.subtree)) l.k
-
-let own_piece (l : Partition.node_part_label) i =
-  let base = 2 * l.dfs_rank in
-  if i >= base && i - base < Array.length l.own then Some l.own.(i - base) else None
 
 let same_part side (lbl : Partition.node_part_label) x =
   (side.part x).Partition.part_root_id = lbl.part_root_id
@@ -101,21 +125,23 @@ let child_car side lbl children e =
   if !found < 0 then None
   else
     match (side.train children.(!found)).up with
-    | Some c when c.idx = e -> if c.flag then Some { c with flag = false } else Some c
+    | Some c as up when c.idx = e -> if c.flag then Some { c with flag = false } else up
     | _ -> None
 
-(* One activation.  [parent] and [children] are the node's claimed tree
-   neighbours, read through [side]; only those in the node's own part
-   (same part root identity) ride this train.  [flag_rule piece
-   ~parent_flag] computes the membership flag when loading the piece into
-   [bc]; [member piece ~flag] decides whether the broadcast piece belongs
-   to this node's own fragment at the piece's level; [required] is the
-   level bitmask the cycle-set check must cover; [ordered] enables the
+(* One activation of the node with part label [lbl] and context [ctx].
+   Its claimed parent is [nbr.(pport)] ([pport] = -1: none) and
+   [children] its claimed children, read through [side]; only those in
+   the node's own part (same part root identity) ride this train.
+   [side.flag_rule ctx piece ~parent_flag] computes the membership flag
+   when loading the piece into [bc]; [side.member ctx piece ~flag]
+   decides whether the broadcast piece belongs to this node's own
+   fragment at the piece's level; [required] is the level bitmask the
+   cycle-set check must cover; [side.ordered] enables the
    strictly-increasing-levels check (Top trains); [hold] delays the
    broadcast while a neighbour's request is being served (Section 7.2,
    asynchronous mode). *)
-let step ~side ~(lbl : Partition.node_part_label) ~parent ~children ~flag_rule ~member ~required
-    ~ordered ~hold (s : state) =
+let step side ctx ~(lbl : Partition.node_part_label) ~required ~(nbr : 'a array) ~pport ~children
+    ~hold (s : state) =
   let k = lbl.k in
   if k = 0 then
     (* nothing to carry: alarm iff some level is required anyway *)
@@ -124,34 +150,32 @@ let step ~side ~(lbl : Partition.node_part_label) ~parent ~children ~flag_rule ~
     let is_root = lbl.dfs_rank = 0 in
     let lo_v = lo lbl and hi_v = hi lbl in
     let cursor = ((s.cursor mod k) + k) mod k in
-    let parent =
-      match parent with
-      | Some p when same_part side lbl p -> Some (side.train p)
-      | Some _ | None -> None
-    in
+    (* the parent's train, when the parent rides this one; [s] stands in
+       otherwise and is never read as the parent's *)
+    let has_parent = pport >= 0 && same_part side lbl nbr.(pport) in
+    let ptrain = if has_parent then side.train nbr.(pport) else s in
     (* ---- convergecast: compute the demanded index (-1: none) ---- *)
     let demand =
       if is_root then cursor
+      else if not has_parent then -1
       else
-        match parent with
-        | None -> -1
-        | Some p -> (
-            match p.up with
-            | Some c when c.idx >= lo_v && c.idx < hi_v ->
-                if c.idx + 1 >= lo_v && c.idx + 1 < hi_v then c.idx + 1 else -1
-            | Some _ | None ->
-                let w = p.want_idx in
-                if w >= 0 && w >= lo_v && w < hi_v then w else -1)
+        match ptrain.up with
+        | Some c when c.idx >= lo_v && c.idx < hi_v ->
+            if c.idx + 1 >= lo_v && c.idx + 1 < hi_v then c.idx + 1 else -1
+        | Some _ | None ->
+            let w = ptrain.want_idx in
+            if w >= 0 && w >= lo_v && w < hi_v then w else -1
     in
     let up =
       if demand < 0 then None
       else
         match s.up with
         | Some c when c.idx = demand -> s.up
-        | _ -> (
-            match own_piece lbl demand with
-            | Some pc -> Some { idx = demand; piece = pc; flag = false; tag = false }
-            | None -> child_car side lbl children demand)
+        | _ ->
+            let i = demand - (2 * lbl.dfs_rank) in
+            if i >= 0 && i < Array.length lbl.own then
+              Some { idx = demand; piece = lbl.own.(i); flag = false; tag = false }
+            else child_car side lbl children demand
     in
     let want_idx = demand in
     (* ---- broadcast ---- *)
@@ -168,21 +192,21 @@ let step ~side ~(lbl : Partition.node_part_label) ~parent ~children ~flag_rule ~
               let tag = match s.bc with Some c -> not c.tag | None -> false in
               match up with
               | Some u when u.idx = cursor ->
-                  Some { u with flag = flag_rule u.piece ~parent_flag:false; tag }
+                  Some { u with flag = side.flag_rule ctx u.piece ~parent_flag:false; tag }
               | _ -> None)
+      else if not has_parent then None
       else
-        match parent with
-        | None -> None
-        | Some p -> (
-            match p.bc with
-            | Some pc
-              when (match s.bc with
-                   | Some c -> c.idx <> pc.idx || c.tag <> pc.tag
-                   | None -> true)
-                   && (match s.bc with Some c -> child_acked side lbl children c | None -> true)
-                   && not hold ->
-                Some { pc with flag = flag_rule pc.piece ~parent_flag:pc.flag }
-            | _ -> None)
+        match ptrain.bc with
+        | Some pc as bc
+          when (match s.bc with
+               | Some c -> c.idx <> pc.idx || c.tag <> pc.tag
+               | None -> true)
+               && (match s.bc with Some c -> child_acked side lbl children c | None -> true)
+               && not hold ->
+            (* the parent's buffer itself when the flag carries over *)
+            let flag = side.flag_rule ctx pc.piece ~parent_flag:pc.flag in
+            if flag = pc.flag then bc else Some { pc with flag }
+        | _ -> None
     in
     match incoming with
     | None ->
@@ -190,7 +214,7 @@ let step ~side ~(lbl : Partition.node_part_label) ~parent ~children ~flag_rule ~
            register then shares it instead of copying it *)
         if up == s.up && want_idx = s.want_idx && cursor = s.cursor then s
         else { s with up; want_idx; cursor }
-    | Some car ->
+    | Some car as bc ->
         (* cycle bookkeeping on each newly observed index *)
         let wrapped = car.idx = 0 in
         let consecutive =
@@ -204,9 +228,9 @@ let step ~side ~(lbl : Partition.node_part_label) ~parent ~children ~flag_rule ~
           && (match s.bc with Some old -> old.idx = k - 1 | None -> false)
           && s.seen land required <> required
         in
-        let is_member = member car.piece ~flag:car.flag in
+        let is_member = side.member ctx car.piece ~flag:car.flag in
         let alarm_order =
-          ordered && is_member && (not wrapped) && s.last_lvl >= 0
+          side.ordered && is_member && (not wrapped) && s.last_lvl >= 0
           && car.piece.Pieces.level <= s.last_lvl
         in
         let seen0 = if wrapped then 0 else s.seen in
@@ -221,7 +245,7 @@ let step ~side ~(lbl : Partition.node_part_label) ~parent ~children ~flag_rule ~
         {
           up;
           want_idx;
-          bc = Some car;
+          bc;
           cursor;
           seen;
           complete;

@@ -32,33 +32,47 @@ val init : state
 
 val bits : state -> int
 
-(** How a node reads this train off a neighbour: the neighbour's part
-    label and its train state. *)
-type 'a side = { part : 'a -> Partition.node_part_label; train : 'a -> state }
+val equal : state -> state -> bool
+(** Register equality, field by field ([=] on the record, without the
+    polymorphic compare). *)
+
+(** One train of a protocol: how a node reads it off a neighbour, how it
+    judges a piece under the activation's context ['c], and whether levels
+    must arrive in order.  Built once per protocol, so an activation
+    passes its context instead of building closures over it. *)
+type ('a, 'c) side = {
+  part : 'a -> Partition.node_part_label;  (** a neighbour's part label *)
+  train : 'a -> state;  (** a neighbour's train *)
+  flag_rule : 'c -> Pieces.t -> parent_flag:bool -> bool;
+      (** the membership flag of a piece loaded into the broadcast buffer *)
+  member : 'c -> Pieces.t -> flag:bool -> bool;
+      (** whether a broadcast piece belongs to the node's own fragment *)
+  ordered : bool;  (** levels must arrive strictly increasing (Top trains) *)
+}
 
 val lo : Partition.node_part_label -> int
 (** First global piece index owned by the node's subtree. *)
 
 val hi : Partition.node_part_label -> int
 
-val own_piece : Partition.node_part_label -> int -> Pieces.t option
-
 val step :
-  side:'a side ->
+  ('a, 'c) side ->
+  'c ->
   lbl:Partition.node_part_label ->
-  parent:'a option ->
-  children:'a array ->
-  flag_rule:(Pieces.t -> parent_flag:bool -> bool) ->
-  member:(Pieces.t -> flag:bool -> bool) ->
   required:int ->
-  ordered:bool ->
+  nbr:'a array ->
+  pport:int ->
+  children:'a array ->
   hold:bool ->
   state ->
   state
-(** One activation.  [parent] and [children] (in port order) are the
-    node's claimed tree neighbours, read through [side]; those outside the
-    node's own part (another part root identity) are ignored, so one
-    array of neighbour registers serves both of a node's trains. *)
+(** [step side ctx ~lbl ~required ...] is one activation of the node with
+    part label [lbl] and context [ctx].  [nbr.(pport)] is its claimed
+    parent ([pport] = -1: none) and [children] (in port order) its
+    claimed children, read through [side]; those outside the node's own
+    part (another part root identity) are ignored, so one array of
+    neighbour registers serves both of a node's trains.  [required] is
+    the level set a cycle must cover (Section 8). *)
 
 val corrupt : Random.State.t -> state -> state
 (** Arbitrary register corruption, for fault injection. *)

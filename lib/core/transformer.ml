@@ -116,7 +116,7 @@ let install (t : t) =
       {
         net_metrics = N.metrics net;
         net_last_write = N.last_write_round net;
-        net_bits = (fun v -> N.P.bits (N.state net v));
+        net_bits = (fun v -> N.P.bits t.graph v (N.state net v));
       };
   flush_monitor t;
   if t.monitors then t.monitor <- Some (N.attach_monitors net);

@@ -68,16 +68,31 @@ module Register = struct
 
   let alarm s = s.alarm
 
+  let cmp_equal (a : cmp_state) (b : cmp_state) =
+    a == b
+    || a.ask_level = b.ask_level && a.port = b.port && a.window = b.window
+       && (match (a.ask, b.ask) with
+          | Some x, Some y -> x == y || Pieces.equal x y
+          | None, None -> true
+          | Some _, None | None, Some _ -> false)
+       &&
+       match (a.want, b.want) with
+       | Some (srv, lvl), Some (srv', lvl') -> srv = srv' && lvl = lvl'
+       | None, None -> true
+       | Some _, None | None, Some _ -> false
+
   (* the register is pure data (label + trains + comparison module), so
      structural equality is register equality.  Compare the frequently
-     changing working state first and the large, almost always physically
-     shared label last, with physical-equality fast paths ([=] alone would
-     deep-compare the whole label every activation). *)
+     changing working state first, field by field, and the large, almost
+     always physically shared label last, with physical-equality fast
+     paths (polymorphic [=] would deep-compare both trains and the whole
+     label every activation). *)
   let equal (a : state) (b : state) =
     a == b
-    || (a.alarm = b.alarm && a.cmp = b.cmp && a.train_top = b.train_top
-       && a.train_bot = b.train_bot
-       && (a.label == b.label || a.label = b.label))
+    || a.alarm = b.alarm && cmp_equal a.cmp b.cmp
+       && Train.equal a.train_top b.train_top
+       && Train.equal a.train_bot b.train_bot
+       && (a.label == b.label || a.label = b.label)
 
   let field_names = [| "label"; "train_top"; "train_bot"; "cmp"; "alarm" |]
 
@@ -344,15 +359,23 @@ module Make (C : CONFIG) = struct
         derive g v l (Array.init (Graph.degree g v) (fun p -> init g (Graph.peer_at g v p))))
       marker_labels
 
+  (* each marker label's [Marker.label_bits], counted once beside the
+     table: the write path's [bits] takes it under the table's key for
+     [v]'s own label *)
+  let marker_label_bits = Array.map Marker.label_bits marker_labels
+
   let rec marker_from g v (nbr : state array) p =
     p >= Array.length nbr
     || (nbr.(p).label == marker_labels.(Graph.peer_at g v p) && marker_from g v nbr (p + 1))
 
+  (* whether [l] is the marker's own record for [v]: the key of [v]'s
+     table entry, together with its neighbours' labels *)
+  let is_marker_label g v (l : Marker.node_label) = g == marker_graph && l == marker_labels.(v)
+
   (* [v]'s derived view: the table's entry when every label it reads is
      the marker's, otherwise derived on the spot — one view either way *)
   let derived_of g v (s : state) nbr =
-    if g == marker_graph && s.label == marker_labels.(v) && marker_from g v nbr 0 then table.(v)
-    else derive g v s.label nbr
+    if is_marker_label g v s.label && marker_from g v nbr 0 then table.(v) else derive g v s.label nbr
 
   (* ---------------- one activation's view ----------------
 
@@ -478,41 +501,48 @@ module Make (C : CONFIG) = struct
 
   (* ---------------- one activation ---------------- *)
 
-  let top_side : state Train.side =
-    { part = (fun su -> su.label.top); train = (fun su -> su.train_top) }
+  (* whether a neighbour from port [p] on requests level [j] from [me] *)
+  let rec requested (nbr : state array) me j p =
+    p < Array.length nbr
+    && ((match nbr.(p).cmp.want with Some (srv, lvl) -> srv = me && lvl = j | None -> false)
+       || requested nbr me j (p + 1))
 
-  let bot_side : state Train.side =
-    { part = (fun su -> su.label.bot); train = (fun su -> su.train_bot) }
+  (* The two trains, read off a neighbour's register and judged under
+     the activation's view: built once, so a step builds no closure. *)
+  let act_flag_rule (a : act) pc ~parent_flag = flag_rule a.g a.v a.l pc ~parent_flag
+
+  let top_side : (state, act) Train.side =
+    {
+      part = (fun su -> su.label.top);
+      train = (fun su -> su.train_top);
+      flag_rule = act_flag_rule;
+      member = (fun a pc ~flag -> member_top a.l pc ~flag);
+      ordered = true;
+    }
+
+  let bot_side : (state, act) Train.side =
+    {
+      part = (fun su -> su.label.bot);
+      train = (fun su -> su.train_bot);
+      flag_rule = act_flag_rule;
+      member = (fun a pc ~flag -> member_bot a.l pc ~flag);
+      ordered = false;
+    }
 
   (* handshake: hold the train while a neighbour requests the level
      currently on display *)
-  let held (a : act) which (ts : Train.state) =
+  let held (a : act) side (ts : Train.state) =
     C.mode = Handshake
     &&
     match ts.bc with
     | Some c ->
-        let l = a.l in
-        let memb =
-          if which = `Top then member_top l c.piece ~flag:c.flag
-          else member_bot l c.piece ~flag:c.flag
-        in
-        memb
-        &&
-        let me = Graph.id a.g a.v and j = c.piece.Pieces.level in
-        Array.exists
-          (fun (su : state) ->
-            match su.cmp.want with Some (srv, lvl) -> srv = me && lvl = j | None -> false)
-          a.nbr
+        side.Train.member a c.piece ~flag:c.flag
+        && requested a.nbr (Graph.id a.g a.v) c.piece.Pieces.level 0
     | None -> false
 
-  let step_train (a : act) parent which (ts : Train.state) =
-    let l = a.l and top = which = `Top in
-    Train.step
-      ~side:(if top then top_side else bot_side)
-      ~lbl:(if top then l.top else l.bot)
-      ~parent ~children:a.kid_regs ~flag_rule:(flag_rule a.g a.v l)
-      ~member:(if top then member_top l else member_bot l)
-      ~required:(if top then a.d.req_top else a.d.req_bot) ~ordered:top ~hold:(held a which ts) ts
+  let step_train (a : act) side ~lbl ~required (ts : Train.state) =
+    Train.step side a ~lbl ~required ~nbr:a.nbr ~pport:a.d.pport ~children:a.kid_regs
+      ~hold:(held a side ts) ts
 
   (* the handshake cursor's next server, or the next level after the last *)
   let advance ~deg ~w l (c : cmp_state) =
@@ -524,9 +554,8 @@ module Make (C : CONFIG) = struct
     let a = view g v s read in
     let l = s.label in
     (* --- trains --- *)
-    let parent = if a.d.pport < 0 then None else Some a.nbr.(a.d.pport) in
-    let train_top = step_train a parent `Top s.train_top in
-    let train_bot = step_train a parent `Bottom s.train_bot in
+    let train_top = step_train a top_side ~lbl:l.top ~required:a.d.req_top s.train_top in
+    let train_bot = step_train a bot_side ~lbl:l.bot ~required:a.d.req_bot s.train_bot in
     (* --- comparison --- *)
     let alarm = ref (s.alarm || a.d.struct_alarm || train_top.alarm || train_bot.alarm) in
     let w = window_bound l in
@@ -588,13 +617,23 @@ module Make (C : CONFIG) = struct
     in
     { label = l; train_top; train_bot; cmp; alarm = !alarm }
 
-  let bits s =
-    Marker.label_bits s.label + Train.bits s.train_top + Train.bits s.train_bot
-    + Memory.of_int s.cmp.ask_level
-    + Memory.of_option Pieces.bits s.cmp.ask
-    + Memory.of_nat s.cmp.port
-    + Memory.of_option (fun (a, b) -> Memory.of_int a + Memory.of_nat b) s.cmp.want
-    + Memory.of_nat s.cmp.window + 1
+  (* The register's size: the label's, the trains', the comparison
+     module's and the alarm bit.  The marker's own label records are
+     counted once, in the table; any other label (a fault's fresh record,
+     a copy, an unpacked image) is recounted, so the count is that of
+     [s]'s content whoever built it. *)
+  let label_bits g v (l : Marker.node_label) =
+    if is_marker_label g v l then marker_label_bits.(v) else Marker.label_bits l
+
+  let cmp_bits (c : cmp_state) =
+    Memory.of_int c.ask_level
+    + (match c.ask with None -> 1 | Some pc -> 1 + Pieces.bits pc)
+    + Memory.of_nat c.port
+    + (match c.want with None -> 1 | Some (srv, lvl) -> 1 + Memory.of_int srv + Memory.of_nat lvl)
+    + Memory.of_nat c.window
+
+  let bits g v s =
+    label_bits g v s.label + Train.bits s.train_top + Train.bits s.train_bot + cmp_bits s.cmp + 1
 
   (* A purely *semantic* fault for detection-time experiments: perturb the
      weight of one stored piece so that every 1-round structural check still

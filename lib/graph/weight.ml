@@ -61,21 +61,28 @@ let pp ppf w =
 
 let to_string w = Fmt.str "%a" pp w
 
-(* The bit length of a non-negative integer (1 for 0 and below), by
-   halving shifts.  It runs on every register write, so it stays in
-   integer arithmetic; it equals the float formula
-   1 + floor(log2 x) on every value below 2^48 - 1. *)
+(* The bit length of a non-negative integer (1 for 0 and below): a byte
+   table read after one to three compares for values below 2^24, then
+   one byte per step.  It runs on every register write, so it stays in
+   integer arithmetic; it equals the float formula 1 + floor(log2 x) on
+   every value below 2^48 - 1. *)
+let byte_bits =
+  String.init 256 (fun i ->
+      let rec len n x = if x = 0 then n else len (n + 1) (x lsr 1) in
+      Char.chr (max 1 (len 0 i)))
+
 let bit_length x =
   if Stdlib.( <= ) x 0 then 1
+  else if Stdlib.( < ) x 0x100 then Char.code byte_bits.[x]
+  else if Stdlib.( < ) x 0x10000 then 8 + Char.code byte_bits.[x lsr 8]
+  else if Stdlib.( < ) x 0x1000000 then 16 + Char.code byte_bits.[x lsr 16]
   else begin
-    let n = ref 1 and y = ref x in
-    if !y lsr 32 <> 0 then begin n := !n + 32; y := !y lsr 32 end;
-    if !y lsr 16 <> 0 then begin n := !n + 16; y := !y lsr 16 end;
-    if !y lsr 8 <> 0 then begin n := !n + 8; y := !y lsr 8 end;
-    if !y lsr 4 <> 0 then begin n := !n + 4; y := !y lsr 4 end;
-    if !y lsr 2 <> 0 then begin n := !n + 2; y := !y lsr 2 end;
-    if !y lsr 1 <> 0 then n := !n + 1;
-    !n
+    let n = ref 24 and y = ref (x lsr 24) in
+    while !y >= 0x100 do
+      n := !n + 8;
+      y := !y lsr 8
+    done;
+    !n + Char.code byte_bits.[!y]
   end
 
 (* Number of bits needed to store a weight: the paper assumes weights

@@ -137,7 +137,7 @@ module Emulate (M : MESSAGE_PROTOCOL) = struct
      structural equality is register equality *)
   let equal (a : state) (b : state) = a = b
 
-  let bits (s : state) =
+  let bits _g _v (s : state) =
     M.state_bits s.inner
     + Array.fold_left
         (fun acc l ->

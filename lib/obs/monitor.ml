@@ -286,7 +286,7 @@ module Attach (P : Protocol.S) = struct
       {
         graph = Net.graph net;
         parent;
-        bits = (fun v -> P.bits (Net.state net v));
+        bits = (fun v -> P.bits (Net.graph net) v (Net.state net v));
         alarm = (fun v -> P.alarm (Net.state net v));
         peak_bits = (fun () -> Net.peak_bits net);
         any_alarm = (fun () -> Net.any_alarm net);

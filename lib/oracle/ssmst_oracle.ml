@@ -16,7 +16,9 @@ module Naive (P : Protocol.S) = struct
 
   let create graph =
     let states = Array.init (Graph.n graph) (P.init graph) in
-    let peak = Array.fold_left (fun acc s -> max acc (P.bits s)) 0 states in
+    let peak = ref 0 in
+    Array.iteri (fun v s -> peak := max !peak (P.bits graph v s)) states;
+    let peak = !peak in
     { graph; states; rounds = 0; peak_bits = peak }
 
   let graph t = t.graph
@@ -25,11 +27,13 @@ module Naive (P : Protocol.S) = struct
 
   (* Peak bits are maintained incrementally: every state the network ever
      holds passes through [create], [touch] (on change) or [set_state]. *)
-  let touch t s = if P.bits s > t.peak_bits then t.peak_bits <- P.bits s
+  let touch t v s =
+    let b = P.bits t.graph v s in
+    if b > t.peak_bits then t.peak_bits <- b
 
   let set_state t v s =
     t.states.(v) <- s;
-    touch t s
+    touch t v s
 
   let rounds t = t.rounds
   let peak_bits t = t.peak_bits
@@ -47,7 +51,7 @@ module Naive (P : Protocol.S) = struct
       Array.mapi
         (fun v s ->
           let s' = P.step t.graph v s (port_read t.graph snapshot v) in
-          if not (P.equal s' s) then touch t s';
+          if not (P.equal s' s) then touch t v s';
           s')
         snapshot;
     t.rounds <- t.rounds + 1
@@ -62,7 +66,7 @@ module Naive (P : Protocol.S) = struct
         let s' = P.step t.graph v s (port_read t.graph t.states v) in
         if not (P.equal s' s) then begin
           t.states.(v) <- s';
-          touch t s'
+          touch t v s'
         end
         else t.states.(v) <- s')
       schedule;

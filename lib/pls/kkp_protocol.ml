@@ -33,7 +33,7 @@ module Make (C : CONFIG) = struct
 
   let equal (a : state) (b : state) = a = b
 
-  let bits s = Kkp_pls.bits s.label + 1
+  let bits _g _v s = Kkp_pls.bits s.label + 1
 
   let corrupt st g v (s : state) =
     let l = s.label in

@@ -101,7 +101,7 @@ module Make (C : CONFIG) = struct
 
   let equal (a : state) (b : state) = a = b
 
-  let bits s =
+  let bits _g _v s =
     Memory.of_int s.parent + Memory.of_nat s.seq + 2 + Memory.of_int s.echo
     + Memory.of_int s.value
     + Memory.of_option Memory.of_int s.result

@@ -67,8 +67,8 @@ module Make (App : Protocol.S) = struct
     a.epoch = b.epoch && a.request = b.request && Ss_bfs.P.equal a.bfs b.bfs
     && App.equal a.app b.app
 
-  let bits s =
-    Ss_bfs.P.bits s.bfs + Memory.of_nat s.epoch + 1 + App.bits s.app
+  let bits g v s =
+    Ss_bfs.P.bits g v s.bfs + Memory.of_nat s.epoch + 1 + App.bits g v s.app
 
   let corrupt st g v s =
     {

@@ -45,7 +45,7 @@ module P = struct
 
   let equal (a : state) (b : state) = a = b
 
-  let bits s = Memory.of_int s.leader + Memory.of_int s.dist + Memory.of_int s.parent
+  let bits _g _v s = Memory.of_int s.leader + Memory.of_int s.dist + Memory.of_int s.parent
 
   let corrupt st g _v _s =
     {

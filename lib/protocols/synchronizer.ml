@@ -52,7 +52,7 @@ module Make (P : Protocol.S) = struct
   let equal (a : state) (b : state) =
     a.pulse = b.pulse && P.equal a.cur b.cur && P.equal a.prev b.prev
 
-  let bits s = Memory.of_nat s.pulse + P.bits s.cur + P.bits s.prev
+  let bits g v s = Memory.of_nat s.pulse + P.bits g v s.cur + P.bits g v s.prev
 
   let corrupt st g v s = { s with cur = P.corrupt st g v s.cur }
 

@@ -45,13 +45,9 @@ let error_to_string = function
       Fmt.str "provenance chain broken: %d ancestor writes reach no fault injection" reached
 
 (* [explain g writes ~target] walks backwards from [writes.(target)].
-
-   [same_round_reads] selects the visibility rule for neighbour reads:
-   under a synchronous daemon an activation of round r reads the round
-   r-1 snapshot (ancestors must satisfy [round < r]); under an
-   asynchronous one it reads live registers (ancestors are the last
-   writes in recording order, [seq < target's seq]). *)
-let explain g (writes : write array) ~target ?(same_round_reads = false) () =
+   A read is resolved under the synchronous rule: an activation of round
+   r reads the round r-1 snapshot, so its ancestors satisfy [round < r]. *)
+let explain g (writes : write array) ~target =
   let nw = Array.length writes in
   if target < 0 || target >= nw then Error No_such_write
   else begin
@@ -77,11 +73,9 @@ let explain g (writes : write array) ~target ?(same_round_reads = false) () =
           a
     in
     (* the last write to [v] the reader of [w] could have seen *)
-    let visible_ancestor v ~reader_seq ~reader_round =
+    let visible_ancestor v ~reader_round =
       let a = seqs v in
-      let ok s =
-        if same_round_reads then s < reader_seq else writes.(s).round < reader_round
-      in
+      let ok s = writes.(s).round < reader_round in
       (* binary search for the last ok entry *)
       let lo = ref 0 and hi = ref (Array.length a - 1) and best = ref (-1) in
       while !lo <= !hi do
@@ -131,7 +125,7 @@ let explain g (writes : write array) ~target ?(same_round_reads = false) () =
           | Trace.Init -> ()  (* a non-fault terminal: stop this branch *)
           | Trace.Neighbor_read ports ->
               let relax v cost =
-                match visible_ancestor v ~reader_seq:s ~reader_round:w.round with
+                match visible_ancestor v ~reader_round:w.round with
                 | None -> ()
                 | Some a ->
                     if dist.(s) + cost < dist.(a) then begin

@@ -381,7 +381,7 @@ module Make (P : REGISTER) = struct
 
   (* walk backwards from the first alarm-raising write of [node] (at or
      before [round] when given) to its originating fault injection *)
-  let explain t ?round ?(same_round_reads = false) ~node () =
+  let explain t ?round ~node () =
     let ws = provenance_writes t in
     let full = Array.of_list (writes t) in
     let target = ref (-1) in
@@ -394,5 +394,5 @@ module Make (P : REGISTER) = struct
         then target := i)
       ws;
     if !target < 0 then Error Provenance.No_such_write
-    else Provenance.explain t.graph ws ~target:!target ~same_round_reads ()
+    else Provenance.explain t.graph ws ~target:!target
 end

@@ -14,9 +14,17 @@ let of_bool = 1
 
 let of_option f = function None -> 1 | Some x -> 1 + f x
 
-let of_list f l = of_nat (List.length l) + List.fold_left (fun acc x -> acc + f x) 0 l
+(* the sums below loop instead of folding, so a count allocates no
+   closure *)
+let rec sum_list f acc = function [] -> acc | x :: rest -> sum_list f (acc + f x) rest
+let of_list f l = of_nat (List.length l) + sum_list f 0 l
 
-let of_array f a = of_nat (Array.length a) + Array.fold_left (fun acc x -> acc + f x) 0 a
+let of_array f a =
+  let s = ref (of_nat (Array.length a)) in
+  for i = 0 to Array.length a - 1 do
+    s := !s + f a.(i)
+  done;
+  !s
 
 (* ---------------- measured (packed) footprints ---------------- *)
 

@@ -156,7 +156,7 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
       S.create graph (fun v ->
           let s = P.init graph v in
           let a = P.alarm s in
-          peak := Int.max !peak (P.bits s);
+          peak := Int.max !peak (P.bits graph v s);
           alarm_flags.(v) <- a;
           if a then incr alarms;
           s)
@@ -296,7 +296,7 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
     end
 
   let put t ~round ~cause v s' =
-    apply_write t ~round ~cause v ~bits:(P.bits s') ~alarm:(P.alarm s') (Put s');
+    apply_write t ~round ~cause v ~bits:(P.bits t.graph v s') ~alarm:(P.alarm s') (Put s');
     dirty_neighbourhood t v
 
   let set_state t v s = put t ~round:t.rounds ~cause:Trace.Init v s
@@ -316,7 +316,7 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
         if not rd.changed then wasted.(w) <- wasted.(w) + 1
         else begin
           S.stage t.store v s';
-          t.new_bits.(v) <- P.bits s';
+          t.new_bits.(v) <- P.bits t.graph v s';
           let part =
             match cap with
             | None -> 0
@@ -496,7 +496,7 @@ module Make (P : Protocol.S) = struct
     Array.blit snapshot 0 live 0 n;
     t.alarm_count <- 0;
     for v = 0 to n - 1 do
-      let a = P.alarm live.(v) and b = P.bits live.(v) in
+      let a = P.alarm live.(v) and b = P.bits t.graph v live.(v) in
       t.alarm_flags.(v) <- a;
       if a then t.alarm_count <- t.alarm_count + 1;
       if b > t.peak_bits then t.peak_bits <- b;

@@ -36,8 +36,12 @@ module type S = sig
   val alarm : state -> bool
   (** Whether the node is currently raising an alarm ("outputting no"). *)
 
-  val bits : state -> int
-  (** Serialized size of the register in bits, via {!Memory}. *)
+  val bits : Graph.t -> int -> state -> int
+  (** [bits g v s] is the serialized size of node [v]'s register [s] in
+      bits, via {!Memory}.  It takes [g] and [v] as [init] and [step] do,
+      so a protocol may look up the size of a part it shares with a
+      per-instance table; the count must still be that of [s]'s own
+      content. *)
 
   val corrupt : Random.State.t -> Graph.t -> int -> state -> state
   (** Adversarial fault: an arbitrary perturbation of the register used by

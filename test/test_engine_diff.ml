@@ -24,7 +24,7 @@ module Flood = struct
 
   let alarm _ = false
   let equal (a : state) (b : state) = a = b
-  let bits s = Ssmst_sim.Memory.of_int s.best + Ssmst_sim.Memory.of_nat s.hops
+  let bits _g _v s = Ssmst_sim.Memory.of_int s.best + Ssmst_sim.Memory.of_nat s.hops
   let corrupt st _ _ (s : state) = { s with best = Random.State.int st 4096 }
 
   let corrupt_field st _ _ (s : state) =

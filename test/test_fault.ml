@@ -99,7 +99,7 @@ module Toy = struct
   let step _ _ s _ = s
   let alarm _ = false
   let equal (x : state) (y : state) = x = y
-  let bits s = Memory.of_int s.a + Memory.of_nat s.b
+  let bits _g _v s = Memory.of_int s.a + Memory.of_nat s.b
   let corrupt st _ _ _ = { a = Random.State.int st 4096; b = Random.State.int st 4096 }
   let corrupt_field st _ _ s = { s with b = 1 + Random.State.int st 64 }
   let field_names = [| "a"; "b" |]
@@ -197,7 +197,7 @@ module Watcher = struct
   let step _ _ s _ = s
   let alarm s = s
   let equal = Bool.equal
-  let bits _ = 1
+  let bits _ _ _ = 1
   let corrupt _ _ _ _ = true
   let corrupt_field _ _ _ (_ : state) = true
   let field_names = [| "alarmed" |]

@@ -798,7 +798,7 @@ let run_network_audit (type s) name
   let net = Net.create g in
   Net.run net Scheduler.Sync ~rounds;
   assert_compact name g ~bound_of
-    ~bits_of:(fun v -> P.bits (Net.state net v))
+    ~bits_of:(fun v -> P.bits g v (Net.state net v))
     ~peak:(Net.peak_bits net)
 
 let test_compactness_matrix () =

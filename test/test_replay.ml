@@ -34,7 +34,7 @@ module Flood = struct
 
   let alarm _ = false
   let equal (a : state) (b : state) = a = b
-  let bits s = Memory.of_int s.best + Memory.of_nat s.hops
+  let bits _g _v s = Memory.of_int s.best + Memory.of_nat s.hops
   let corrupt st _ _ (s : state) = { s with best = Random.State.int st 4096 }
 
   let corrupt_field st _ _ (s : state) =
@@ -57,7 +57,7 @@ module Watch = struct
 
   let alarm s = s.alarmed
   let equal (a : state) (b : state) = a = b
-  let bits s = Memory.of_int s.value + 1
+  let bits _g _v s = Memory.of_int s.value + 1
   let corrupt _ _ _ (s : state) = { value = s.value + 1; alarmed = false }
   let corrupt_field = corrupt
   let field_names = [| "value"; "alarmed" |]

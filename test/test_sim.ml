@@ -14,7 +14,7 @@ module Flood = struct
 
   let alarm s = s.alarmed
   let equal (a : state) (b : state) = a = b
-  let bits s = Memory.of_int s.best + Memory.of_bool
+  let bits _g _v s = Memory.of_int s.best + Memory.of_bool
   let corrupt st _ _ s = { s with best = Random.State.int st 1000 }
   let corrupt_field st _ _ s = { s with best = Random.State.int st 1000 }
   let field_names = [| "best"; "alarmed" |]

@@ -24,7 +24,7 @@ module Sync_bfs = struct
 
   let alarm _ = false
   let equal (a : state) (b : state) = a = b
-  let bits s = Memory.of_int (min s.dist 1000000) + Memory.of_nat s.round
+  let bits _g _v s = Memory.of_int (min s.dist 1000000) + Memory.of_nat s.round
   let corrupt _ _ _ s = s
   let corrupt_field _ _ _ s = s
   let field_names = [| "dist"; "round" |]
@@ -86,7 +86,7 @@ module Alarmer = struct
   let step _ _ s _ = { s with steps = s.steps + 1; alarmed = s.alarmed }
   let alarm s = s.alarmed
   let equal (a : state) (b : state) = a = b
-  let bits s = Memory.of_int s.id + Memory.of_nat s.steps + 1
+  let bits _g _v s = Memory.of_int s.id + Memory.of_nat s.steps + 1
   let corrupt _ _ _ s = { s with alarmed = true }
   let corrupt_field _ _ _ s = { s with alarmed = true }
   let field_names = [| "id"; "steps"; "alarmed" |]

@@ -167,7 +167,7 @@ module Watch = struct
 
   let alarm s = s.alarmed
   let equal (a : state) (b : state) = a = b
-  let bits s = Memory.of_int s.value + 1
+  let bits _g _v s = Memory.of_int s.value + 1
   let corrupt st _ _ (s : state) = { s with value = 1 + Random.State.int st 100 }
   let corrupt_field st _ _ (s : state) = { s with value = 1 + Random.State.int st 100 }
   let field_names = [| "value"; "alarmed" |]
@@ -231,7 +231,7 @@ module Flood = struct
 
   let alarm _ = false
   let equal (a : state) (b : state) = a = b
-  let bits s = Memory.of_int s.best
+  let bits _g _v s = Memory.of_int s.best
   let corrupt st _ _ _ = { best = Random.State.int st 64 }
   let corrupt_field st _ _ _ = { best = Random.State.int st 64 }
   let field_names = [| "best" |]

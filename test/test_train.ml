@@ -36,27 +36,35 @@ let sync_round (m : Marker.t) sim ~member_flags =
   let snapshot = sim.states in
   let read v = List.assoc v snapshot in
   let g = m.graph in
-  let new_states =
-    List.map
-      (fun (v, st) ->
-        let lbl = sim.labels v in
-        let parent =
-          match Tree.parent sim.tree v with Some p when in_part p -> Some p | Some _ | None -> None
-        in
-        let children = Array.of_list (List.filter in_part (Tree.children sim.tree v)) in
-        let strings = m.labels.(v).Marker.strings in
-        let flag_rule (pc : Pieces.t) ~parent_flag =
+  (* the context of a node's step is the node itself *)
+  let side =
+    {
+      Train.part = sim.labels;
+      train = read;
+      flag_rule =
+        (fun v (pc : Pieces.t) ~parent_flag ->
+          let strings = m.labels.(v).Marker.strings in
           if pc.Pieces.level >= strings.Labels.len then false
           else
             match strings.Labels.roots.(pc.Pieces.level) with
             | Labels.R1 -> Graph.id g v = pc.Pieces.root_id
             | Labels.R0 -> parent_flag
-            | Labels.RStar -> false
+            | Labels.RStar -> false);
+      member = (fun _ (pc : Pieces.t) ~flag -> if member_flags then flag else pc.Pieces.level >= 0);
+      ordered = false;
+    }
+  in
+  let new_states =
+    List.map
+      (fun (v, st) ->
+        let lbl = sim.labels v in
+        let nbr =
+          match Tree.parent sim.tree v with Some p when in_part p -> [| p |] | Some _ | None -> [||]
         in
-        let member (pc : Pieces.t) ~flag = if member_flags then flag else pc.Pieces.level >= 0 in
+        let children = Array.of_list (List.filter in_part (Tree.children sim.tree v)) in
         ( v,
-          Train.step ~side:{ Train.part = sim.labels; train = read } ~lbl ~parent ~children
-            ~flag_rule ~member ~required:0 ~ordered:false ~hold:false st ))
+          Train.step side v ~lbl ~required:0 ~nbr ~pport:(Array.length nbr - 1) ~children
+            ~hold:false st ))
       sim.states
   in
   sim.states <- new_states

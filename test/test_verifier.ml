@@ -323,6 +323,70 @@ let test_table_and_derived_views_agree () =
         ])
     (table_instances ())
 
+(* (c) the write path's size is the register's own: [P.bits] equals
+   the sum of its fields counted from scratch, whether the label is the
+   marker's record (whose count the table keeps), a fault's fresh record,
+   a copy rebuilt outside, or an image unpacked from the flat store *)
+let reference_bits (s : Verifier.state) =
+  let c = s.Verifier.cmp in
+  Marker.label_bits s.Verifier.label
+  + Train.bits s.Verifier.train_top + Train.bits s.Verifier.train_bot
+  + Memory.of_int c.Verifier.ask_level
+  + Memory.of_option Pieces.bits c.Verifier.ask
+  + Memory.of_nat c.Verifier.port
+  + Memory.of_option (fun (srv, lvl) -> Memory.of_int srv + Memory.of_nat lvl) c.Verifier.want
+  + Memory.of_nat c.Verifier.window + 1
+
+let test_bits_match_reference () =
+  List.iter
+    (fun (family, m) ->
+      let g = m.Marker.graph in
+      List.iter
+        (fun (mode, daemon) ->
+          let module C = struct
+            let marker = m
+            let mode = mode
+          end in
+          let module P = Verifier.Make (C) in
+          let module Net = Network.Make (P) in
+          let module Flat = Network.Flat (P) in
+          let check what v s =
+            let got = P.bits g v s and want = reference_bits s in
+            if got <> want then Alcotest.failf "%s, %s: node %d counts %d bits, not %d" family what v got want
+          in
+          let n = Graph.n g in
+          for v = 0 to n - 1 do
+            check "marker register" v (P.init g v)
+          done;
+          let net = Net.create g and flat = Flat.create g in
+          let settle = 2 * Verifier.window_bound m.Marker.labels.(0) in
+          Net.run net daemon ~rounds:settle;
+          Flat.run flat daemon ~rounds:settle;
+          let st = Gen.rng 1205 in
+          for v = 0 to n - 1 do
+            let s = Net.state net v in
+            let l = s.Verifier.label in
+            check "settled register" v s;
+            check "flat register" v (Flat.state flat v);
+            check "corrupt" v (P.corrupt st g v s);
+            check "corrupt_field" v (P.corrupt_field st g v s);
+            Option.iter (check "corrupt_piece_weight" v) (P.corrupt_piece_weight st s);
+            check "equal label copy" v { s with label = { l with Marker.sp_root = l.Marker.sp_root } };
+            check "changed label copy" v
+              { s with label = { l with Marker.nk_sub = l.Marker.nk_sub + 1000 } }
+          done;
+          (* and every register of a run that is recovering from a burst *)
+          ignore (Net.inject net st (Fault.make ~severity:Fault.Corrupt_random ~count:4 ()));
+          Net.run net daemon ~rounds:5;
+          for v = 0 to n - 1 do
+            check "after a burst" v (Net.state net v)
+          done)
+        [
+          (Verifier.Passive, Scheduler.Sync);
+          (Verifier.Handshake, Scheduler.Async_random (Gen.rng 1206));
+        ])
+    (table_instances ())
+
 let suite =
   [
     Alcotest.test_case "accepts correct instances (sync)" `Quick test_accept_sync;
@@ -340,4 +404,6 @@ let suite =
       test_faults_never_edit_marker_labels;
     Alcotest.test_case "table and derived views step alike" `Quick
       test_table_and_derived_views_agree;
+    Alcotest.test_case "register bits = the fields counted afresh" `Quick
+      test_bits_match_reference;
   ]

@@ -45,6 +45,19 @@ let test_bit_length_matches_float () =
   for k = 1 to 40 do
     List.iter agree [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]
   done;
+  (* beyond the float formula's range: the count of binary digits *)
+  let digits x =
+    let rec go n x = if x = 0 then n else go (n + 1) (x lsr 1) in
+    if x <= 0 then 1 else go 0 x
+  in
+  for k = 0 to 61 do
+    List.iter
+      (fun x -> Alcotest.(check int) (Fmt.str "bit_length %d" x) (digits x) (Weight.bit_length x))
+      [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1; (1 lsl (k + 1)) - 1 ]
+  done;
+  List.iter
+    (fun x -> Alcotest.(check int) (Fmt.str "bit_length %d" x) (digits x) (Weight.bit_length x))
+    [ max_int; min_int; -1 ];
   let w = Weight.make ~base:((1 lsl 33) + 5) ~in_tree:false ~id_u:1023 ~id_v:1024 in
   Alcotest.(check int) "bits sums the components" (34 + 1 + 10 + 11) (Weight.bits w)
 
