@@ -1280,7 +1280,7 @@ let fig_scale () =
       sizes
   in
   let within = List.for_all fst results in
-  write_artifact ~pr:6 ~within_budget:within
+  write_artifact ~pr:34 ~within_budget:within
     (List.concat_map snd results
     @ [
         row ~gated:true "SCALE" "rounds" "rounds" (float_of_int rounds);

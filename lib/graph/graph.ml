@@ -34,16 +34,19 @@ let id t v = t.ids.(v)
 let degree t v = t.off.(v + 1) - t.off.(v)
 let neighbours t v = Array.sub t.peers t.off.(v) (degree t v)
 
-let check_port t v p =
-  if p < 0 || p >= degree t v then invalid_arg "Graph.port: port out of range"
-
+(* Port [p] of [v] is half-edge [off.(v) + p]: one range check against the
+   row, then one array load. *)
 let peer_at t v p =
-  check_port t v p;
-  t.peers.(t.off.(v) + p)
+  let base = t.off.(v) in
+  if p < 0 || p >= t.off.(v + 1) - base then invalid_arg "Graph.port: port out of range";
+  t.peers.(base + p)
 
 let weight_at t v p =
-  check_port t v p;
-  t.wts.(t.off.(v) + p)
+  let base = t.off.(v) in
+  if p < 0 || p >= t.off.(v + 1) - base then invalid_arg "Graph.port: port out of range";
+  t.wts.(base + p)
+
+let csr t = (t.off, t.peers)
 
 (* Zero-allocation iteration over a node's ports: [f port peer] in port
    order.  This is the hot read path of every protocol step. *)

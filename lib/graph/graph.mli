@@ -75,10 +75,21 @@ val port_to : t -> int -> int -> int
     O(log deg) binary search over the peer-sorted port index. *)
 
 val peer_at : t -> int -> int -> int
-(** [peer_at g u p] is the node at the other end of [u]'s port [p]. *)
+(** [peer_at g u p] is the node at the other end of [u]'s port [p].
+    @raise Invalid_argument ["Graph.port: port out of range"] unless
+    [0 <= p < degree g u]. *)
 
 val weight_at : t -> int -> int -> int
-(** [weight_at g u p] is the base weight of [u]'s port [p]. *)
+(** [weight_at g u p] is the base weight of [u]'s port [p].
+    @raise Invalid_argument ["Graph.port: port out of range"] unless
+    [0 <= p < degree g u], as {!peer_at}. *)
+
+val csr : t -> int array * int array
+(** [csr g] is [(off, peers)], the CSR row offsets and peers themselves:
+    [u]'s port [p] leads to [peers.(off.(u) + p)] for
+    [0 <= p < off.(u + 1) - off.(u)].  Read-only: for an engine that
+    resolves ports on its hot path without a call per read.  Writing to
+    either array corrupts the graph. *)
 
 val has_edge : t -> int -> int -> bool
 (** O(log deg) binary search over the peer-sorted port index. *)

@@ -28,22 +28,25 @@ module P = struct
   let step g v (_self : state) read =
     let n = Graph.n g in
     let my_id = Graph.id g v in
-    (* best (leader, dist) among neighbours with a legal distance; one
-       read per port *)
-    let best = ref None in
-    Graph.iter_ports g v (fun p u ->
-        let s = read p in
-        if s.dist < n then
-          match !best with
-          | Some (l, d, _) when l > s.leader || (l = s.leader && d <= s.dist) -> ()
-          | _ -> best := Some (s.leader, s.dist, u));
-    match !best with
-    | Some (l, d, u) when l > my_id -> { leader = l; dist = d + 1; parent = u }
-    | Some _ | None -> { leader = my_id; dist = 0; parent = -1 }
+    (* best (leader, dist) among neighbours with a legal distance, the
+       first port winning ties; one read per port, [bp < 0] while none *)
+    let bl = ref 0 and bd = ref 0 and bp = ref (-1) in
+    for p = 0 to Graph.degree g v - 1 do
+      let s = read p in
+      if s.dist < n && (!bp < 0 || s.leader > !bl || (s.leader = !bl && s.dist < !bd)) then begin
+        bl := s.leader;
+        bd := s.dist;
+        bp := p
+      end
+    done;
+    if !bp >= 0 && !bl > my_id then
+      { leader = !bl; dist = !bd + 1; parent = Graph.peer_at g v !bp }
+    else { leader = my_id; dist = 0; parent = -1 }
 
   let alarm _ = false
 
-  let equal (a : state) (b : state) = a = b
+  let equal (a : state) (b : state) =
+    a.leader = b.leader && a.dist = b.dist && a.parent = b.parent
 
   let bits _g _v s = Memory.of_int s.leader + Memory.of_int s.dist + Memory.of_int s.parent
 

@@ -85,14 +85,17 @@ module Packed (P : Protocol.PACKED) = struct
     if Array.length st.scratch <> Array.length st.regs then
       st.scratch <- Array.make (Array.length st.regs) 0
 
-  (* the codec may leave slice words untouched: seed the staged slice from
-     the live register so the commit blit is exact *)
-  let stage st v s =
-    let off = v * st.words in
-    Array.blit st.regs off st.scratch off st.words;
-    P.pack st.graph v s st.scratch off
+  (* [pack] writes its whole slice (the {!Protocol.CODEC} contract), so
+     the staged slice needs no seeding from the live register *)
+  let stage st v s = P.pack st.graph v s st.scratch (v * st.words)
 
-  let commit st v = Array.blit st.scratch (v * st.words) st.regs (v * st.words) st.words
+  (* [Array.blit] into the major-heap register file takes the write
+     barrier word by word; an int-typed loop is plain stores *)
+  let commit st v =
+    let off = v * st.words in
+    for i = off to off + st.words - 1 do
+      st.regs.(i) <- st.scratch.(i)
+    done
 end
 
 (* ------------------------------------------------------------------ *)
@@ -110,6 +113,8 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
 
   type t = {
     graph : Graph.t;
+    off : int array;  (* the graph's CSR rows ({!Graph.csr}): a read is one load *)
+    peers : int array;
     store : S.t;  (* live registers; mutate via [apply_write] only *)
     mutable rounds : int;  (* ideal time elapsed *)
     mutable peak_bits : int;
@@ -142,8 +147,8 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
   (* A changed register invalidates its node's and every neighbour's next step. *)
   let dirty_neighbourhood t v =
     mark_dirty t v;
-    for p = 0 to Graph.degree t.graph v - 1 do
-      mark_dirty t (Graph.peer_at t.graph v p)
+    for i = t.off.(v) to t.off.(v + 1) - 1 do
+      mark_dirty t t.peers.(i)
     done
 
   let emit t e = match t.trace with None -> () | Some tr -> Trace.record tr e
@@ -163,7 +168,8 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
     in
     let metrics = Metrics.create () in
     metrics.Metrics.peak_bits <- !peak;
-    { graph; store; rounds = 0; peak_bits = !peak; frontier = Frontier.create n;
+    let off, peers = Graph.csr graph in
+    { graph; off; peers; store; rounds = 0; peak_bits = !peak; frontier = Frontier.create n;
       alarm_flags; alarm_count = !alarms; last_write = Array.make n 0; metrics; trace;
       round_hook = None; write_hook = None; domains = max 1 domains; tags = Bytes.empty;
       new_bits = [||]; read_stamp = 0; capture = None }
@@ -199,17 +205,18 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
   (* One domain's stepper, built once per worker range or async round:
      [step v ~stamp] activates [v] against the live registers and returns
      the new register ([rd.changed] iff it differs).  A read names a port
-     of [v] and resolves through the CSR row in O(1); a port outside
-     [0, degree v) names no neighbour.  When captured, each distinct port
+     of [v]: [rd] caches the row's start [base] next to [deg], so [read p]
+     is one range check and one load of [peers.(base + p)]; a port outside
+     [0, deg) names no neighbour.  When captured, each distinct port
      read is stamped in worker [w]'s marks with the activation's unique
      [stamp] and counted in [rd]. *)
   type reader = {
-    mutable node : int; mutable deg : int; mutable stamp : int; mutable distinct : int;
+    mutable base : int; mutable deg : int; mutable stamp : int; mutable distinct : int;
     mutable changed : bool; marks : int array }
 
   let stepper t cap w =
     let marks = match cap with None -> [||] | Some (c : capture) -> c.marks.(w) in
-    let rd = { node = 0; deg = 0; stamp = 0; distinct = 0; changed = false; marks } in
+    let rd = { base = 0; deg = 0; stamp = 0; distinct = 0; changed = false; marks } in
     let tracking = Option.is_some cap in
     let read p =
       if p < 0 || p >= rd.deg then invalid_arg "Network.step: reading a non-neighbour";
@@ -217,11 +224,12 @@ module Core (P : Protocol.S) (S : STORE with type state = P.state) = struct
         marks.(p) <- rd.stamp;
         rd.distinct <- rd.distinct + 1
       end;
-      S.get t.store (Graph.peer_at t.graph rd.node p)
+      S.get t.store t.peers.(rd.base + p)
     in
     let step v ~stamp =
-      rd.node <- v;
-      rd.deg <- Graph.degree t.graph v;
+      let base = t.off.(v) in
+      rd.base <- base;
+      rd.deg <- t.off.(v + 1) - base;
       rd.stamp <- stamp;
       rd.distinct <- 0;
       let own = S.get t.store v in

@@ -98,7 +98,8 @@ module type CODEC = sig
 
   val pack : Graph.t -> int -> state -> int array -> int -> unit
   (** [pack g v s buf off] serializes [s] into [buf.(off) ..
-      buf.(off + words g - 1)]. *)
+      buf.(off + words g - 1)], writing every word of that slice and none
+      outside it: the packed store stages into a slice it does not seed. *)
 
   val unpack : Graph.t -> int -> int array -> int -> state
   (** [unpack g v buf off] is the inverse of [pack]. *)

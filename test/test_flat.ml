@@ -8,7 +8,8 @@ open Ssmst_protocols
 
    1. codec round trips — [unpack (pack s)] is [P.equal]-identical to [s]
       for every engine-reachable state (init, stepped, corrupted under both
-      severities), [pack] is deterministic and stays inside its slice;
+      severities), [pack] is deterministic, writes every word of its slice
+      and stays inside it;
    2. layout descriptors — [field_offsets] is aligned index-for-index with
       [field_names], monotone and within the word budget;
    3. the three-way differential — {!Network.Flat} stays bit-identical to
@@ -33,7 +34,9 @@ module Codec_check (P : Protocol.PACKED) = struct
     done
 
   (* Pack at a non-zero offset into a sentinel-filled buffer: catches both
-     failed round trips and out-of-slice writes. *)
+     failed round trips and out-of-slice writes.  Packing the same state
+     over a second sentinel must give the same slice, so [pack] writes
+     every word of it: the packed store stages into an unseeded slice. *)
   let round_trip g v s =
     let w = P.words g in
     let off = 2 + (v mod 3) in
@@ -44,6 +47,10 @@ module Codec_check (P : Protocol.PACKED) = struct
     done;
     if buf.(off + w) <> -77 || buf.(off + w + 1) <> -77 then
       Alcotest.fail "pack wrote past its slice";
+    let other = Array.make (off + w + 2) 0x5eed in
+    P.pack g v s other off;
+    if Array.sub buf off w <> Array.sub other off w then
+      Alcotest.failf "pack left a word of its slice unwritten at node %d" v;
     let s' = P.unpack g v buf off in
     if not (P.equal s s') then Alcotest.failf "round trip not identity at node %d" v;
     let buf2 = Array.make (off + w + 2) (-77) in

@@ -22,6 +22,22 @@ let test_ports () =
   Alcotest.(check int) "peer via port" 1 (Graph.peer_at g 0 p01);
   Alcotest.(check int) "peer via reverse port" 0 (Graph.peer_at g 1 p10)
 
+(* a port outside [0, degree) names no edge, at either end of the row *)
+let test_port_range () =
+  let g = Graph.of_edges ~n:4 [ (0, 1, 5); (1, 2, 3); (0, 2, 7); (2, 3, 1) ] in
+  let raises = Invalid_argument "Graph.port: port out of range" in
+  for v = 0 to Graph.n g - 1 do
+    List.iter
+      (fun p ->
+        Alcotest.check_raises (Fmt.str "peer_at %d %d" v p) raises (fun () ->
+            ignore (Graph.peer_at g v p));
+        Alcotest.check_raises (Fmt.str "weight_at %d %d" v p) raises (fun () ->
+            ignore (Graph.weight_at g v p)))
+      [ -1; Graph.degree g v ]
+  done;
+  Alcotest.(check int) "last port of node 2" 3 (Graph.peer_at g 2 (Graph.degree g 2 - 1));
+  Alcotest.(check int) "last weight of node 2" 1 (Graph.weight_at g 2 (Graph.degree g 2 - 1))
+
 let test_malformed () =
   let raises f = try ignore (f ()); false with Graph.Malformed _ -> true in
   Alcotest.(check bool) "self loop" true (raises (fun () -> Graph.of_edges ~n:2 [ (0, 0, 1) ]));
@@ -61,6 +77,7 @@ let suite =
   [
     Alcotest.test_case "basic accessors" `Quick test_basic;
     Alcotest.test_case "port numbering" `Quick test_ports;
+    Alcotest.test_case "ports out of range rejected" `Quick test_port_range;
     Alcotest.test_case "malformed inputs rejected" `Quick test_malformed;
     Alcotest.test_case "custom identities" `Quick test_ids;
     Alcotest.test_case "disconnected detection" `Quick test_disconnected;

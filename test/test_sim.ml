@@ -53,22 +53,44 @@ let test_adversarial_convergence () =
   let _, reached = Net.run_until net daemon ~max_rounds:200 (fun n -> all_agree n g) in
   Alcotest.(check bool) "converged under adversarial daemon" true reached
 
-let test_neighbour_read_guard () =
-  (* reading a port the node does not have must be rejected by the harness *)
-  let module Bad = struct
-    include Flood
+(* reading a port the node does not have must be rejected by the harness,
+   on both register stores, past either end of the row *)
+module Bad_reader (Port : sig
+  val port : Graph.t -> int -> int
+end) =
+struct
+  include Flood
 
-    let step g v (s : state) read =
-      ignore (read ((v + 2) mod Graph.n g));
-      ignore g;
-      s
-  end in
-  let module BadNet = Network.Make (Bad) in
-  let st = Gen.rng 15 in
-  let g = Gen.path st 8 in
-  let net = BadNet.create g in
-  Alcotest.check_raises "guard" (Invalid_argument "Network.step: reading a non-neighbour")
-    (fun () -> BadNet.sync_round net)
+  let step g v (s : state) read =
+    ignore (read (Port.port g v));
+    s
+
+  let words _ = 2
+  let field_offsets _ = [| 0; 1 |]
+
+  let pack _ _ (s : state) buf off =
+    buf.(off) <- s.best;
+    buf.(off + 1) <- Bool.to_int s.alarmed
+
+  let unpack _ _ buf off = { best = buf.(off); alarmed = buf.(off + 1) <> 0 }
+end
+
+let test_neighbour_read_guard () =
+  let guard name port =
+    let module Bad = Bad_reader (struct
+      let port = port
+    end) in
+    let module Boxed = Network.Make (Bad) in
+    let module Packed = Network.Flat (Bad) in
+    let g = Gen.path (Gen.rng 15) 8 in
+    let raises = Invalid_argument "Network.step: reading a non-neighbour" in
+    Alcotest.check_raises (name ^ " on Make") raises (fun () ->
+        Boxed.sync_round (Boxed.create g));
+    Alcotest.check_raises (name ^ " on Flat") raises (fun () ->
+        Packed.sync_round (Packed.create g))
+  in
+  guard "port (v + 2) mod n" (fun g v -> (v + 2) mod Graph.n g);
+  guard "port -1" (fun _ _ -> -1)
 
 let test_fault_injection () =
   let st = Gen.rng 16 in
