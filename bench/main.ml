@@ -4,7 +4,10 @@
    contracts, each writing its rows to one BENCH_PR<N>.json schema.
 
    Run with: dune exec bench/main.exe            (all experiments)
-             dune exec bench/main.exe -- T1 F-DT (a subset) *)
+             dune exec bench/main.exe -- T1 F-CT (a subset)
+
+   The paper's detection-time, detection-distance and register-size
+   bounds are checked by [msst report bounds], not here. *)
 
 open Ssmst_graph
 open Ssmst_sim
@@ -102,222 +105,6 @@ let table2 () =
   let vw = Labels.view_of_tree m.tree labels in
   let ok = List.for_all (fun v -> Labels.check_view vw v = []) (List.init 18 Fun.id) in
   Fmt.pr "@.RS0-RS5 and EPS0-EPS5 legality of all strings: %b@." ok
-
-(* ==================================================================== *)
-(* F-DT — detection time vs n (Theorem 8.5)                              *)
-(* ==================================================================== *)
-
-let live_piece_targets (m : Marker.t) =
-  (* (node, which part, own-index, level) of every *live* stored piece: one
-     whose fragment actually intersects the part carrying it.  Corrupting a
-     dead-cargo piece (an ancestor of a split part's red seed that misses
-     the part entirely) is semantically null and correctly ignored by the
-     verifier. *)
-  let g = m.Marker.graph in
-  let fragment_of (pc : Pieces.t) =
-    Array.to_list m.Marker.hierarchy.Fragment.frags
-    |> List.find_opt (fun (f : Fragment.t) ->
-           f.Fragment.level = pc.Pieces.level && Graph.id g f.Fragment.root = pc.Pieces.root_id)
-  in
-  let acc = ref [] in
-  Array.iteri
-    (fun v (_ : Marker.node_label) ->
-      let l = m.Marker.labels.(v) in
-      let consider which (pl : Partition.node_part_label) part_ix =
-        let part = m.Marker.assignment.Partition.parts.(part_ix) in
-        Array.iteri
-          (fun k (pc : Pieces.t) ->
-            match fragment_of pc with
-            | Some f
-              when List.exists (fun u -> Fragment.mem f u) part.Partition.members ->
-                acc := (v, which, k, pc.Pieces.level) :: !acc
-            | Some _ | None -> ())
-          pl.Partition.own
-      in
-      consider `Top l.Marker.top m.Marker.assignment.Partition.top_of.(v);
-      consider `Bottom l.Marker.bot m.Marker.assignment.Partition.bot_of.(v))
-    m.Marker.labels;
-  !acc
-
-let semantic_fault_at rng (m : Marker.t) =
-  (* prefer the highest-level live piece: the Ask cycle reaches it last *)
-  match live_piece_targets m with
-  | [] -> None
-  | targets ->
-      let best = List.fold_left (fun acc (_, _, _, l) -> max acc l) (-1) targets in
-      let top_targets = List.filter (fun (_, _, _, l) -> l >= max 1 (best - 1)) targets in
-      let pick = if top_targets = [] then targets else top_targets in
-      Some (List.nth pick (Random.State.int rng (List.length pick)))
-
-let corrupt_live_piece rng (s : Verifier.state) which k =
-  let bump (pl : Partition.node_part_label) =
-    let own = Array.copy pl.Partition.own in
-    let w = own.(k).Pieces.weight in
-    own.(k) <-
-      {
-        (own.(k)) with
-        Pieces.weight = { w with Weight.base = w.Weight.base + 1 + Random.State.int rng 7 };
-      };
-    { pl with Partition.own = own }
-  in
-  let label =
-    match which with
-    | `Top -> { s.Verifier.label with Marker.top = bump s.Verifier.label.Marker.top }
-    | `Bottom -> { s.Verifier.label with Marker.bot = bump s.Verifier.label.Marker.bot }
-  in
-  { s with Verifier.label; cmp = Verifier.cmp_init; alarm = false }
-
-let detection_sample ~mode ~daemon ~seed n =
-  let st = Gen.rng seed in
-  let g = Gen.random_connected st n in
-  let m = Marker.run g in
-  let module N = Verifier_campaign.Net (struct
-    let marker = m
-    let mode = mode
-  end) in
-  let net = N.create g in
-  N.settle net daemon;
-  if N.any_alarm net then None
-  else
-    let rng = Gen.rng (seed + 1) in
-    match semantic_fault_at rng m with
-    | None -> None
-    | Some (v, which, k, _) -> (
-        N.set_state net v (corrupt_live_piece rng (N.state net v) which k);
-        match N.detection_time net daemon ~max_rounds:200000 with
-        | Some dt -> Some (dt, N.detection_distance net ~faults:[ v ])
-        | None -> None)
-
-let fig_detection_time () =
-  header "F-DT — detection time after a semantic fault (sync O(log^2 n); Thm 8.5)";
-  Fmt.pr "%-6s %-8s %8s %8s %14s %10s@." "n" "log2 n" "avg" "max" "max/log^2n" "samples";
-  line ();
-  List.iter
-    (fun n ->
-      let samples =
-        List.filter_map
-          (fun i -> detection_sample ~mode:Verifier.Passive ~daemon:Scheduler.Sync ~seed:(4000 + n + i) n)
-          [ 0; 1; 2; 3; 4 ]
-      in
-      match samples with
-      | [] -> Fmt.pr "%-6d (no detectable semantic fault found)@." n
-      | _ ->
-          let dts = List.map (fun (dt, _) -> dt) samples in
-          let avg = float_of_int (List.fold_left ( + ) 0 dts) /. float_of_int (List.length dts) in
-          let worst = List.fold_left max 0 dts in
-          let l = float_of_int (logn n) in
-          Fmt.pr "%-6d %-8d %8.0f %8d %14.1f %10d@." n (logn n) avg worst
-            (float_of_int worst /. (l *. l))
-            (List.length samples))
-    [ 16; 32; 64; 128; 256; 512 ];
-  Fmt.pr "shape check: rounds/log^2 n should stay bounded as n grows.@."
-
-(* ==================================================================== *)
-(* F-ASY — sync vs async detection (Lemmas 7.5 / 7.6)                    *)
-(* ==================================================================== *)
-
-let ask_cycle_time ~mode ~daemon ~seed n =
-  (* rounds for the maximum-degree node to complete one full Ask cycle:
-     the quantity bounded by O(log^2 n) sync / O(Delta log^3 n) async *)
-  let st = Gen.rng seed in
-  let g = Gen.random_connected st n in
-  let m = Marker.run g in
-  let module N = Verifier_campaign.Net (struct
-    let marker = m
-    let mode = mode
-  end) in
-  let net = N.create g in
-  (* highest-degree node that iterates at least two comparison levels (a
-     single-level node never changes ask_level, so no cycle is observable) *)
-  let levels_of u =
-    let l = m.Marker.labels.(u).Marker.strings in
-    let ell = l.Labels.len - 1 in
-    List.length
-      (List.filter (fun j -> l.Labels.roots.(j) <> Labels.RStar) (List.init (max 0 ell) Fun.id))
-  in
-  let v = ref (-1) in
-  for u = 0 to n - 1 do
-    if levels_of u >= 2 && (!v < 0 || Graph.degree g u > Graph.degree g !v) then v := u
-  done;
-  if !v < 0 then None
-  else begin
-  let v = !v in
-  N.run net daemon ~rounds:(4 * Verifier.window_bound m.labels.(0));
-  let first_level = (N.state net v).Verifier.cmp.Verifier.ask_level in
-  if first_level < 0 then None
-  else begin
-    (* wait to leave the level, then time the return to it *)
-    let budget = ref 300_000 and phase = ref `Leave and start = ref 0 and answer = ref None in
-    while !answer = None && !budget > 0 do
-      N.round net daemon;
-      decr budget;
-      let lvl = (N.state net v).Verifier.cmp.Verifier.ask_level in
-      match !phase with
-      | `Leave -> if lvl <> first_level then (phase := `Return; start := N.rounds net)
-      | `Return -> if lvl = first_level then answer := Some (N.rounds net - !start)
-    done;
-    !answer
-  end
-  end
-
-let fig_async_gap () =
-  header "F-ASY — Ask-cycle time: synchronous passive vs asynchronous handshake";
-  Fmt.pr "%-6s %-6s %-8s %12s %14s %12s@." "n" "Delta" "log2 n" "sync cycle" "async cycle"
-    "async/sync";
-  line ();
-  List.iter
-    (fun n ->
-      let st = Gen.rng (4600 + n) in
-      let delta = Graph.max_degree (Gen.random_connected st n) in
-      let sync = ask_cycle_time ~mode:Verifier.Passive ~daemon:Scheduler.Sync ~seed:(4600 + n) n in
-      let async =
-        ask_cycle_time ~mode:Verifier.Handshake
-          ~daemon:(Scheduler.Async_random (Gen.rng (4700 + n)))
-          ~seed:(4600 + n) n
-      in
-      match (sync, async) with
-      | Some s, Some a ->
-          Fmt.pr "%-6d %-6d %-8d %12d %14d %12.1f@." n delta (logn n) s a
-            (float_of_int a /. float_of_int s)
-      | _ -> Fmt.pr "%-6d (no cycle observed)@." n)
-    [ 16; 32; 64; 128 ];
-  Fmt.pr
-    "bounds: sync O(log^2 n) (Lemma 7.5) vs async O(Delta log^3 n) (Lemma 7.6).\n\
-     The sync passive mode pays its bound up front (fixed full-cycle windows\n\
-     guarantee passive observation); the async handshake confirms each comparison\n\
-     actively and advances early, so its *typical* cycle is shorter while its\n\
-     worst case is a Delta*log n factor above the synchronous one.@."
-
-(* ==================================================================== *)
-(* F-DD — detection distance vs number of faults f (O(f log n))          *)
-(* ==================================================================== *)
-
-let fig_detection_distance () =
-  header "F-DD — detection distance vs number of faults (O(f log n) locality)";
-  Fmt.pr "%-6s %-6s %14s %14s@." "n" "f" "max distance" "f*log n";
-  line ();
-  let n = 128 in
-  List.iter
-    (fun f ->
-      let st = Gen.rng (4800 + f) in
-      let g = Gen.random_connected st n in
-      let m = Marker.run g in
-      let module N = Verifier_campaign.Net (struct
-        let marker = m
-        let mode = Verifier.Passive
-      end) in
-      let net = N.create g in
-      N.run net Scheduler.Sync ~rounds:600;
-      let faults = N.inject_faults net (Gen.rng (4900 + f)) ~count:f in
-      (match N.detection_time net Scheduler.Sync ~max_rounds:100000 with
-      | Some _ ->
-          let d = N.detection_distance net ~faults in
-          Fmt.pr "%-6d %-6d %14s %14d@." n f
-            (match d with Some x -> string_of_int x | None -> "?")
-            (f * logn n)
-      | None -> Fmt.pr "%-6d %-6d (faults semantically null)@." n f))
-    [ 1; 2; 4; 8; 16 ];
-  Fmt.pr "shape check: the distance column stays below (and scales no faster than) f*log n.@."
 
 (* ==================================================================== *)
 (* F-CT — construction time (Theorem 4.4: SYNC_MST is O(n))              *)
@@ -425,6 +212,87 @@ let ablation_threshold () =
     "the paper's threshold balances part diameter (Top detection latency) against\n\
      bottom-part train length; both extremes inflate one of the columns.@."
 
+(* A2's fault: a semantic corruption of a stored piece. *)
+let live_piece_targets (m : Marker.t) =
+  (* (node, which part, own-index, level) of every *live* stored piece: one
+     whose fragment actually intersects the part carrying it.  Corrupting a
+     dead-cargo piece (an ancestor of a split part's red seed that misses
+     the part entirely) is semantically null and correctly ignored by the
+     verifier. *)
+  let g = m.Marker.graph in
+  let fragment_of (pc : Pieces.t) =
+    Array.to_list m.Marker.hierarchy.Fragment.frags
+    |> List.find_opt (fun (f : Fragment.t) ->
+           f.Fragment.level = pc.Pieces.level && Graph.id g f.Fragment.root = pc.Pieces.root_id)
+  in
+  let acc = ref [] in
+  Array.iteri
+    (fun v (_ : Marker.node_label) ->
+      let l = m.Marker.labels.(v) in
+      let consider which (pl : Partition.node_part_label) part_ix =
+        let part = m.Marker.assignment.Partition.parts.(part_ix) in
+        Array.iteri
+          (fun k (pc : Pieces.t) ->
+            match fragment_of pc with
+            | Some f
+              when List.exists (fun u -> Fragment.mem f u) part.Partition.members ->
+                acc := (v, which, k, pc.Pieces.level) :: !acc
+            | Some _ | None -> ())
+          pl.Partition.own
+      in
+      consider `Top l.Marker.top m.Marker.assignment.Partition.top_of.(v);
+      consider `Bottom l.Marker.bot m.Marker.assignment.Partition.bot_of.(v))
+    m.Marker.labels;
+  !acc
+
+let semantic_fault_at rng (m : Marker.t) =
+  (* prefer the highest-level live piece: the Ask cycle reaches it last *)
+  match live_piece_targets m with
+  | [] -> None
+  | targets ->
+      let best = List.fold_left (fun acc (_, _, _, l) -> max acc l) (-1) targets in
+      let top_targets = List.filter (fun (_, _, _, l) -> l >= max 1 (best - 1)) targets in
+      let pick = if top_targets = [] then targets else top_targets in
+      Some (List.nth pick (Random.State.int rng (List.length pick)))
+
+let corrupt_live_piece rng (s : Verifier.state) which k =
+  let bump (pl : Partition.node_part_label) =
+    let own = Array.copy pl.Partition.own in
+    let w = own.(k).Pieces.weight in
+    own.(k) <-
+      {
+        (own.(k)) with
+        Pieces.weight = { w with Weight.base = w.Weight.base + 1 + Random.State.int rng 7 };
+      };
+    { pl with Partition.own = own }
+  in
+  let label =
+    match which with
+    | `Top -> { s.Verifier.label with Marker.top = bump s.Verifier.label.Marker.top }
+    | `Bottom -> { s.Verifier.label with Marker.bot = bump s.Verifier.label.Marker.bot }
+  in
+  { s with Verifier.label; cmp = Verifier.cmp_init; alarm = false }
+
+(* rounds to the first alarm after one such fault, Passive/Sync *)
+let detection_sample ~seed n =
+  let st = Gen.rng seed in
+  let g = Gen.random_connected st n in
+  let m = Marker.run g in
+  let module N = Verifier_campaign.Net (struct
+    let marker = m
+    let mode = Verifier.Passive
+  end) in
+  let net = N.create g in
+  N.settle net Scheduler.Sync;
+  if N.any_alarm net then None
+  else
+    let rng = Gen.rng (seed + 1) in
+    match semantic_fault_at rng m with
+    | None -> None
+    | Some (v, which, k, _) ->
+        N.set_state net v (corrupt_live_piece rng (N.state net v) which k);
+        N.detection_time net Scheduler.Sync ~max_rounds:200000
+
 (* A2: the comparison window factor.  Windows shorter than a train cycle
    miss comparisons (semantic faults go undetected); longer windows only
    stretch the Ask cycle linearly. *)
@@ -442,19 +310,14 @@ let ablation_window () =
       List.iter
         (fun factor ->
           Verifier.window_factor := factor;
-          let samples =
-            List.filter_map
-              (fun i ->
-                detection_sample ~mode:Verifier.Passive ~daemon:Scheduler.Sync ~seed:(7100 + i) n)
-              [ 0; 1; 2; 3; 4 ]
+          let dts = List.filter_map (fun i -> detection_sample ~seed:(7100 + i) n) [ 0; 1; 2; 3; 4 ]
           in
-          let dts = List.map fst samples in
           let avg =
             match dts with
             | [] -> Float.nan
             | _ -> float_of_int (List.fold_left ( + ) 0 dts) /. float_of_int (List.length dts)
           in
-          Fmt.pr "%-10d %10d / 5 %18.0f@." factor (List.length samples) avg)
+          Fmt.pr "%-10d %10d / 5 %18.0f@." factor (List.length dts) avg)
         [ 2; 5; 10; 20; 40; 80 ]);
   Fmt.pr
     "too-small windows end a level before the neighbours' trains complete a cycle,\n\
@@ -1552,9 +1415,6 @@ let all_experiments =
   [
     ("T1", table1);
     ("T2", table2);
-    ("F-DT", fig_detection_time);
-    ("F-ASY", fig_async_gap);
-    ("F-DD", fig_detection_distance);
     ("F-CT", fig_construction_time);
     ("F-MEM", fig_memory);
     ("F-LB", fig_lower_bound);

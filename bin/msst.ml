@@ -26,17 +26,34 @@ let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Rand
 
 let family_list = String.concat ", " Verifier_campaign.family_names
 
-(* An unknown family is a usage error (exit 2) in every subcommand. *)
-let check_families cmd families =
-  match List.filter (fun f -> not (List.mem f Verifier_campaign.family_names)) families with
+(* A usage error: "msst CMD: <message>" on stderr, exit 2. *)
+let usage cmd fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "msst %s: %s@." cmd msg;
+      exit 2)
+    fmt
+
+let require_positive cmd flag v = if v <= 0 then usage cmd "%s must be positive (got %d)" flag v
+
+(* An unknown family, or a size below the smallest a family builds, is a
+   usage error in every subcommand. *)
+let check_families cmd families sizes =
+  (match List.filter (fun f -> not (List.mem f Verifier_campaign.family_names)) families with
   | [] -> ()
   | unknown ->
-      Fmt.epr "msst %s: unknown family(s) %s (known: %s)@." cmd (String.concat ", " unknown)
-        family_list;
-      exit 2
+      usage cmd "unknown family(s) %s (known: %s)" (String.concat ", " unknown) family_list);
+  List.iter
+    (fun f ->
+      let least = Verifier_campaign.min_size f in
+      List.iter
+        (fun n -> if n < least then usage cmd "family %s needs n >= %d (got %d)" f least n)
+        sizes)
+    families
 
-(* The one family argument, over {!Verifier_campaign.build_graph}'s table. *)
-let family_arg cmd =
+(* The one family and size arguments, over {!Verifier_campaign.build_graph}'s
+   table: [f family n], once both are checked. *)
+let with_instance cmd f =
   let doc =
     Fmt.str
       "Graph family: %s.  grid rounds n down to a square and hypertree (the Section 9 \
@@ -45,10 +62,11 @@ let family_arg cmd =
       family_list Verifier_campaign.stream_threshold
   in
   Term.(
-    const (fun f ->
-        check_families cmd [ f ];
-        f)
-    $ Arg.(value & opt string "random" & info [ "family" ] ~docv:"FAMILY" ~doc))
+    const (fun family n ->
+        check_families cmd [ family ] [ n ];
+        f family n)
+    $ Arg.(value & opt string "random" & info [ "family" ] ~docv:"FAMILY" ~doc)
+    $ n_arg)
 
 let faults_arg =
   Arg.(value & opt int 1 & info [ "faults" ] ~docv:"F" ~doc:"Number of faults to inject.")
@@ -99,13 +117,10 @@ let monitors_exit cmd scenario ok =
     1
   end
 
-(* With nothing injected there is nothing to detect or explain: trace and
-   explain refuse a run without a fault burst. *)
-let require_faults cmd faults =
-  if faults < 1 then begin
-    Fmt.epr "msst %s: --faults must be at least 1 (got %d)@." cmd faults;
-    exit 2
-  end
+(* With nothing injected there is nothing to detect or explain: trace,
+   explain, the campaigns and bounds refuse a run without a fault burst. *)
+let require_faults ?(flag = "--faults") cmd faults =
+  if faults < 1 then usage cmd "%s must be at least 1 (got %d)" flag faults
 
 (* [f] on stdout, or on [out] (announced on stderr) *)
 let with_out out f =
@@ -126,10 +141,7 @@ let with_out out f =
    the fault-injected and alarm-raised events of the run.  The events go
    out as JSONL; the scenario's notes go to stderr. *)
 let trace_run family n seed faults async_ out capacity fmt =
-  if capacity <= 0 then begin
-    Fmt.epr "msst trace: --capacity must be positive (got %d)@." capacity;
-    exit 2
-  end;
+  require_positive "trace" "--capacity" capacity;
   require_faults "trace" faults;
   let p = { (params_of family n seed faults async_) with max_rounds = 200_000 } in
   let tel = Ssmst_obs.Telemetry.fake () and tr = Trace.create ~capacity () in
@@ -161,19 +173,12 @@ let trace_run family n seed faults async_ out capacity fmt =
    yield byte-identical campaign files. *)
 let campaign families sizes fault_counts models seeds seed max_rounds jobs csv_out jsonl_out =
   let unknown = List.filter (fun m -> not (List.mem m Campaign.model_names)) models in
-  if unknown <> [] then begin
-    Fmt.epr "msst campaign: unknown model(s) %a (known: %a)@."
-      (commas Fmt.string)
-      unknown
-      (commas Fmt.string)
-      Campaign.model_names;
-    exit 2
-  end;
-  check_families "campaign" families;
-  if seeds <= 0 then begin
-    Fmt.epr "msst campaign: --seeds must be positive (got %d)@." seeds;
-    exit 2
-  end;
+  if unknown <> [] then
+    usage "campaign" "unknown model(s) %a (known: %a)" (commas Fmt.string) unknown
+      (commas Fmt.string) Campaign.model_names;
+  check_families "campaign" families sizes;
+  List.iter (require_faults ~flag:"--fault-counts" "campaign") fault_counts;
+  require_positive "campaign" "--seeds" seeds;
   (* -j 0 (the default) defers to MSST_JOBS, so CI and scripts can set a
      machine-wide degree without threading a flag through every call *)
   let jobs =
@@ -222,20 +227,13 @@ let campaign families sizes fault_counts models seeds seed max_rounds jobs csv_o
    and [tel] installed as the phase profiler.  The commands differ only in
    the params and profiler they pass and in what they render. *)
 let run_scenario cmd tel scenario (p : Observatory.params) =
-  let known what names x =
-    if not (List.mem x names) then begin
-      Fmt.epr "msst %s: unknown %s %s (known: %a)@." cmd what x
-        (commas Fmt.string)
-        names;
-      exit 2
-    end
-  in
-  known "scenario" Observatory.scenario_names scenario;
-  Option.iter
-    (fun why ->
-      Fmt.epr "msst %s: %s@." cmd why;
-      exit 2)
-    (Observatory.refusal ~scenario p);
+  if not (List.mem scenario Observatory.scenario_names) then
+    usage cmd "unknown scenario %s (known: %a)" scenario (commas Fmt.string)
+      Observatory.scenario_names;
+  if scenario = "campaign" || scenario = "bounds" then begin
+    require_faults cmd p.faults;
+    require_positive cmd "--trials" p.trials
+  end;
   Observatory.run ~scenario tel p
 
 (* construct, verify and stabilize: the scenario's run through [report]'s
@@ -268,7 +266,7 @@ let write_file path s =
    columns + monitor verdicts) as markdown, optionally mirroring the JSON
    form to a second file.  No wall-clock number reaches these bytes, so
    the profiler is the deterministic fake one. *)
-let report scenario family n seed faults async_ epochs trials max_rounds md_out json_out fmt =
+let report family n scenario seed faults async_ epochs trials max_rounds md_out json_out fmt =
   let r =
     run_scenario "report" (Ssmst_obs.Telemetry.fake ()) scenario
       { (params_of family n seed faults async_) with epochs; trials; max_rounds }
@@ -296,7 +294,7 @@ let report scenario family n seed faults async_ epochs trials max_rounds md_out 
    telemetry block folded in.  Telemetry is out-of-band, so the
    scenario's registers, metrics and monitor verdicts are exactly
    [report]'s. *)
-let profile scenario family n seed faults async_ epochs trials max_rounds domains fmt chrome
+let profile family n scenario seed faults async_ epochs trials max_rounds domains fmt chrome
     fake =
   let d = resolve_domains domains in
   let tel = if fake then Ssmst_obs.Telemetry.fake () else Ssmst_obs.Telemetry.create () in
@@ -330,9 +328,7 @@ let parse_alarm s =
   let int_of part =
     match int_of_string_opt part with
     | Some v when v >= 0 -> v
-    | _ ->
-        Fmt.epr "msst explain: bad --alarm %S (expected NODE or NODE@ROUND)@." s;
-        exit 2
+    | _ -> usage "explain" "bad --alarm %S (expected NODE or NODE@ROUND)" s
   in
   match String.index_opt s '@' with
   | None -> (int_of s, None)
@@ -342,10 +338,7 @@ let parse_alarm s =
 
 let flight_params cmd family n seed faults clustered interval capacity max_rounds
     distance_c =
-  if interval <= 0 || capacity <= 0 then begin
-    Fmt.epr "msst %s: --interval and --capacity must be positive@." cmd;
-    exit 2
-  end;
+  if interval <= 0 || capacity <= 0 then usage cmd "--interval and --capacity must be positive";
   {
     (params_of family n seed faults false) with
     clustered;
@@ -625,7 +618,7 @@ let plain_doc what =
 let construct_cmd =
   Cmd.v
     (Cmd.info "construct" ~doc:(plain_doc "Build the MST and its proof labels."))
-    Term.(const construct $ family_arg "construct" $ n_arg $ seed_arg)
+    Term.(with_instance "construct" construct $ seed_arg)
 
 let verify_cmd =
   Cmd.v
@@ -634,13 +627,13 @@ let verify_cmd =
          (plain_doc
             "Run the self-stabilizing verifier; optionally inject faults and wait up to \
              200 000 rounds for the first alarm."))
-    Term.(const verify $ family_arg "verify" $ n_arg $ seed_arg $ faults_arg $ async_arg $ domains_arg)
+    Term.(with_instance "verify" verify $ seed_arg $ faults_arg $ async_arg $ domains_arg)
 
 let stabilize_cmd =
   Cmd.v
     (Cmd.info "stabilize"
        ~doc:(plain_doc "Run the transformer-based self-stabilizing MST scenario."))
-    Term.(const stabilize $ family_arg "stabilize" $ n_arg $ seed_arg $ faults_arg $ async_arg $ domains_arg)
+    Term.(with_instance "stabilize" stabilize $ seed_arg $ faults_arg $ async_arg $ domains_arg)
 
 (* [-o FILE], documented by what the command writes there *)
 let out_arg what =
@@ -670,7 +663,7 @@ let trace_cmd =
        ~doc:
          "Run the verify scenario (monitors on) and emit the engine's event trace from the \
           burst on as JSON lines; its notes go to stderr.  Exits 1 on a monitor violation.")
-    Term.(const trace_run $ family_arg "trace" $ n_arg $ seed_arg $ faults_arg $ async_arg
+    Term.(with_instance "trace" trace_run $ seed_arg $ faults_arg $ async_arg
           $ out_arg "the event trace (in $(b,--format), JSON lines by default)"
           $ capacity_arg $ format_arg Json)
 
@@ -712,7 +705,7 @@ let explain_cmd =
           checked against the detection-distance bound C*f*ceil(log2 n) (Section 2.4).  \
           Exits 3 when a provenance chain is broken, 1 when a witness or a monitor fails.")
     Term.(
-      const explain_run $ family_arg "explain" $ n_arg $ seed_arg $ faults_arg $ clustered_arg
+      with_instance "explain" explain_run $ seed_arg $ faults_arg $ clustered_arg
       $ interval_arg $ capacity_arg $ max_rounds_arg $ distance_c_arg $ alarm_arg
       $ format_arg Md
       $ out_arg "the alarm witnesses (in $(b,--format), markdown by default)")
@@ -745,7 +738,7 @@ let replay_cmd =
           reference for the first diverging (round, node, field).  Exits 1 when --diff \
           finds a divergence.")
     Term.(
-      const replay_run $ family_arg "replay" $ n_arg $ seed_arg $ faults_arg $ clustered_arg
+      with_instance "replay" replay_run $ seed_arg $ faults_arg $ clustered_arg
       $ interval_arg $ capacity_arg $ max_rounds_arg $ seek_arg $ steps_arg $ diff_arg
       $ format_arg Md
       $ out_arg "the replayed round views and any divergence (in $(b,--format), markdown by default)")
@@ -820,7 +813,8 @@ let scenario_arg =
   Arg.(
     required
     & pos 0 (some string) None
-    & info [] ~docv:"SCENARIO" ~doc:"Scenario to report on: construct, verify, stabilize, campaign.")
+    & info [] ~docv:"SCENARIO"
+        ~doc:"Scenario to report on: construct, verify, stabilize, campaign, bounds.")
 
 let epochs_arg =
   Arg.(
@@ -851,10 +845,13 @@ let report_cmd =
          "Run a scenario with the runtime observatory attached — phase profiler, \
           log-bucketed histograms, online invariant monitors — and render one combined \
           report as markdown (and optionally JSON), with the phase tree's logical costs \
-          (rounds, activations, writes, peak bits).  Exits non-zero if any invariant \
-          monitor reports a violation.")
+          (rounds, activations, writes, peak bits).  The bounds scenario runs the \
+          campaign's trials at n = 64, 256, 1024, 4096 up to $(b,-n), in sync and under \
+          both async daemons, and checks the paper's detection-time, detection-distance \
+          and register-size bounds.  Exits non-zero if any invariant monitor or bound \
+          reports a violation.")
     Term.(
-      const report $ scenario_arg $ family_arg "report" $ n_arg $ seed_arg $ faults_arg $ async_arg
+      with_instance "report" report $ scenario_arg $ seed_arg $ faults_arg $ async_arg
       $ epochs_arg $ trials_arg $ max_rounds_arg $ report_md_arg $ report_json_arg
       $ format_arg Md)
 
@@ -878,26 +875,26 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Run a scenario (verify, stabilize, campaign, construct) exactly as $(b,report) \
+         "Run a scenario (construct, verify, stabilize, campaign, bounds) exactly as $(b,report) \
           does and print the per-phase table — calls, wall time, %, minor/major words and \
           collections, and the paper's rounds, activations, writes and peak bits — plus \
           optionally a Chrome-trace JSON.  Telemetry is strictly out-of-band: registers, \
           metrics and monitors are byte-identical to an unprofiled run at every -d.  Exits \
           1 if an invariant monitor reports a violation.")
     Term.(
-      const profile $ scenario_arg $ family_arg "profile" $ n_arg $ seed_arg $ faults_arg
+      with_instance "profile" profile $ scenario_arg $ seed_arg $ faults_arg
       $ async_arg $ epochs_arg $ trials_arg $ max_rounds_arg $ domains_arg $ format_arg Md
       $ chrome_arg $ fake_clock_arg)
 
 let labels_cmd =
   Cmd.v
     (Cmd.info "labels" ~doc:"Print the Section 5 label strings of an instance.")
-    Term.(const labels $ family_arg "labels" $ n_arg $ seed_arg)
+    Term.(with_instance "labels" labels $ seed_arg)
 
 let compare_cmdliner =
   Cmd.v
     (Cmd.info "compare" ~doc:"Compare MST construction algorithms on one instance.")
-    Term.(const compare_cmd $ family_arg "compare" $ n_arg $ seed_arg)
+    Term.(with_instance "compare" compare_cmd $ seed_arg)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

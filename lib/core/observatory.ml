@@ -5,7 +5,7 @@ open Ssmst_obs
 (* Scenario drivers for [msst report] and [msst profile], and the one run
    behind [msst construct], [verify], [stabilize], [trace] and [explain]:
    run one of the repo's standard scenarios — construct, verify,
-   stabilize, campaign — with the full observatory attached (the phase
+   stabilize, campaign, bounds — with the full observatory attached (the phase
    profiler, log-bucketed histograms, online invariant monitors) and
    return one {!Report.t} combining everything.  The caller passes the
    {!Telemetry.t} to install over the scenario's measured part (see the
@@ -48,12 +48,7 @@ let default_params =
     distance_c = Monitor.default_distance_c;
   }
 
-let scenario_names = [ "construct"; "verify"; "stabilize"; "campaign" ]
-
-let refusal ~scenario p =
-  if scenario = "campaign" && p.async then
-    Some "campaign trials run Passive/Sync; --async does not apply to campaign"
-  else None
+let scenario_names = [ "construct"; "verify"; "stabilize"; "campaign"; "bounds" ]
 
 let graph_of p = Verifier_campaign.build_graph ~family:p.family ~seed:p.seed p.n
 
@@ -72,21 +67,17 @@ let fault_model p =
 
 let node_list vs = String.concat ", " (List.map string_of_int vs)
 
-let base_scenario name p ~n =
-  [
-    ("scenario", name);
-    ("family", p.family);
-    ("n", string_of_int n);
-    ("seed", string_of_int p.seed);
-    ("daemon", if p.async then "async-random" else "sync");
-  ]
-
-(* [n] is the size built, which grid and hypertree round the request to *)
-let report tel name p ~n extra =
+(* [n] is the size built, which grid and hypertree round the request to;
+   [daemon] names the daemons run when they are not the params' own *)
+let report ?daemon tel name p ~n extra =
+  let daemon = Option.value daemon ~default:(if p.async then "async-random" else "sync") in
   let r =
     Report.create
       ~title:(Fmt.str "msst report — %s (%s, n = %d)" name p.family n)
-      ~scenario:(base_scenario name p ~n @ extra)
+      ~scenario:
+        ([ ("scenario", name); ("family", p.family); ("n", string_of_int n);
+           ("seed", string_of_int p.seed); ("daemon", daemon) ]
+        @ extra)
       ()
   in
   Report.set_spans r (Telemetry.root tel);
@@ -322,47 +313,39 @@ let stabilize tel p =
 
 (* ---------------- campaign ---------------- *)
 
-(* A compact sweep on one instance: every named fault model x [trials]
-   injection seeds, one [campaign.trial] frame each (same-name siblings:
-   one row); outcomes land in the detection-time/-distance histograms. *)
-let campaign tel p =
-  Option.iter
-    (fun why -> invalid_arg ("Observatory.campaign: " ^ why))
-    (refusal ~scenario:"campaign" p);
+(* The one trial loop behind campaign and bounds: every named model x
+   [trials] injection seeds on [inst], in order, one [campaign.trial]
+   frame each (same-name siblings: one row). *)
+let run_trials (p : params) inst models =
+  let n = Graph.n (Verifier_campaign.graph inst) and root = Verifier_campaign.root inst in
+  List.concat
+    (List.mapi
+       (fun mi name ->
+         let model = Campaign.resolve_model name ~n ~root ~count:p.faults in
+         List.init p.trials (fun k ->
+             Verifier_campaign.run_trial ~domains:p.domains inst ~model
+               ~inject_seed:(p.seed + (7919 * ((mi * p.trials) + k + 1)) + k)
+               ~max_rounds:p.max_rounds))
+       models)
+
+(* one outcome field over the trials that have it *)
+let hist_of field outcomes =
+  let h = Hist.create () in
+  List.iter (fun o -> Option.iter (Hist.record h) (field o)) outcomes;
+  h
+
+(* A compact sweep on one instance, settled and trialled under the
+   params' mode and daemon: every named fault model x [trials] injection
+   seeds; outcomes land in the detection-time/-distance histograms. *)
+let campaign tel (p : params) =
+  let mode, daemon = mode_and_daemon p in
   let inst =
-    Verifier_campaign.prepare ~domains:p.domains ~family:p.family ~n:p.n ~seed:p.seed ()
+    Verifier_campaign.prepare ~domains:p.domains ~mode ~daemon ~family:p.family ~n:p.n
+      ~seed:p.seed ()
   in
   let n = Graph.n (Verifier_campaign.graph inst) in
-  let dt_h = Hist.create () and dd_h = Hist.create () and rounds_h = Hist.create () in
-  let detected = ref 0 and total = ref 0 in
-  let idx = ref 0 in
   profiled tel @@ fun () ->
-  List.iter
-    (fun model_name ->
-      for k = 0 to p.trials - 1 do
-        incr idx;
-        let i = !idx in
-        let model =
-          Campaign.resolve_model model_name ~n ~root:(Verifier_campaign.root inst)
-            ~count:p.faults
-        in
-        let o =
-          Verifier_campaign.run_trial ~domains:p.domains inst ~model
-            ~inject_seed:(p.seed + (7919 * i) + k)
-            ~max_rounds:p.max_rounds
-        in
-        incr total;
-        Hist.record rounds_h o.Campaign.rounds_run;
-        match o.Campaign.detection_rounds with
-        | Some dt ->
-            incr detected;
-            Hist.record dt_h dt;
-            (match o.Campaign.detection_distance with
-            | Some dd -> Hist.record dd_h dd
-            | None -> ())
-        | None -> ()
-      done)
-    Campaign.model_names;
+  let os = run_trials p inst Campaign.model_names in
   let r =
     report tel "campaign" p ~n
       [
@@ -371,13 +354,112 @@ let campaign tel p =
         ("faults", string_of_int p.faults);
       ]
   in
+  let dt_h = hist_of (fun o -> o.Campaign.detection_rounds) os in
+  let dd_h = hist_of (fun o -> o.Campaign.detection_distance) os in
   Report.add_hist r "detection time (rounds)" dt_h;
   Report.add_hist r "detection distance (hops)" dd_h;
-  Report.add_hist r "rounds run per trial" rounds_h;
-  Report.add_note r (Fmt.str "%d/%d trials detected" !detected !total);
+  Report.add_hist r "rounds run per trial" (hist_of (fun o -> Some o.Campaign.rounds_run) os);
+  Report.add_note r (Fmt.str "%d/%d trials detected" (Hist.count dt_h) (List.length os));
   Report.add_note r
     (Fmt.str "paper bound shape check: f * ceil(log2 n) = %d (dd_p99 observed: %d)"
        (p.faults * Memory.of_nat n) (Hist.p99 dd_h));
+  r
+
+(* ---------------- bounds ---------------- *)
+
+(* c_t of the detection-time bounds c_t * ceil(log2 n)^2 (sync) and
+   c_t * Delta * ceil(log2 n)^3 (async): the smallest integers that held
+   every point of [msst report bounds -n 256 --trials 200] at seeds 1-4
+   (largest ratios 1631 / 81 = 20.1 sync, 127 / 10206 = 0.012 async) *)
+let time_c_sync = 21
+let time_c_async = 1
+
+type bound_point = {
+  n : int;
+  daemon : string;
+  delta : int;
+  faults : int;
+  max_detection : int;
+  max_distance : int;
+  peak_bits : int;
+}
+
+(* (what, observed, bound, the bound's formula) per claim, with
+   ceil(log2 n) counted as the monitors count it (the bit length of n) *)
+let bounds_of pt =
+  let l = Memory.of_nat pt.n and dc = Monitor.default_distance_c in
+  let time, formula =
+    if pt.daemon = "sync" then (time_c_sync * l * l, Fmt.str "%d * log^2 n" time_c_sync)
+    else (time_c_async * pt.delta * l * l * l, Fmt.str "%d * Delta * log^3 n" time_c_async)
+  in
+  [ ("detection time", pt.max_detection, time, formula);
+    ("detection distance", pt.max_distance, dc * pt.faults * l, Fmt.str "%d * f * log n" dc);
+    ( "register bits", pt.peak_bits, Monitor.default_compact_c * l,
+      Fmt.str "%d * log n" Monitor.default_compact_c ) ]
+
+(* a violation's round is the worst detection's, counted from the burst *)
+let bound_checks pt =
+  List.map
+    (fun (what, observed, bound, formula) ->
+      ( Fmt.str "%s (n = %d, %s)" what pt.n pt.daemon,
+        if observed <= bound then Monitor.Ok
+        else
+          let detail = Fmt.str "%d exceeds %s = %d" observed formula bound in
+          Monitor.Violation { round = pt.max_detection; node = None; detail } ))
+    (bounds_of pt)
+
+(* The paper's three claims at every size of 64, 256, 1024, 4096 up to
+   [p.n] (or at [p.n] alone below 64), under Passive/Sync and Handshake
+   under both async daemons: one settled instance per (n, daemon), the
+   campaign's trial loop over bit-flip and uniform faults, one note and
+   three verdicts per point. *)
+let bounds tel (p : params) =
+  let sizes =
+    match List.filter (fun s -> s <= p.n) [ 64; 256; 1024; 4096 ] with [] -> [ p.n ] | l -> l
+  in
+  let models = [ "bit-flip"; "uniform" ] in
+  let daemons =
+    [ ("sync", Verifier.Passive, fun _ -> Scheduler.Sync);
+      ("async-random", Verifier.Handshake, fun st -> Scheduler.Async_random st);
+      ("async-adversarial", Verifier.Handshake, fun st -> Scheduler.Async_adversarial st) ]
+  in
+  profiled tel @@ fun () ->
+  let point size (daemon, mode, make) =
+    Ssmst_parallel.Probe.with_ (Fmt.str "n = %d %s" size daemon) @@ fun () ->
+    let inst =
+      Ssmst_parallel.Probe.with_ "prepare" (fun () ->
+          Verifier_campaign.prepare ~domains:p.domains ~mode ~daemon:(make (Gen.rng (p.seed + 1)))
+            ~family:p.family ~n:size ~seed:p.seed ())
+    in
+    let g = Verifier_campaign.graph inst and os = run_trials p inst models in
+    let dt_h = hist_of (fun o -> o.Campaign.detection_rounds) os in
+    let dd_h = hist_of (fun o -> o.Campaign.detection_distance) os in
+    let pt =
+      { n = Graph.n g; daemon; delta = Graph.max_degree g; faults = p.faults;
+        max_detection = Hist.max_value dt_h; max_distance = Hist.max_value dd_h;
+        peak_bits = Verifier_campaign.peak_bits inst }
+    in
+    let claim (what, seen, bound, formula) =
+      Fmt.str "%s %d, bound %d (%s)" what seen bound formula
+    in
+    ( pt,
+      Fmt.str "n = %d, %s (Delta = %d, log n = %d): %s; undetected %d/%d" pt.n daemon pt.delta
+        (Memory.of_nat pt.n)
+        (String.concat "; " (List.map claim (bounds_of pt)))
+        (List.length os - Hist.count dt_h)
+        (List.length os) )
+  in
+  let points = List.concat_map (fun size -> List.map (point size) daemons) sizes in
+  let r =
+    report tel "bounds" p
+      ~n:(List.fold_left (fun acc (pt, _) -> max acc pt.n) 0 points)
+      ~daemon:(String.concat "," (List.map (fun (d, _, _) -> d) daemons))
+      [ ("sizes", String.concat "," (List.map string_of_int sizes));
+        ("models", String.concat "," models); ("trials per model", string_of_int p.trials);
+        ("faults", string_of_int p.faults) ]
+  in
+  List.iter (fun (_, note) -> Report.add_note r note) points;
+  Report.set_monitors r (List.concat_map (fun (pt, _) -> bound_checks pt) points);
   r
 
 let run ~scenario tel p =
@@ -386,4 +468,5 @@ let run ~scenario tel p =
   | "verify" -> verify tel p
   | "stabilize" -> stabilize tel p
   | "campaign" -> campaign tel p
+  | "bounds" -> bounds tel p
   | s -> invalid_arg (Fmt.str "Observatory.run: unknown scenario %S" s)

@@ -5,12 +5,13 @@ open Ssmst_obs
 (** Scenario drivers for [msst report] and [msst profile], and the one run
     behind [msst construct], [verify], [stabilize], [trace] and [explain]:
     run one of the standard scenarios — construct, verify, stabilize,
-    campaign — with the full observatory attached (the phase profiler,
+    campaign, bounds — with the full observatory attached (the phase profiler,
     log-bucketed histograms, online invariant monitors) and return one
     {!Report.t} combining engine metrics, histograms, the profiler's phase
     tree and the monitor verdicts.  Each scenario installs the given
     {!Telemetry.t} over its measured part; verify's marker and campaign's
-    settled instance are built before, unprofiled.  Every fact a run
+    settled instance are built before, unprofiled (bounds profiles its
+    instances' preparation).  Every fact a run
     establishes is a note of its report ({!Report.notes}); the plain
     subcommands print those notes and nothing else. *)
 
@@ -53,12 +54,7 @@ val fault_model : params -> Fault.t
     within radius 2 of a random centre; [Corrupt_random], one-shot. *)
 
 val scenario_names : string list
-(** ["construct"; "verify"; "stabilize"; "campaign"] *)
-
-val refusal : scenario:string -> params -> string option
-(** Why [scenario] refuses these params, if it does: campaign trials run
-    Passive/Sync, so [campaign] refuses [async].  The scenario raises
-    [Invalid_argument] on them; callers check first to report it. *)
+(** ["construct"; "verify"; "stabilize"; "campaign"; "bounds"] *)
 
 val construct : Telemetry.t -> params -> Report.t
 
@@ -101,7 +97,43 @@ val stabilize : Telemetry.t -> params -> Report.t
 (** One ["epoch i"] frame (0-based) per fault epoch. *)
 
 val campaign : Telemetry.t -> params -> Report.t
-(** @raise Invalid_argument when [async] is set (see {!refusal}). *)
+(** Every named fault model x [trials] injection seeds on one instance,
+    settled and trialled under Passive/Sync, or Handshake/[Async_random]
+    with [async]. *)
+
+(** {2 Bounds} — the paper's detection time, detection distance and
+    register size claims, measured by the campaign's trials. *)
+
+val time_c_sync : int
+val time_c_async : int
+(** c_t of the detection-time bounds c_t ⌈log n⌉² (sync) and
+    c_t Δ ⌈log n⌉³ (async), fitted at n ≤ 256. *)
+
+(** One (n, daemon) point: the worst detected trial's rounds and distance
+    and the settling run's largest register. *)
+type bound_point = {
+  n : int;  (** as built *)
+  daemon : string;  (** ["sync"], ["async-random"] or ["async-adversarial"] *)
+  delta : int;  (** the graph's maximum degree *)
+  faults : int;
+  max_detection : int;
+  max_distance : int;
+  peak_bits : int;
+}
+
+val bound_checks : bound_point -> (string * Monitor.verdict) list
+(** One verdict per claim: detection time against the c_t bound,
+    distance against [Monitor.default_distance_c] f ⌈log n⌉, bits against
+    [Monitor.default_compact_c] ⌈log n⌉, with ⌈log n⌉ counted as the
+    monitors count it ([Memory.of_nat n]).  A point above a bound is a
+    [Violation]. *)
+
+val bounds : Telemetry.t -> params -> Report.t
+(** The campaign's trial loop over ["bit-flip"] and ["uniform"] at n = 64,
+    256, 1024, 4096 up to [n] (or [n] alone below 64), under Passive/Sync
+    and Handshake under both async daemons.  Per point: one ["n = N daemon"]
+    frame, a note (trials that never alarmed are counted, not gated) and
+    three {!bound_checks} verdicts. *)
 
 val run : scenario:string -> Telemetry.t -> params -> Report.t
 (** Dispatch by name.  @raise Invalid_argument on an unknown scenario. *)

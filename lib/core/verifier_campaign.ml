@@ -9,6 +9,10 @@ open Ssmst_sim
 
 let family_names = [ "random"; "path"; "ring"; "grid"; "complete"; "star"; "hypertree" ]
 
+(* the smallest request each family builds: a ring needs three nodes for
+   distinct edges, grid and hypertree round any positive request up *)
+let min_size = function "ring" -> 3 | "grid" | "hypertree" -> 1 | _ -> 2
+
 let grid_side n = max 2 (int_of_float (sqrt (float_of_int n)))
 
 (* the §9 lower-bound family: n is rounded down to the nearest
@@ -60,24 +64,35 @@ end
 type instance = {
   graph : Graph.t;
   marker : Marker.t;
+  peak_bits : int;
   trial :
     domains:int -> model:Fault.t -> inject_seed:int -> max_rounds:int -> Campaign.outcome;
 }
 
 let graph t = t.graph
 let root t = Tree.root t.marker.Marker.tree
+let peak_bits t = t.peak_bits
+
+(* [daemon] on a fresh stream drawn from [seed], clear of the fault
+   stream [Gen.rng seed]; [Sync] stays [Sync] and allocates nothing *)
+let reseed daemon seed =
+  match daemon with
+  | Scheduler.Sync -> daemon
+  | Async_random _ -> Async_random (Random.State.make [| seed; 1 |])
+  | Async_adversarial _ -> Async_adversarial (Random.State.make [| seed; 1 |])
 
 (* One [Net] per instance: settling and every trial share its verifier,
    so the label-derived view table is built once, while settling. *)
-let prepare ?(domains = 1) ~family ~n ~seed () =
+let prepare ?(domains = 1) ?(mode = Verifier.Passive) ?(daemon = Scheduler.Sync) ~family ~n
+    ~seed () =
   let g = build_graph ~family ~seed n in
   let m = Marker.run g in
   let module N = Net (struct
     let marker = m
-    let mode = Verifier.Passive
+    let mode = mode
   end) in
   let net = N.create ~domains g in
-  N.settle net Scheduler.Sync;
+  N.settle net daemon;
   let settled = Array.copy (N.states net) in
   let trial ~domains ~model ~inject_seed ~max_rounds =
     let net = N.create ~domains g in
@@ -86,14 +101,14 @@ let prepare ?(domains = 1) ~family ~n ~seed () =
        stamping [last_write] on every node and emitting spurious Init
        events — [restore] installs the snapshot as pure bookkeeping *)
     N.restore net settled;
-    let rng = Gen.rng inject_seed in
+    let rng = Gen.rng inject_seed and daemon = reseed daemon inject_seed in
     Campaign.drive ~rng ~model ~max_rounds
-      ~round:(fun () -> N.round net Scheduler.Sync)
+      ~round:(fun () -> N.round net daemon)
       ~any_alarm:(fun () -> N.any_alarm net)
       ~inject:(fun st m -> N.inject net st m)
       ~distance:(fun ~faults -> N.detection_distance net ~faults)
   in
-  { graph = g; marker = m; trial }
+  { graph = g; marker = m; peak_bits = N.peak_bits net; trial }
 
 let run_trial ?(domains = 1) t ~model ~inject_seed ~max_rounds =
   (* one [campaign.trial] frame per trial, charged the rounds it ran and
@@ -115,8 +130,8 @@ let run_trial ?(domains = 1) t ~model ~inject_seed ~max_rounds =
    settling [prepare] (the expensive part) runs inside the shard and so
    parallelizes with its trials, and the rows come back as marshallable
    plain data. *)
-let run_instance ~fault_counts ~models ~max_rounds (family, requested_n, instance_seed) =
-  let inst = prepare ~family ~n:requested_n ~seed:instance_seed () in
+let run_instance ~fault_counts ~models ~max_rounds (family, requested_n, seed) =
+  let inst = prepare ~family ~n:requested_n ~seed () in
   (* grid/hypertree round the requested size: record what was actually
      built, so downstream c·f·⌈log n⌉ analysis reads the right n *)
   let actual_n = Graph.n inst.graph in
@@ -127,17 +142,10 @@ let run_instance ~fault_counts ~models ~max_rounds (family, requested_n, instanc
       List.iteri
         (fun mi name ->
           let model = Campaign.resolve_model name ~n:actual_n ~root:r ~count:f in
-          let inject_seed = (instance_seed * 31) + (97 * fi) + mi + 1 in
+          let inject_seed = (seed * 31) + (97 * fi) + mi + 1 in
           let outcome = run_trial inst ~model ~inject_seed ~max_rounds in
           let spec =
-            {
-              Campaign.family;
-              n = actual_n;
-              requested_n;
-              faults = f;
-              model = name;
-              seed = instance_seed;
-            }
+            { Campaign.family; n = actual_n; requested_n; faults = f; model = name; seed }
           in
           trials := { Campaign.spec; outcome } :: !trials)
         models)

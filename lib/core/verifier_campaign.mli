@@ -9,6 +9,10 @@ open Ssmst_sim
 val family_names : string list
 (** ["random"; "path"; "ring"; "grid"; "complete"; "star"; "hypertree"] *)
 
+val min_size : string -> int
+(** The smallest request a family builds: 3 for ["ring"], 1 for ["grid"]
+    and ["hypertree"] (which round any request up), 2 for the rest. *)
+
 val graph_of_family : string -> Random.State.t -> int -> Graph.t
 (** Note that two families round the requested size: ["grid"] builds a
     side² grid with side = [max 2 (sqrt n)], and ["hypertree"] rounds down
@@ -60,13 +64,20 @@ type instance
     and the verifier's label-derived view table are paid once per
     instance, not once per (f, model) grid point. *)
 
-val prepare : ?domains:int -> family:string -> n:int -> seed:int -> unit -> instance
-(** [domains] (default 1) fans the settling run's sync rounds across
-    worker domains; the settled snapshot is byte-identical either way. *)
+val prepare :
+  ?domains:int -> ?mode:Verifier.mode -> ?daemon:Scheduler.t -> family:string -> n:int ->
+  seed:int -> unit -> instance
+(** Settle under [mode] (default [Passive]) and [daemon] (default [Sync]);
+    every trial then runs under the same kind of daemon.  [domains]
+    (default 1) fans the sync rounds across worker domains; the settled
+    snapshot is byte-identical either way. *)
 
 val graph : instance -> Graph.t
 val root : instance -> int
 (** The MST root: the anchor of the ["near-root"] placement. *)
+
+val peak_bits : instance -> int
+(** The largest register, in bits, of the settling run. *)
 
 val run_trial :
   ?domains:int ->
@@ -79,6 +90,8 @@ val run_trial :
     instance snapshot via the engine's metrics/trace-neutral [restore] (so
     [register_writes] counts protocol work only — 0 until the injection);
     deterministic in the instance and [inject_seed] at every [domains].
+    Faults are drawn from [Gen.rng inject_seed], an async trial's daemon
+    from a stream derived from [inject_seed] too.
     Each trial runs under a ["campaign.trial"] telemetry frame when a
     {!Ssmst_parallel.Probe} sink is installed. *)
 

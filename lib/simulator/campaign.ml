@@ -43,8 +43,9 @@ let resolve_model name ~n ~root ~count =
       Fault.make ~placement:(Clustered { center = None; radius = clustered_radius }) ~count ()
   | "near-root" -> Fault.make ~placement:(Near_root { root }) ~count ()
   | "targeted" ->
-      (* an explicit, evenly spread victim list (dedup keeps it <= count) *)
-      let k = max 1 (min count n) in
+      (* an explicit, evenly spread victim list (dedup keeps it <= count;
+         no victim at count 0) *)
+      let k = min count n in
       Fault.make ~placement:(Targeted (List.init k (fun i -> i * n / k))) ~count ()
   | "crash" -> Fault.make ~severity:Crash_reset ~count ()
   | "bit-flip" -> Fault.make ~severity:Bit_flip ~count ()

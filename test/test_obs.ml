@@ -908,14 +908,93 @@ let test_report_built_n () =
       Alcotest.(check bool) (Fmt.str "markdown omits %S" needle) false (contains md needle))
     [ "n = 100"; "- **n**: 100" ]
 
-(* Campaign trials run Passive/Sync: the scenario refuses [async] rather
-   than label a sync run async-random. *)
-let test_campaign_refuses_async () =
-  let p = { Observatory.default_params with Observatory.n = 16; async = true } in
-  Alcotest.(check bool) "refusal" true (Observatory.refusal ~scenario:"campaign" p <> None);
-  match Observatory.run ~scenario:"campaign" (Telemetry.fake ()) p with
-  | _ -> Alcotest.fail "campaign ran with async = true"
-  | exception Invalid_argument _ -> ()
+(* An async campaign is as deterministic as a sync one: the report is
+   byte-identical at -d 1 and 2, and trial rows are the same from -j 1 and
+   2 forked workers (each trial draws its daemon from its own seed). *)
+let test_async_campaign_deterministic () =
+  let p = { Observatory.default_params with Observatory.n = 32; seed = 11; async = true } in
+  let md d =
+    Report.to_markdown
+      (Observatory.run ~scenario:"campaign" (Telemetry.fake ()) { p with domains = d })
+  in
+  let d1 = md 1 in
+  Alcotest.(check bool) "runs under the async daemon" true (contains d1 "async-random");
+  Alcotest.(check string) "report at -d 1 = -d 2" d1 (md 2);
+  let instance seed =
+    Verifier_campaign.prepare ~mode:Verifier.Handshake
+      ~daemon:(Scheduler.Async_adversarial (Gen.rng seed))
+      ~family:"random" ~n:32 ~seed ()
+  in
+  let row inst seed k =
+    let model =
+      Campaign.resolve_model "uniform" ~n:32 ~root:(Verifier_campaign.root inst) ~count:2
+    in
+    Campaign.trial_to_csv
+      { Campaign.spec =
+          { family = "random"; n = 32; requested_n = 32; faults = 2; model = "uniform"; seed };
+        outcome = Verifier_campaign.run_trial inst ~model ~inject_seed:(seed + k) ~max_rounds:2000 }
+  in
+  let rows seed =
+    let inst = instance seed in
+    List.init 6 (row inst seed)
+  in
+  let csv jobs =
+    String.concat "\n" (List.concat (Ssmst_parallel.Pool.map ~jobs rows [ 7; 8; 9 ]))
+  in
+  Alcotest.(check string) "trial CSV at -j 1 = -j 2" (csv 1) (csv 2);
+  let inst = instance 7 in
+  Alcotest.(check (list string)) "trials run in reverse give the same rows" (rows 7)
+    (List.rev (List.init 6 (fun k -> row inst 7 (5 - k))))
+
+(* The bounds scenario at n = 64: one point per daemon, every claim within
+   its bound. *)
+let test_bounds_at_64 () =
+  let p = { Observatory.default_params with Observatory.n = 64; seed = 11 } in
+  let r = Observatory.run ~scenario:"bounds" (Telemetry.fake ()) p in
+  Alcotest.(check bool) "every verdict ok" true (Report.all_monitors_ok r);
+  let notes = Report.notes r in
+  Alcotest.(check int) "one note per daemon" 3 (List.length notes);
+  List.iter
+    (fun d ->
+      Alcotest.(check bool)
+        (Fmt.str "a point under %s" d)
+        true
+        (List.exists (fun note -> contains note (Fmt.str "n = 64, %s " d)) notes))
+    [ "sync"; "async-random"; "async-adversarial" ];
+  let json = Report.to_json r in
+  Alcotest.(check bool) "the verdicts are in the JSON" true
+    (contains json {|"monitors_ok":true|}
+    && contains json "register bits (n = 64, async-adversarial)")
+
+(* A point one round above its c_t bound is a violation; one at the bound
+   is not. *)
+let test_bounds_violation () =
+  let l = Memory.of_nat 256 in
+  let pt =
+    { Observatory.n = 256; daemon = "sync"; delta = 5; faults = 1;
+      max_detection = Observatory.time_c_sync * l * l; max_distance = 0; peak_bits = 0 }
+  in
+  let time_ok pt =
+    Monitor.verdict_ok
+      (List.assoc
+         (Fmt.str "detection time (n = 256, %s)" pt.Observatory.daemon)
+         (Observatory.bound_checks pt))
+  in
+  Alcotest.(check bool) "sync at the bound" true (time_ok pt);
+  Alcotest.(check bool) "sync above the bound" false
+    (time_ok { pt with max_detection = pt.max_detection + 1 });
+  let async = Observatory.time_c_async * 5 * l * l * l in
+  let pt = { pt with daemon = "async-random"; max_detection = async } in
+  Alcotest.(check bool) "async at the bound" true (time_ok pt);
+  Alcotest.(check bool) "async above the bound" false
+    (time_ok { pt with max_detection = async + 1 });
+  let above = Observatory.bound_checks { pt with max_detection = async + 1 } in
+  Alcotest.(check bool) "the other claims stay ok" true
+    (List.for_all (fun (name, v) -> contains name "detection time" || Monitor.verdict_ok v) above);
+  (* msst's exit rule reads the report's verdicts: this one exits 1 *)
+  let r = Report.create ~title:"bounds" ~scenario:[] () in
+  Report.set_monitors r above;
+  Alcotest.(check bool) "the report is not ok" false (Report.all_monitors_ok r)
 
 (* The phase profiler charges the paper's logical cost exactly as the
    separate span profiler it replaced did.  Pinned from that profiler's
@@ -1029,5 +1108,9 @@ let suite =
     Alcotest.test_case "report: logical costs pinned across the profiler merge" `Quick
       test_report_logical_costs_pinned;
     Alcotest.test_case "report: header n is the built size" `Quick test_report_built_n;
-    Alcotest.test_case "report: campaign refuses async" `Quick test_campaign_refuses_async;
+    Alcotest.test_case "report: async campaign deterministic at -d and -j" `Quick
+      test_async_campaign_deterministic;
+    Alcotest.test_case "bounds: n = 64, three daemons, every verdict ok" `Quick
+      test_bounds_at_64;
+    Alcotest.test_case "bounds: a point above c_t is a violation" `Quick test_bounds_violation;
   ]
